@@ -68,7 +68,7 @@ def test_faults(benchmark, emit):
     try:
         # --- fault-free overhead -------------------------------------
         plain, t_plain = _best_of(
-            lambda: run_production(**LOT, multi_device_batch=True)
+            lambda: run_production(**LOT)
         )
 
         def hardened():

@@ -208,25 +208,12 @@ def test_store(benchmark, emit):
 
 
 # ---------------------------------------------------------------------------
-# Store at production scale (PR 8): worker-direct writes, the persistent
-# index, shard compaction.
+# Store at production scale: the persistent index, shard compaction.
 # ---------------------------------------------------------------------------
-
-#: The production-scale write workload: one 96-device lot.
-N_LOT_DEVICES = 96
-LOT_SAMPLES = 2**15
-LOT_NPERSEG = 2048
 
 #: Synthetic entry count for the enumeration benchmark (>= 10k per the
 #: acceptance bar; payload bytes are irrelevant to ls, only file count).
 N_INDEX_ENTRIES = 10_000
-
-#: Worker-direct warm writes must beat parent-funneled writes by this
-#: factor.  Serialization is pure CPU, so the bar only binds on
-#: multi-core hosts; single-core runners still assert bit-identity.
-MIN_DIRECT_SPEEDUP = float(
-    os.environ.get("BENCH_STORE_MIN_DIRECT_SPEEDUP", "1.3")
-)
 
 #: Enumerating >= 10k entries through the persistent index must beat
 #: the tree walk by this factor (asserted on every host).
@@ -235,65 +222,9 @@ MIN_INDEX_SPEEDUP = float(
 )
 
 
-def _scale_lot_items():
-    """``(key, result)`` pairs for one measured 96-device lot."""
-    from repro.engine import plan_measurements
-    from repro.experiments.production import _draw_lot, _lot_tasks
-    from repro.store import measurement_key
-
-    true_values, device_rngs = _draw_lot(8.0, 0.8, N_LOT_DEVICES, SEED)
-    tasks = _lot_tasks(
-        true_values,
-        [LOT_SAMPLES] * N_LOT_DEVICES,
-        [LOT_NPERSEG] * N_LOT_DEVICES,
-        device_rngs,
-    )
-    # Keys read generator state without consuming it, so they must be
-    # fingerprinted before the plan acquires.
-    keys = [
-        measurement_key(t.source, t.estimator, t.rng) for t in tasks
-    ]
-    results = plan_measurements(tasks).run(
-        MeasurementEngine(backend="vectorized")
-    )
-    return list(zip(keys, results))
-
-
 def test_store_scale(benchmark, emit):
-    from repro.engine import WorkerPool
-    from repro.store.io import put_result_direct
-
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="bench_store_scale_"))
-    multicore = (os.cpu_count() or 1) > 1
     try:
-        items = run_once(benchmark, _scale_lot_items)
-
-        # --- worker-direct vs parent-funneled warm writes ------------
-        funneled = ResultStore(workdir / "funneled")
-        _, t_funneled = _time(
-            lambda: [funneled.put_result(k, r) for k, r in items]
-        )
-
-        direct = ResultStore(workdir / "direct")
-        pool = WorkerPool(store_root=str(direct.root))
-        try:
-            pool.map(put_result_direct, items[:2])  # spawn off the clock
-            direct.gc(all_entries=True)
-            _, t_direct = _time(lambda: pool.map(put_result_direct, items))
-        finally:
-            pool.close()
-        direct_speedup = t_funneled / t_direct
-
-        # Transport must be invisible on disk: every worker-written
-        # payload is bit-identical to its parent-funneled twin.
-        walk = funneled.index()
-        assert len(walk) == N_LOT_DEVICES
-        assert all(
-            direct.read_payload_bytes(e.kind, e.key) == e.read_bytes()
-            for e in walk
-        )
-        assert direct.verify_index()["consistent"]
-
         # --- indexed enumeration vs tree walk at 10k entries ---------
         big = ResultStore(workdir / "big")
         rng = np.random.default_rng(SEED)
@@ -302,7 +233,7 @@ def test_store_scale(benchmark, emit):
             path = big._path("results", key)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(b"x" * 64)
-        big.rebuild_index()
+        run_once(benchmark, big.rebuild_index)
         # Best-of-3 on both legs: single-shot timings at this scale are
         # dominated by scheduler noise, not by the code under test.
         walk_big, t_walk = min(
@@ -334,18 +265,6 @@ def test_store_scale(benchmark, emit):
 
         rows = [
             [
-                "parent-funneled warm writes",
-                t_funneled,
-                f"{N_LOT_DEVICES} payloads",
-                "-",
-            ],
-            [
-                "worker-direct warm writes",
-                t_direct,
-                f"{N_LOT_DEVICES} payloads",
-                f"{direct_speedup:.2f}x",
-            ],
-            [
                 "tree-walk enumeration",
                 t_walk,
                 f"{N_INDEX_ENTRIES} entries",
@@ -370,8 +289,7 @@ def test_store_scale(benchmark, emit):
                 ["stage", "seconds", "detail", "speedup"],
                 rows,
                 title=(
-                    f"Store at scale - {N_LOT_DEVICES}-device lot, "
-                    f"{N_INDEX_ENTRIES}-entry index "
+                    f"Store at scale - {N_INDEX_ENTRIES}-entry index "
                     f"({os.cpu_count()} CPUs)"
                 ),
             ),
@@ -385,20 +303,7 @@ def test_store_scale(benchmark, emit):
         payload["store_scale"] = {
             "n_cpus": os.cpu_count(),
             "env": envinfo(),
-            "workload": {
-                "n_devices": N_LOT_DEVICES,
-                "n_samples": LOT_SAMPLES,
-                "nperseg": LOT_NPERSEG,
-                "n_index_entries": N_INDEX_ENTRIES,
-            },
-            "direct_writes": {
-                "funneled_seconds": round(t_funneled, 4),
-                "direct_seconds": round(t_direct, 4),
-                "speedup": round(direct_speedup, 2),
-                "min_speedup": MIN_DIRECT_SPEEDUP,
-                "asserted": multicore,
-                "bit_identical": True,
-            },
+            "workload": {"n_index_entries": N_INDEX_ENTRIES},
             "indexed_ls": {
                 "walk_seconds": round(t_walk, 5),
                 "indexed_seconds": round(t_indexed, 5),
@@ -415,10 +320,8 @@ def test_store_scale(benchmark, emit):
         }
         bench_path.write_text(json.dumps(payload, indent=2) + "\n")
 
-        # Acceptance bars (ISSUE 8): indexed enumeration and compaction
-        # bind everywhere; the worker-direct floor needs real cores.
+        # Acceptance bars: indexed enumeration and compaction bind
+        # everywhere.
         assert index_speedup >= MIN_INDEX_SPEEDUP
-        if multicore:
-            assert direct_speedup >= MIN_DIRECT_SPEEDUP
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -26,7 +26,6 @@ from repro.buffers import ArrayPool, default_pool
 from repro.engine.engine import (
     AnalogBatchAcquirer,
     BatchAcquirer,
-    DeviceBatch,
     Engine,
     MeasurementEngine,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "AnalogBatchAcquirer",
     "ArrayPool",
     "BatchAcquirer",
-    "DeviceBatch",
     "Engine",
     "GroupReport",
     "MapOutcome",

@@ -12,8 +12,10 @@ seed implementation into stacked-array batch runs:
 * a multi-device screen (:meth:`MeasurementEngine.measure_devices`)
   stacks records across *different* DUT models — each device's analog
   chain runs with its own parameters and per-record noise densities,
-  then every record shares one digitize pass (per-record reference
-  rows) and one batched Welch pass;
+  is digitized against its own reference, and every record shares one
+  batched Welch pass; the process backend splits the devices into one
+  contiguous chunk per pool worker, and each worker runs the whole
+  chain for its chunk;
 * parameter sweeps (:meth:`MeasurementEngine.map_sweep`) fan out over
   tasks with per-task child seeds, in-process or on a
   ``ProcessPoolExecutor``.
@@ -39,7 +41,6 @@ from __future__ import annotations
 import functools
 import inspect
 import time
-from dataclasses import dataclass
 from typing import (
     Callable,
     List,
@@ -64,12 +65,10 @@ from repro.dsp.psd import DEFAULT_BLOCK_SEGMENTS, _welch_grid, welch_batch
 from repro.dsp.spectrum import SpectrumBatch
 from repro.dsp.windows import get_window
 from repro.errors import ConfigurationError, MeasurementError
-from repro.faults.injector import active_injector
 from repro.kernels import get_kernel_backend
 from repro import obs
 from repro.signals.batch_rng import validate_rng_mode
 from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
-from repro.store.io import put_result_direct
 from repro.store.keys import measurement_key
 from repro.store.store import ResultStore
 
@@ -88,11 +87,6 @@ _CACHE_MODES = ("off", "read", "write", "readwrite")
 #: far more than transforming a hot/cold pair in-process — so tiny
 #: batches (a single ``measure``) always stay local.
 MIN_SHARED_WELCH_RECORDS = 4
-
-#: Smallest ``(key, result)`` batch :meth:`MeasurementEngine.
-#: persist_results` fans out to worker-direct store writes.  Below it
-#: the parent writes inline — dispatch overhead would eat the win.
-MIN_DIRECT_STORE_ITEMS = 4
 
 #: Single-measurement writes between engine-side budget checks;
 #: bounding the store costs an enumeration, so it is amortized.
@@ -161,28 +155,6 @@ def _accepts_packed(acquire) -> bool:
     return _accepts_kwarg(acquire, "packed")
 
 
-@dataclass(frozen=True)
-class DeviceBatch:
-    """An acquired multi-device record batch awaiting analysis.
-
-    The intermediate of the two-phase
-    :meth:`MeasurementEngine.acquire_devices` /
-    :meth:`MeasurementEngine.analyze_devices` API that lets the
-    scheduler overlap one plan group's (serial) acquisition with the
-    previous group's Welch fan-out on the worker pool.  ``records`` is
-    the hot/cold-interleaved stack (packed when the engine is),
-    ``estimators`` one estimator per device.
-    """
-
-    records: Union[np.ndarray, "PackedRecordBatch"]
-    sample_rate: float
-    estimators: Tuple[OneBitNoiseFigureBIST, ...]
-
-    @property
-    def n_devices(self) -> int:
-        return len(self.estimators)
-
-
 class MeasurementEngine:
     """Vectorized batch runner for 1-bit NF measurements and sweeps.
 
@@ -191,9 +163,10 @@ class MeasurementEngine:
     backend:
         ``"vectorized"`` keeps everything in-process (stacked-array
         batches); ``"process"`` additionally fans :meth:`map_sweep`
-        tasks over a ``ProcessPoolExecutor`` and computes batched Welch
-        passes in worker processes fed from a shared-memory pool of
-        packed records.
+        tasks and :meth:`measure_devices` chunks over a persistent
+        worker pool, and computes the batched Welch passes of
+        :meth:`measure` / :meth:`run_batch` in worker processes fed
+        from a shared-memory pool of packed records.
     max_workers:
         Worker cap for the process backend (default: CPU count).
     block_segments:
@@ -352,17 +325,9 @@ class MeasurementEngine:
     def persist_results(self, items: Sequence[Tuple[str, BISTResult]]) -> int:
         """Persist ``(key, result)`` pairs; returns how many were new.
 
-        The warm-write fast path: on the process backend, when the
-        engine's pool ships this store's root to its workers (see
-        :attr:`~repro.engine.scheduler.WorkerPool.store_root`) and no
-        fault injector is active, serialization and publish fan out to
-        the workers — each writes its shard directly, eliminating the
-        parent round-trip.  Otherwise (serial backend, shared pool on a
-        different store, tiny batches, chaos runs — store-damage
-        decisions are drawn parent-side, so injected runs keep the
-        parent-funneled path and their deterministic fault streams) the
-        parent writes inline.  Both paths run the same serialization
-        and sealing code, so the bytes on disk are identical.
+        The parent writes every payload: results are small, and keeping
+        the writes here keeps the store's fault sites and their
+        deterministic decision streams in one process.
         """
         items = [
             (key, result)
@@ -371,21 +336,10 @@ class MeasurementEngine:
         ]
         if not items or not self.cache_writes:
             return 0
-        pool = self.worker_pool
-        if (
-            pool is not None
-            and pool.store_root == str(self.store.root)
-            and len(items) >= MIN_DIRECT_STORE_ITEMS
-            and active_injector() is None
-        ):
-            written = sum(map(bool, pool.map(put_result_direct, items)))
-            obs.inc("engine.persist_direct", len(items))
-        else:
-            written = sum(
-                bool(self.store.put_result(key, result))
-                for key, result in items
-            )
-            obs.inc("engine.persist_parent", len(items))
+        written = sum(
+            bool(self.store.put_result(key, result)) for key, result in items
+        )
+        obs.inc("engine.persist_parent", len(items))
         self._budget_writes += written
         self._maybe_enforce_budget(force=True)
         return written
@@ -409,21 +363,14 @@ class MeasurementEngine:
 
         Created lazily (spawning workers costs real time, so a
         ``"process"`` engine that never fans out never pays it) and
-        reused across ``map_sweep`` calls and batched Welch passes.
-        ``None`` on the in-process backend.
+        reused across ``map_sweep`` calls, device chunks and batched
+        Welch passes.  ``None`` on the in-process backend.
         """
         if self.backend != "process":
             return None
         if self._pool is None:
-            # Workers of a write-capable store-backed engine get the
-            # store root shipped through the pool initializer, so
-            # planned runs can publish results worker-direct.
             self._pool = WorkerPool(
-                max_workers=self.max_workers,
-                policy=self.retry,
-                store_root=(
-                    str(self.store.root) if self.cache_writes else None
-                ),
+                max_workers=self.max_workers, policy=self.retry
             )
         return self._pool
 
@@ -718,55 +665,39 @@ class MeasurementEngine:
         rngs: Optional[Sequence[GeneratorLike]] = None,
         allow_failures: bool = False,
     ) -> List[Optional[BISTResult]]:
-        """One NF measurement per device, stacked into a single batch.
+        """One NF measurement per device, stacked into batches.
 
         Every entry of ``sources`` is a bench with its own DUT model
         (its own noise densities, gains, reference amplitude and
-        digitizer).  The per-device analog chains run with per-record
-        child generators spawned exactly as :meth:`measure` would
-        spawn them; each device's two records are digitized (packed)
-        against its own reference as soon as they are rendered, and
-        all ``2 * n_devices`` packed records then share one batched
-        Welch pass — so device ``i``'s result is bit-exact equal to
-        ``measure(sources[i], estimators[i], rng=rngs[i])`` while the
-        whole screen runs as one giant batch.
+        digitizer).  Each device's ``(hot, cold)`` generator pair is
+        spawned here, exactly as :meth:`measure` would spawn it; the
+        device's two records are digitized (packed) against its own
+        reference as soon as they are rendered, and the packed records
+        then share one batched Welch pass — so device ``i``'s result is
+        bit-exact equal to ``measure(sources[i], estimators[i],
+        rng=rngs[i])``.
 
-        Peak memory stays one device wide: each device's analog
-        records are digitized (and packed) as soon as they are
-        rendered, so only the 1-bit records of the whole lot
-        accumulate.
+        On the ``"vectorized"`` backend the whole screen is one batch in
+        this process.  On the ``"process"`` backend the devices are
+        split into ``min(max_workers, n_devices)`` contiguous chunks,
+        one per pool worker, and each worker runs the whole chain for
+        its chunk (acquire, digitize, Welch, Y-factor estimate) and
+        sends back only the results.  One chunk per worker keeps each
+        Welch pass wide; the generator pairs travel with the chunk, so
+        the caller's generators are consumed identically on both
+        backends and a retried chunk replays bit for bit.  A worker's
+        :class:`~repro.errors.MeasurementError` reaches the caller as
+        the same exception, without a retry.
+
+        Peak memory stays one device wide per process: each device's
+        analog records are digitized (and packed) as soon as they are
+        rendered, so only the 1-bit records accumulate.
 
         ``estimators`` is one estimator per device (or a single shared
         one); all must share the same analysis parameters, and every
         bench must produce records of the same length and output
-        sample rate (screens with heterogeneous analysis fall back to
-        :meth:`map_sweep`).
-
-        ``measure_devices`` is :meth:`acquire_devices` followed by
-        :meth:`analyze_devices`; callers that want to overlap one
-        batch's acquisition with another's analysis (the scheduler's
-        pipelined plan execution) use the two phases directly.
-        """
-        batch = self.acquire_devices(sources, estimators, rng=rng, rngs=rngs)
-        return self.analyze_devices(batch, allow_failures=allow_failures)
-
-    def acquire_devices(
-        self,
-        sources: Sequence[AnalogBatchAcquirer],
-        estimators: Union[
-            OneBitNoiseFigureBIST, Sequence[OneBitNoiseFigureBIST]
-        ],
-        rng: GeneratorLike = None,
-        rngs: Optional[Sequence[GeneratorLike]] = None,
-    ) -> DeviceBatch:
-        """The acquisition phase of :meth:`measure_devices`.
-
-        Runs every device's analog chain and digitizes (packs) its two
-        records, exactly as ``measure_devices`` would, and returns the
-        accumulated :class:`DeviceBatch` without analyzing it.  Pure
-        serial CPU work — no worker-pool involvement — so a pipelined
-        scheduler can run it while the pool is busy with the previous
-        batch's Welch fan-out.
+        sample rate (:func:`~repro.engine.scheduler.plan_measurements`
+        groups heterogeneous screens into compatible batches).
         """
         sources = list(sources)
         if not sources:
@@ -799,16 +730,56 @@ class MeasurementEngine:
                 raise ConfigurationError(
                     "multi-device batching needs identical analysis "
                     "parameters across estimators (nperseg/window/"
-                    "overlap/sample rate); use map_sweep for "
-                    "heterogeneous screens"
+                    "overlap/sample rate); plan heterogeneous screens "
+                    "with plan_measurements"
                 )
+        pairs = [tuple(spawn_rngs(make_rng(r), 2)) for r in rngs]
+        pool = self.worker_pool
+        if pool is None:
+            return self._measure_devices_local(
+                sources, estimators, pairs, allow_failures
+            )
+        settings = {
+            "block_segments": self.block_segments,
+            "packed": self.packed,
+            "rng_mode": self.rng_mode,
+        }
+        chunks = np.array_split(
+            np.arange(len(sources)), min(pool.max_workers, len(sources))
+        )
+        payloads = [
+            (
+                settings,
+                sources[c[0]:c[-1] + 1],
+                estimators[c[0]:c[-1] + 1],
+                pairs[c[0]:c[-1] + 1],
+                allow_failures,
+            )
+            for c in chunks
+        ]
+        return [
+            result
+            for chunk in pool.map(_measure_device_chunk, payloads)
+            for result in chunk
+        ]
 
+    def _measure_devices_local(
+        self,
+        sources: Sequence[AnalogBatchAcquirer],
+        estimators: Sequence[OneBitNoiseFigureBIST],
+        pairs: Sequence[Tuple[np.random.Generator, np.random.Generator]],
+        allow_failures: bool,
+    ) -> List[Optional[BISTResult]]:
+        """The whole chain of :meth:`measure_devices`, in this process.
+
+        Acquires and digitizes every device's ``(hot, cold)`` pair with
+        its pre-spawned generators, then runs one batched Welch pass and
+        the per-device Y-factor estimates.
+        """
         device_records: List = []
         out_rate: Optional[float] = None
         obs_t0 = time.monotonic() if obs.enabled() else 0.0
-        for source, device_rng in zip(sources, rngs):
-            gen = make_rng(device_rng)
-            rng_hot, rng_cold = spawn_rngs(gen, 2)
+        for source, (rng_hot, rng_cold) in zip(sources, pairs):
             # In philox mode a packed engine routes each device through
             # its own full acquire_bitstreams — the exact call (and
             # generator spawns) engine.measure makes — so fast-mode
@@ -898,6 +869,7 @@ class MeasurementEngine:
                     f"{sorted(widths)}"
                 )
             records = np.vstack(device_records)
+        config = estimators[0].config
         if out_rate != config.sample_rate_hz:
             raise ConfigurationError(
                 f"acquired sample rate {out_rate} Hz does not match "
@@ -910,28 +882,8 @@ class MeasurementEngine:
                 time.monotonic() - obs_t0,
             )
             obs.inc("engine.devices_acquired", len(sources))
-        return DeviceBatch(
-            records=records,
-            sample_rate=out_rate,
-            estimators=tuple(estimators),
-        )
-
-    def analyze_devices(
-        self, batch: DeviceBatch, allow_failures: bool = False
-    ) -> List[Optional[BISTResult]]:
-        """The analysis phase of :meth:`measure_devices`.
-
-        One batched Welch pass over the acquired records (fanned over
-        the worker pool on the process backend) followed by per-device
-        Y-factor estimation, results in device order.
-        """
-        with obs.timed("engine.analyze_devices_seconds"):
-            spectra = self.spectra_of(
-                batch.records, batch.sample_rate, batch.estimators[0]
-            )
-            return self._estimate_pairs(
-                spectra, batch.estimators, allow_failures
-            )
+        spectra = self.spectra_of(records, out_rate, estimators[0])
+        return self._estimate_pairs(spectra, estimators, allow_failures)
 
     # ------------------------------------------------------------------
     # Sweeps
@@ -980,6 +932,16 @@ class MeasurementEngine:
                 fn, tasks, rngs, self.max_workers, pool=self.worker_pool
             )
         return run_serial(fn, tasks, rngs)
+
+
+def _measure_device_chunk(payload) -> List[Optional[BISTResult]]:
+    """Pool task: one contiguous chunk of a :meth:`MeasurementEngine.
+    measure_devices` call, on an in-process engine configured like the
+    dispatching one (module-level so the pool can pickle it)."""
+    settings, sources, estimators, pairs, allow_failures = payload
+    return MeasurementEngine(**settings)._measure_devices_local(
+        sources, estimators, pairs, allow_failures
+    )
 
 
 #: The ISSUE-facing short alias.

@@ -18,8 +18,10 @@ any analysis parameter.  This module removes both:
   multi-device batching rules (identical nperseg / window / overlap /
   sample rate / record length, sources implementing the
   :class:`~repro.engine.engine.AnalogBatchAcquirer` protocol).  Each
-  group runs through ``measure_devices``; singletons and
-  protocol-less sources fall back to per-task ``measure``.  Because
+  group runs through ``measure_devices`` (on the process backend, one
+  contiguous chunk of devices per pool worker, each measured start to
+  end in its worker); singletons and protocol-less sources fall back
+  to per-task ``measure``.  Because
   every path spawns per-record generators identically, the planned
   results are bit-identical to running ``engine.measure`` once per
   task, in task order.
@@ -33,16 +35,11 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import (
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +51,7 @@ from repro.faults.injector import active_injector, faulted_call, task_fault
 from repro.kernels import get_kernel_backend, set_kernel_backend
 from repro import obs
 from repro.obs.registry import MetricsRegistry, diff_snapshots
-from repro.signals.batch_rng import validate_rng_mode
+from repro.signals.batch_rng import set_fill_cpus, validate_rng_mode
 from repro.signals.random import GeneratorLike
 
 __all__ = [
@@ -82,7 +79,6 @@ _SETTLE_TIMEOUT_S = 10.0
 def _worker_init(
     kernel_backend: str,
     fft_name: str,
-    store_root: Optional[str] = None,
     obs_enabled: bool = False,
 ) -> None:
     """Pool initializer: inherit the parent's backend selections.
@@ -92,15 +88,10 @@ def _worker_init(
     parity self-check in the child before any hot-path dispatch); the
     FFT backend carries over with ``workers`` pinned to 1 — each worker
     owns one core, and a pocketfft thread pool per worker process is a
-    fight, not a speedup.  A selection that cannot be honoured in the
-    child (environment drift) falls back to the defaults rather than
+    fight, not a speedup.  Philox row fills follow the same rule and run
+    on one thread.  A selection that cannot be honoured in the child
+    (environment drift) falls back to the defaults rather than
     poisoning the pool.
-
-    ``store_root`` is the *only* store state the parent ships: workers
-    open their own :class:`~repro.store.ResultStore` handle lazily and
-    publish result payloads straight into their shard (see
-    :mod:`repro.store.io`), eliminating the parent serialization
-    round-trip on warm-write paths.
 
     ``obs_enabled`` carries the parent's observability switch into the
     child at spawn; a pool spawned *before* the parent enabled
@@ -112,11 +103,9 @@ def _worker_init(
         set_fft_backend(fft_name, workers=1)
     except ConfigurationError:  # pragma: no cover - env drift at spawn
         pass
+    set_fill_cpus(1)
     if obs_enabled:
         obs.enable()
-    from repro.store.io import configure_worker_store
-
-    configure_worker_store(store_root)
 
 
 def _obs_task(payload) -> Tuple[object, Optional[dict]]:
@@ -305,7 +294,6 @@ class WorkerPool:
         self,
         max_workers: Optional[int] = None,
         policy: Optional[RetryPolicy] = None,
-        store_root: Optional[str] = None,
     ):
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(
@@ -316,9 +304,6 @@ class WorkerPool:
         self._size = 0
         self.spawn_count = 0
         self.policy = policy
-        #: Store root the workers may write directly (shipped through
-        #: the pool initializer; ``None`` keeps workers store-less).
-        self.store_root = str(store_root) if store_root is not None else None
         self.telemetry = MapOutcome(results=[])
         self._run_seq = 0
 
@@ -350,7 +335,6 @@ class WorkerPool:
                 initargs=(
                     get_kernel_backend(),
                     get_fft_backend()[0],
-                    self.store_root,
                     obs.enabled(),
                 ),
             )
@@ -777,13 +761,6 @@ class MeasurementPlan:
         """Tasks that run inside a multi-device batch."""
         return sum(g.n_tasks for g in self.groups if g.batched)
 
-    def _resolve_pipeline(self, engine, pipeline) -> bool:
-        if pipeline == "auto":
-            # Overlap pays when a pool fans analysis out and there is
-            # a later group whose acquisition can fill the wait.
-            return engine.backend == "process" and len(self.groups) >= 2
-        return bool(pipeline)
-
     def _measure_fallback(self, engine, tasks, allow_failures: bool) -> List:
         """Per-task measurement of a singleton / unbatchable group."""
         out: List = []
@@ -815,14 +792,8 @@ class MeasurementPlan:
     def _commit(self, engine, keys, group, out, results) -> None:
         """Scatter one group's results; persist them when the engine
         writes to a store (per group, so an interrupted plan keeps
-        every group that completed).
-
-        Persistence goes through
-        :meth:`~repro.engine.engine.MeasurementEngine.persist_results`,
-        which fans the serialization out to the worker pool when the
-        workers share the engine's store (worker-direct writes) and
-        falls back to parent-side writes otherwise — bit-identical
-        either way.
+        every group that completed).  The parent writes every result
+        (:meth:`~repro.engine.engine.MeasurementEngine.persist_results`).
         """
         items = []
         for index, result in zip(group.indices, out):
@@ -846,23 +817,14 @@ class MeasurementPlan:
         self,
         engine,
         allow_failures: bool = False,
-        pipeline: Union[bool, str] = "auto",
         resume: bool = False,
         on_group_end: Optional[Callable[[int, int], None]] = None,
     ) -> List:
         """Execute the plan on an engine; results in task order.
 
-        ``pipeline`` selects double-buffered group execution: the main
-        thread acquires group ``k+1`` (serial analog + digitize work)
-        while a single analysis thread runs group ``k``'s batched
-        Welch pass — which, on the process backend, mostly blocks on
-        the worker pool, so the two phases genuinely overlap instead
-        of the pool sitting idle during every acquisition.  ``"auto"``
-        (default) pipelines exactly when that idle gap exists (process
-        backend, more than one group); ``True``/``False`` force the
-        choice.  Either way the computations, their generators and the
-        task-ordered results are identical to sequential execution —
-        only the wall-clock interleaving changes.
+        Groups run one after another; on the process backend each
+        batched group fans out over the worker pool inside
+        ``engine.measure_devices``.
 
         With a store-carrying engine, every completed group's results
         are persisted as the plan advances, and ``resume=True`` replays
@@ -875,35 +837,27 @@ class MeasurementPlan:
         invoked after each group's results are committed (and, with a
         store, persisted).  An exception it raises aborts the remaining
         groups but loses nothing already committed — the measurement
-        service's drain/deadline/preemption points.  A checkpointed run
-        executes sequentially: overlapped execution would move the
-        commit the hook observes.
+        service's drain/deadline/preemption points.
         """
         if resume:
-            return self._run_resumed(
-                engine, allow_failures, pipeline, on_group_end
-            )
+            return self._run_resumed(engine, allow_failures, on_group_end)
         keys = self._task_keys(engine)
-        if on_group_end is not None or not self._resolve_pipeline(
-            engine, pipeline
-        ):
-            results: List = [None] * len(self.tasks)
-            for gi, group in enumerate(self.groups):
-                tasks = [self.tasks[i] for i in group.indices]
-                if group.batched:
-                    out = engine.measure_devices(
-                        [t.source for t in tasks],
-                        [t.estimator for t in tasks],
-                        rngs=[t.rng for t in tasks],
-                        allow_failures=allow_failures,
-                    )
-                else:
-                    out = self._measure_fallback(engine, tasks, allow_failures)
-                self._commit(engine, keys, group, out, results)
-                if on_group_end is not None:
-                    on_group_end(gi, len(self.groups))
-            return results
-        return self._run_pipelined(engine, allow_failures, keys)
+        results: List = [None] * len(self.tasks)
+        for gi, group in enumerate(self.groups):
+            tasks = [self.tasks[i] for i in group.indices]
+            if group.batched:
+                out = engine.measure_devices(
+                    [t.source for t in tasks],
+                    [t.estimator for t in tasks],
+                    rngs=[t.rng for t in tasks],
+                    allow_failures=allow_failures,
+                )
+            else:
+                out = self._measure_fallback(engine, tasks, allow_failures)
+            self._commit(engine, keys, group, out, results)
+            if on_group_end is not None:
+                on_group_end(gi, len(self.groups))
+        return results
 
     def run_report(
         self,
@@ -925,9 +879,8 @@ class MeasurementPlan:
         letters) and, when a fault injector is active, the per-site
         counts of faults injected during the run.
 
-        Groups execute sequentially (no acquire/analyze pipelining):
-        the report attributes wall-clock and telemetry per group,
-        which overlapped execution would scramble.  ``resume=True``
+        Groups execute sequentially, so the report attributes
+        wall-clock and telemetry per group.  ``resume=True``
         behaves as in :meth:`run` — stored tasks are loaded, only the
         missing ones are re-planned and executed — with the served
         tasks counted in ``cached_tasks``.
@@ -1058,11 +1011,7 @@ class MeasurementPlan:
         )
 
     def _run_resumed(
-        self,
-        engine,
-        allow_failures: bool,
-        pipeline: Union[bool, str],
-        on_group_end=None,
+        self, engine, allow_failures: bool, on_group_end=None
     ) -> List:
         """Load stored tasks, re-plan and run only the missing ones."""
         if getattr(engine, "store", None) is None or not engine.cache_reads:
@@ -1087,55 +1036,10 @@ class MeasurementPlan:
             sub_results = subplan.run(
                 engine,
                 allow_failures=allow_failures,
-                pipeline=pipeline,
                 on_group_end=on_group_end,
             )
             for local, i in enumerate(missing):
                 results[i] = sub_results[local]
-        return results
-
-    def _run_pipelined(self, engine, allow_failures: bool, keys=None) -> List:
-        """Double-buffered execution: acquire group k+1 during group
-        k's analysis.
-
-        Acquisition stays on the calling thread (in plan order, so
-        generator spawning is identical to the sequential path);
-        analysis runs on one worker thread, keeping the worker pool
-        busy back to back.  Fallback (per-task) groups execute on the
-        analysis thread too, preserving one-at-a-time engine use for
-        everything that touches the pool.
-        """
-        results: List = [None] * len(self.tasks)
-        pending: List[Tuple[PlanGroup, Future]] = []
-        with ThreadPoolExecutor(max_workers=1) as analysis:
-            for group in self.groups:
-                if len(pending) >= 2:
-                    # Backpressure: hold at most one acquired group in
-                    # flight beyond the one being analyzed, so a long
-                    # plan never stacks up record batches.
-                    done_group, done_future = pending.pop(0)
-                    self._commit(
-                        engine, keys, done_group, done_future.result(), results
-                    )
-                tasks = [self.tasks[i] for i in group.indices]
-                if group.batched:
-                    batch = engine.acquire_devices(
-                        [t.source for t in tasks],
-                        [t.estimator for t in tasks],
-                        rngs=[t.rng for t in tasks],
-                    )
-                    future = analysis.submit(
-                        engine.analyze_devices,
-                        batch,
-                        allow_failures=allow_failures,
-                    )
-                else:
-                    future = analysis.submit(
-                        self._measure_fallback, engine, tasks, allow_failures
-                    )
-                pending.append((group, future))
-            for group, future in pending:
-                self._commit(engine, keys, group, future.result(), results)
         return results
 
 
@@ -1415,7 +1319,6 @@ class MeasurementScheduler:
         self,
         tasks: Sequence,
         allow_failures: bool = False,
-        pipeline: Union[bool, str] = "auto",
         resume: bool = False,
         max_group_size: Optional[int] = None,
         on_group_end: Optional[Callable[[int, int], None]] = None,
@@ -1423,11 +1326,8 @@ class MeasurementScheduler:
         """Plan and execute a heterogeneous screen, results in task order.
 
         Bit-identical to per-task ``engine.measure`` calls; compatible
-        tasks share one multi-device batch (one digitize pass, one
-        batched Welch pass — fanned over the persistent pool on the
-        process backend).  ``pipeline`` (default ``"auto"``) overlaps
-        one group's acquisition with the previous group's Welch
-        fan-out on the pool — see :meth:`MeasurementPlan.run`.
+        tasks share one multi-device batch (on the process backend,
+        one chunk of whole devices per pool worker).
         ``resume=True`` (store-backed engines) loads already-persisted
         tasks and recomputes only the missing ones.
         ``max_group_size`` / ``on_group_end`` add checkpoint boundaries
@@ -1437,7 +1337,6 @@ class MeasurementScheduler:
             return self.plan(tasks, max_group_size=max_group_size).run(
                 self.engine,
                 allow_failures=allow_failures,
-                pipeline=pipeline,
                 resume=resume,
                 on_group_end=on_group_end,
             )
@@ -1478,7 +1377,6 @@ class MeasurementScheduler:
         verdicts: Sequence,
         retest_rngs: Optional[Sequence[GeneratorLike]] = None,
         allow_failures: bool = False,
-        pipeline: Union[bool, str] = "auto",
     ) -> List:
         """Re-measure only the failed / guard-band devices of a lot.
 
@@ -1488,7 +1386,7 @@ class MeasurementScheduler:
         """
         try:
             return plan_retest(tasks, verdicts, retest_rngs=retest_rngs).run(
-                self.engine, allow_failures=allow_failures, pipeline=pipeline
+                self.engine, allow_failures=allow_failures
             )
         except BaseException:
             self._release_on_error()

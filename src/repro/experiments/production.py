@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.analog.opamp import OpAmpNoiseModel
-from repro.core.bist import OneBitNoiseFigureBIST
 from repro.core.production import (
     PopulationOutcome,
     ProductionNfScreen,
@@ -46,19 +45,6 @@ def _build_device_bench(true_nf_db: float, n_samples: int):
         float(true_nf_db), 600.0, feedback_parallel_ohm=99.0, gbw_hz=8e6,
     )
     return build_prototype_testbench(model, n_samples=n_samples)
-
-
-def measure_device(task, rng) -> float:
-    """Sweep worker: one device's BIST measurement (engine-batched).
-
-    ``task`` is ``(true_nf_db, n_samples, nperseg)``.  Module-level so
-    the engine's process backend can pickle it.
-    """
-    true_nf_db, n_samples, nperseg = task
-    bench = _build_device_bench(true_nf_db, int(n_samples))
-    estimator = bench.make_estimator(nperseg=int(nperseg))
-    engine = MeasurementEngine()
-    return engine.measure(bench, estimator, rng=rng).noise_figure_db
 
 
 def _per_device(value, n_devices: int, name: str) -> List[int]:
@@ -181,7 +167,6 @@ def run_production(
     measurement_sigma_db: float = 0.45,
     seed: GeneratorLike = 2005,
     engine: Optional[MeasurementEngine] = None,
-    multi_device_batch: Optional[bool] = None,
     nperseg: Union[int, Sequence[int]] = 8192,
     scheduler: Optional[MeasurementScheduler] = None,
     resume: bool = False,
@@ -194,20 +179,16 @@ def run_production(
     Each device's true NF is drawn uniformly from
     ``limit +/- nf_spread`` (a worst-case lot straddling the limit), its
     opamp is synthesized to that NF, and one BIST measurement is taken.
-    ``n_samples`` and ``nperseg`` may be per-device sequences — a
-    mixed-configuration lot — in which case the scheduler's planner
-    groups compatible devices into sub-batches and runs each group as
-    one multi-device engine batch, falling back to per-device
-    measurement only for singletons.  A homogeneous lot is one planned
-    batch (one digitize pass, one batched Welch pass).
-
-    An engine with ``backend="process"`` and a homogeneous lot instead
-    fans whole devices over its persistent worker pool (``map_sweep``)
-    — device acquisition dominates the screen, so per-device workers
-    beat a serial-acquire batch on multi-core hosts.
-    ``multi_device_batch`` overrides the choice explicitly; the
-    per-device generators make every path produce identical
-    measurements.
+    Every lot runs through the scheduler's planner.  ``n_samples`` and
+    ``nperseg`` may be per-device sequences — a mixed-configuration
+    lot — in which case compatible devices are grouped into
+    sub-batches, each run as one multi-device engine batch, with
+    per-device measurement only for singletons.  A homogeneous lot is
+    one planned batch.  On the process backend each batch is split into
+    one contiguous chunk of devices per pool worker, and every worker
+    measures its chunk start to end (see :meth:`~repro.engine.
+    MeasurementEngine.measure_devices`); the per-device generators make
+    the result identical to measuring every device on its own.
 
     A store-backed scheduler persists every device's measurement plus
     the lot's outcome manifest (keyed by :func:`production_lot_key`) as
@@ -229,41 +210,18 @@ def run_production(
     sub-batch commits — together they are the measurement service's
     drain/preemption points: a checkpoint that raises aborts the rest
     of the screen with every finished sub-batch already persisted, and
-    a later ``resume=True`` pass measures only what is missing.  Both
-    force the planned path; results stay bit-identical to an unchunked
-    screen (each device carries its own generator).
+    a later ``resume=True`` pass measures only what is missing.  Results
+    stay bit-identical to an unchunked screen (each device carries its
+    own generator).
     """
     if n_devices < 4:
         raise ConfigurationError(f"need >= 4 devices, got {n_devices}")
     if nf_spread_db <= 0:
         raise ConfigurationError(f"spread must be > 0, got {nf_spread_db}")
-    chunked = max_group_devices is not None or checkpoint is not None
-    if (report or chunked) and multi_device_batch is False:
-        raise ConfigurationError(
-            "report=True, max_group_devices and checkpoint need the "
-            "planned path; they cannot combine with "
-            "multi_device_batch=False"
-        )
     sched = as_scheduler(engine=engine, scheduler=scheduler)
     eng = sched.engine
     samples_by_device = _per_device(n_samples, n_devices, "n_samples")
     nperseg_by_device = _per_device(nperseg, n_devices, "nperseg")
-    homogeneous = (
-        len(set(samples_by_device)) == 1 and len(set(nperseg_by_device)) == 1
-    )
-    if multi_device_batch is None:
-        # Resuming and persistence need per-device provenance keys,
-        # which only the planned path computes — map_sweep workers
-        # rebuild benches inside the worker, out of the key's reach.
-        # A write-capable store therefore forces the planned path (its
-        # results publish worker-direct on the process backend anyway).
-        multi_device_batch = (
-            report
-            or resume
-            or chunked
-            or eng.cache_writes
-            or not (eng.backend == "process" and homogeneous)
-        )
     # Key the lot before drawing it: drawing spawns children off a
     # generator seed, and the key must address the pre-draw lineage
     # (the one the retest flow can recompute).  The manifest write
@@ -279,45 +237,26 @@ def run_production(
         limit_db, nf_spread_db, n_devices, seed
     )
 
-    n_plan_groups = 1
     screen_report: Optional[RunReport] = None
-    if multi_device_batch:
-        tasks = _lot_tasks(
-            true_values, samples_by_device, nperseg_by_device, device_rngs
+    tasks = _lot_tasks(
+        true_values, samples_by_device, nperseg_by_device, device_rngs
+    )
+    plan = sched.plan(tasks, max_group_size=max_group_devices)
+    if report:
+        screen_report = plan.run_report(
+            eng, resume=resume, on_group_end=checkpoint
         )
-        plan = sched.plan(tasks, max_group_size=max_group_devices)
-        n_plan_groups = plan.n_groups
-        if report:
-            screen_report = plan.run_report(
-                eng, resume=resume, on_group_end=checkpoint
+        results = screen_report.results
+        missing = [i for i, r in enumerate(results) if r is None]
+        if missing:
+            raise ExecutionError(
+                f"screen left {len(missing)} device(s) unmeasured "
+                f"(indices {missing}); dead letters: "
+                f"{[f.describe() for f in screen_report.dead]}"
             )
-            results = screen_report.results
-            missing = [i for i, r in enumerate(results) if r is None]
-            if missing:
-                raise ExecutionError(
-                    f"screen left {len(missing)} device(s) unmeasured "
-                    f"(indices {missing}); dead letters: "
-                    f"{[f.describe() for f in screen_report.dead]}"
-                )
-        else:
-            results = plan.run(eng, resume=resume, on_group_end=checkpoint)
-        measured_values = [r.noise_figure_db for r in results]
-        estimator: Optional[OneBitNoiseFigureBIST] = tasks[-1].estimator
     else:
-        tasks = [
-            (float(true_nf), device_samples, device_nperseg)
-            for true_nf, device_samples, device_nperseg in zip(
-                true_values, samples_by_device, nperseg_by_device
-            )
-        ]
-        measured_values = sched.map_sweep(
-            measure_device, tasks, rngs=device_rngs
-        )
-        # The screen needs a configured estimator; rebuild the last
-        # device's (matching what the serial loop left behind).
-        estimator = _build_device_bench(
-            float(true_values[-1]), samples_by_device[-1]
-        ).make_estimator(nperseg=nperseg_by_device[-1])
+        results = plan.run(eng, resume=resume, on_group_end=checkpoint)
+    measured_values = [r.noise_figure_db for r in results]
 
     if lot_key is not None:
         sched.store.put_outcome(
@@ -335,7 +274,7 @@ def run_production(
     rows = []
     for sigmas in guardband_sigmas:
         screen = ProductionNfScreen(
-            estimator,
+            tasks[-1].estimator,
             limit_db=limit_db,
             measurement_sigma_db=measurement_sigma_db,
             guardband_sigmas=float(sigmas),
@@ -355,7 +294,7 @@ def run_production(
         true_nf_db=[float(v) for v in true_values],
         measured_nf_db=measured_values,
         rows=rows,
-        n_plan_groups=n_plan_groups,
+        n_plan_groups=plan.n_groups,
         run_report=screen_report,
     )
 
@@ -491,7 +430,6 @@ def run_production_retest(
             seed=seed,
             nperseg=nperseg,
             scheduler=sched,
-            multi_device_batch=True,
             resume=resume,
         )
         initial_values = list(initial.measured_nf_db)

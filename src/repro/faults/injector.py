@@ -87,8 +87,8 @@ class InjectionRecord:
 class FaultInjector:
     """Draws deterministic faults from a :class:`FaultPlan` and logs them.
 
-    Thread-safe: the planner's pipelined mode dispatches from two
-    threads, and the log/caps must not race.
+    Thread-safe: the service's event-loop and executor threads both
+    reach the hooks, and the log/caps must not race.
     """
 
     def __init__(self, plan: FaultPlan):

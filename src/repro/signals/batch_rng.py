@@ -58,6 +58,7 @@ from repro.signals.random import GeneratorLike, make_rng
 
 __all__ = [
     "RNG_MODES",
+    "set_fill_cpus",
     "validate_rng_mode",
     "BatchNoiseGenerator",
     "white_noise_matrix",
@@ -72,6 +73,19 @@ RNG_MODES = ("compat", "philox")
 #: ziggurat throughput is ~1e8 samples/s/core, so rows shorter than
 #: this finish in well under a millisecond each.
 MIN_THREADED_FILL_SAMPLES = 1 << 16
+
+#: CPUs an auto-sized row fill may fan out over (``None``: the host's
+#: CPU count).  Pool workers own one core each; their initializer sets 1.
+_fill_cpus: Optional[int] = None
+
+
+def set_fill_cpus(cpus: Optional[int]) -> None:
+    """Cap the CPUs auto-sized fills use in this process (``None``
+    restores the host's CPU count)."""
+    global _fill_cpus
+    if cpus is not None and cpus < 1:
+        raise ConfigurationError(f"cpus must be >= 1, got {cpus}")
+    _fill_cpus = cpus
 
 
 def validate_rng_mode(rng_mode: str) -> str:
@@ -141,9 +155,10 @@ class BatchNoiseGenerator:
         ``None`` auto-scales: rows are independent and
         ``standard_normal(out=row)`` releases the GIL for the whole
         C-level ziggurat pass, so on multi-core hosts one thread per
-        row (capped at the CPU count) fills the matrix in parallel.
-        Single-core hosts and small rows stay serial — there the
-        fan-out is pure dispatch overhead.
+        row (capped at the CPU count, or at :func:`set_fill_cpus`)
+        fills the matrix in parallel.  Single-core hosts, pool workers
+        and small rows stay serial — there the fan-out is pure dispatch
+        overhead.
         """
         if threads is not None:
             if threads < 1:
@@ -153,7 +168,7 @@ class BatchNoiseGenerator:
             return min(int(threads), n_streams) if n_streams else 1
         if n_streams < 2 or n_samples < MIN_THREADED_FILL_SAMPLES:
             return 1
-        return max(1, min(n_streams, os.cpu_count() or 1))
+        return max(1, min(n_streams, _fill_cpus or os.cpu_count() or 1))
 
     def normal_matrix(
         self,

@@ -24,9 +24,6 @@ persistence layer:
     :class:`PersistentIndex` — the append-only, memory-mapped index
     that makes enumeration on a large store O(changed) instead of a
     tree walk.
-:mod:`repro.store.io`
-    Worker-direct writes: pool workers publish payloads straight into
-    their shard (the parent ships only the store root).
 :mod:`repro.store.locks`
     Per-shard / index advisory file locks (compaction and index
     appends; plain writes stay lock-free).

@@ -23,9 +23,9 @@ reclaims.  Entries are content-addressed, so overwriting an existing
 key is a no-op by construction (same key ⇒ same bytes) and
 :meth:`ResultStore.put_result` skips the disk work entirely.  Because
 publishes are atomic and idempotent, *any number of processes* may
-write the same store concurrently without coordination — workers write
-their shard directly (see :mod:`repro.store.io`); only shard-mutating
-maintenance (compaction, pack rewrites) takes the per-shard lock.
+write the same store concurrently without coordination; only
+shard-mutating maintenance (compaction, pack rewrites) takes the
+per-shard lock.
 
 Integrity discipline: every payload is *sealed* — a SHA-256 digest of
 the npz bytes rides as a fixed-size trailer after the archive (zip

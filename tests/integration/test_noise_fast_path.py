@@ -1,6 +1,6 @@
 """Equivalence suite for the fast noise-synthesis layer.
 
-Pins the three contracts of the noise-layer PR:
+Pins the two contracts of the noise layer:
 
 (a) ``rng_mode="compat"`` — the default — is **bit-identical** to the
     seed-serial acquisition everywhere the fast layer touched: the
@@ -9,8 +9,6 @@ Pins the three contracts of the noise-layer PR:
 (b) The popcount bit-domain Welch path matches the float detrend path
     to <= 1e-10 (scale-relative; detrended near-DC bins of both paths
     are numerical zeros).
-(c) Pipelined (double-buffered) plan execution returns results
-    bit-identical to sequential group execution, in task order.
 
 Philox mode has no bit-compatibility claim; its contracts — determinism
 per seed and statistical equivalence — are pinned here too.
@@ -183,67 +181,6 @@ class TestBitDomainWelch:
             welch(batch[1], nperseg=SMALL.nperseg, bit_domain=True),
         )
         assert abs(bit.noise_figure_db - exact.noise_figure_db) < 1e-9
-
-
-# ----------------------------------------------------------------------
-# (c) pipelined scheduler
-# ----------------------------------------------------------------------
-class TestPipelinedScheduler:
-    @pytest.fixture(scope="class")
-    def sims(self):
-        return [MatlabSimulation(SMALL) for _ in range(4)] + [
-            MatlabSimulation(
-                MatlabSimConfig(n_samples=120_000, nperseg=3_000)
-            )
-            for _ in range(4)
-        ]
-
-    def test_pipelined_bit_identical_in_task_order(self, sims):
-        scheduler = MeasurementScheduler()
-        sequential = scheduler.run(_mixed_tasks(11, sims), pipeline=False)
-        pipelined = scheduler.run(_mixed_tasks(11, sims), pipeline=True)
-        assert [r.noise_figure_db for r in sequential] == [
-            r.noise_figure_db for r in pipelined
-        ]
-        assert [r.y for r in sequential] == [
-            r.y for r in pipelined
-        ]
-
-    def test_pipelined_with_fallback_groups(self, sims):
-        # A lot whose plan mixes batched groups with singleton
-        # fallbacks must scatter results back in task order.
-        lot = sims[:3] + [
-            MatlabSimulation(MatlabSimConfig(n_samples=30_000, nperseg=1_000))
-        ]
-        scheduler = MeasurementScheduler()
-        sequential = scheduler.run(_mixed_tasks(13, lot), pipeline=False)
-        pipelined = scheduler.run(_mixed_tasks(13, lot), pipeline=True)
-        assert [r.noise_figure_db for r in sequential] == [
-            r.noise_figure_db for r in pipelined
-        ]
-
-    def test_auto_stays_sequential_on_vectorized_backend(self, sims):
-        plan = MeasurementScheduler().plan(_mixed_tasks(11, sims))
-        assert not plan._resolve_pipeline(MeasurementEngine(), "auto")
-
-    def test_auto_pipelines_on_process_backend(self, sims):
-        plan = MeasurementScheduler().plan(_mixed_tasks(11, sims))
-        engine = MeasurementEngine(backend="process")
-        try:
-            assert plan._resolve_pipeline(engine, "auto")
-        finally:
-            engine.close()
-
-    def test_process_backend_pipelined_equals_sequential(self, sims):
-        small = sims[:2] + sims[4:6]
-        with MeasurementScheduler(backend="process", max_workers=2) as ps:
-            pipelined = ps.run(_mixed_tasks(11, small))  # auto => pipelined
-        sequential = MeasurementScheduler().run(
-            _mixed_tasks(11, small), pipeline=False
-        )
-        assert [r.noise_figure_db for r in sequential] == [
-            r.noise_figure_db for r in pipelined
-        ]
 
 
 # ----------------------------------------------------------------------

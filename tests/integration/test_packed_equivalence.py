@@ -17,7 +17,7 @@ from repro.digitizer.sampler import SampledLatch
 from repro.dsp.psd import welch, welch_batch
 from repro.engine import MeasurementEngine, WelchParams, welch_batch_shared
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
-from repro.experiments.production import run_production
+from repro.experiments.production import _draw_lot, _lot_tasks, run_production
 from repro.signals.random import make_rng, spawn_rngs
 from repro.signals.waveform import Waveform
 from repro.soc.streaming import StreamingWelch
@@ -340,12 +340,14 @@ class TestMultiDeviceEquivalence:
 
 class TestProductionSingleBatch:
     def test_batch_screen_identical_to_sweep(self):
+        # The one-batch screen against one engine.measure per device.
         batch = run_production(n_devices=5, n_samples=2**14, seed=2005)
-        sweep = run_production(
-            n_devices=5, n_samples=2**14, seed=2005, multi_device_batch=False
-        )
-        assert batch.true_nf_db == sweep.true_nf_db
-        for a, b in zip(batch.measured_nf_db, sweep.measured_nf_db):
-            assert abs(a - b) <= 1e-9
-        for row_a, row_b in zip(batch.rows, sweep.rows):
-            assert row_a.outcome == row_b.outcome
+        true_values, device_rngs = _draw_lot(8.0, 1.5, 5, 2005)
+        tasks = _lot_tasks(true_values, [2**14] * 5, [8192] * 5, device_rngs)
+        engine = MeasurementEngine()
+        per_device = [
+            engine.measure(t.source, t.estimator, rng=t.rng).noise_figure_db
+            for t in tasks
+        ]
+        assert batch.true_nf_db == [float(v) for v in true_values]
+        assert batch.measured_nf_db == per_device

@@ -6,8 +6,9 @@ sub-batches changes *how* work is executed, never the numbers: every
 task's generators are spawned exactly as per-device ``measure`` spawns
 them, and the batched kernels are bit-exact per record.  These tests
 pin that contract at the experiments layer (the mixed-configuration
-production screen) and across backends (persistent pool reused over
-several planned runs).
+production screen), across backends (persistent pool reused over
+several planned runs) and for the process backend's lot fan-out (one
+chunk of whole devices per pool worker).
 """
 
 import numpy as np
@@ -17,12 +18,31 @@ from repro.engine import (
     MeasurementEngine,
     MeasurementScheduler,
     MeasurementTask,
+    ResultStore,
 )
+from repro.errors import MeasurementError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
-from repro.experiments.production import run_production
+from repro.experiments.production import (
+    _draw_lot,
+    _lot_tasks,
+    run_production,
+    run_production_retest,
+)
 from repro.signals.random import make_rng, spawn_rngs
 
 MIXED_SAMPLES = [2**15] * 4 + [2**16] * 4
+
+
+def per_device_nfs(n_devices, n_samples, nperseg, seed):
+    """The lot of ``run_production`` measured one ``engine.measure``
+    call per device."""
+    true_values, device_rngs = _draw_lot(8.0, 1.5, n_devices, seed)
+    tasks = _lot_tasks(true_values, n_samples, nperseg, device_rngs)
+    engine = MeasurementEngine()
+    return [
+        engine.measure(t.source, t.estimator, rng=t.rng).noise_figure_db
+        for t in tasks
+    ]
 
 
 class TestMixedConfigProduction:
@@ -36,14 +56,8 @@ class TestMixedConfigProduction:
         assert planned.n_plan_groups == 2
 
     def test_bit_identical_to_per_device_sweep(self, planned):
-        per_device = run_production(
-            n_devices=8,
-            n_samples=MIXED_SAMPLES,
-            seed=11,
-            multi_device_batch=False,
-        )
-        assert planned.measured_nf_db == per_device.measured_nf_db
-        assert planned.true_nf_db == per_device.true_nf_db
+        per_device = per_device_nfs(8, MIXED_SAMPLES, [8192] * 8, 11)
+        assert planned.measured_nf_db == per_device
 
     def test_mixed_nperseg_also_splits(self):
         result = run_production(
@@ -89,3 +103,128 @@ class TestHeterogeneousScreenAcrossBackends:
         assert [r.noise_figure_db for r in first] == [
             r.noise_figure_db for r in second
         ]
+
+
+#: An odd lot: two pool workers split it into chunks of 3 and 2.
+ODD_LOT = dict(n_devices=5, n_samples=2**14, nperseg=2048, seed=2005)
+
+
+def _store_bytes(store):
+    """Every payload of a store, by ``(kind, key)``."""
+    return {(e.kind, e.key): e.read_bytes() for e in store.index()}
+
+
+def _spawned(gen):
+    return gen.bit_generator.seed_seq.n_children_spawned
+
+
+def _small_sims(*reference_ratios):
+    return [
+        MatlabSimulation(
+            MatlabSimConfig(
+                n_samples=30_000, nperseg=3000, reference_ratio=ratio
+            )
+        )
+        for ratio in reference_ratios
+    ]
+
+
+class TestLotFanOut:
+    """Planned groups on the process backend measure whole devices in
+    the pool workers, bit for bit like the serial path."""
+
+    @pytest.mark.parametrize("rng_mode", ["compat", "philox"])
+    def test_lot_and_retest_match_serial(self, tmp_path, rng_mode):
+        runs = {}
+        for backend in ("serial", "process"):
+            store = ResultStore(tmp_path / backend)
+            with MeasurementScheduler(
+                backend=backend,
+                max_workers=2,
+                rng_mode=rng_mode,
+                store=store,
+            ) as sched:
+                lot = run_production(scheduler=sched, **ODD_LOT)
+                retest = run_production_retest(scheduler=sched, **ODD_LOT)
+            runs[backend] = (lot, retest, _store_bytes(store))
+        lot_s, retest_s, bytes_s = runs["serial"]
+        lot_p, retest_p, bytes_p = runs["process"]
+        assert lot_p.measured_nf_db == lot_s.measured_nf_db
+        assert retest_p.initial_from_store and retest_s.initial_from_store
+        # At least two retested devices: the retest is a fanned-out
+        # group too, not a per-device fallback.
+        assert len(retest_s.retest_indices) >= 2
+        assert retest_p.retest_indices == retest_s.retest_indices
+        assert retest_p.merged_nf_db == retest_s.merged_nf_db
+        n_results = ODD_LOT["n_devices"] + len(retest_s.retest_indices)
+        assert sum(kind == "results" for kind, _ in bytes_s) == n_results
+        assert bytes_p == bytes_s
+
+    def test_storeless_philox_process_lot_is_philox(self):
+        # Regression: a storeless process lot once took a per-device
+        # sweep that dropped the engine's rng_mode and measured compat.
+        kw = dict(n_devices=4, n_samples=2**15, nperseg=4096, seed=2005)
+        with MeasurementScheduler(
+            backend="process", max_workers=2, rng_mode="philox"
+        ) as sched:
+            procs = run_production(scheduler=sched, **kw)
+        with MeasurementScheduler(rng_mode="philox") as sched:
+            serial = run_production(scheduler=sched, **kw)
+        assert procs.measured_nf_db == serial.measured_nf_db
+        assert procs.measured_nf_db != run_production(**kw).measured_nf_db
+
+    def test_one_chunk_per_worker_and_failures_keep_their_slots(self):
+        sims = _small_sims(0.2, 0.001, 0.2, 0.2, 0.001)
+        estimators = [sim.make_estimator() for sim in sims]
+        serial = MeasurementEngine().measure_devices(
+            sims, estimators, rng=7, allow_failures=True
+        )
+        with MeasurementEngine(backend="process", max_workers=2) as eng:
+            procs = eng.measure_devices(
+                sims, estimators, rng=7, allow_failures=True
+            )
+            telemetry = eng.worker_pool.telemetry
+            assert (telemetry.attempts, telemetry.retries) == (2, 0)
+        assert [r is None for r in procs] == [
+            False, True, False, False, True
+        ]
+        assert [r and r.noise_figure_db for r in procs] == [
+            r and r.noise_figure_db for r in serial
+        ]
+
+    def test_worker_measurement_error_is_not_retried(self):
+        sims = _small_sims(0.2, 0.001, 0.2)
+        estimators = [sim.make_estimator() for sim in sims]
+        with MeasurementEngine(backend="process", max_workers=2) as eng:
+            with pytest.raises(MeasurementError):
+                eng.measure_devices(sims, estimators, rng=7)
+            assert eng.worker_pool.telemetry.retries == 0
+
+    def test_caller_generators_consumed_like_serial(self):
+        sims = _small_sims(0.2, 0.2, 0.2)
+        estimators = [sim.make_estimator() for sim in sims]
+        runs = {}
+        for backend in ("vectorized", "process"):
+            gen = make_rng(5)
+            device_rngs = spawn_rngs(make_rng(9), 3)
+            with MeasurementEngine(backend=backend, max_workers=2) as eng:
+                shared = eng.measure_devices(sims, estimators, rng=gen)
+                own = eng.measure_devices(sims, estimators, rngs=device_rngs)
+            runs[backend] = (
+                [r.noise_figure_db for r in shared + own],
+                _spawned(gen),
+                [_spawned(g) for g in device_rngs],
+            )
+        assert runs["process"] == runs["vectorized"]
+        assert runs["process"][1:] == (3, [2, 2, 2])
+
+    def test_generator_seeded_lot_consumes_seed_like_serial(self):
+        seeds = {}
+        for backend in ("serial", "process"):
+            gen = np.random.default_rng(17)
+            with MeasurementScheduler(backend=backend, max_workers=2) as sched:
+                lot = run_production(
+                    scheduler=sched, **{**ODD_LOT, "seed": gen}
+                )
+            seeds[backend] = (lot.measured_nf_db, _spawned(gen))
+        assert seeds["process"] == seeds["serial"]

@@ -401,13 +401,8 @@ class TestReviewRegressions:
 
 
 class TestWorkerDirectWrites:
-    """PR 8: pool workers publish straight into their shard.
-
-    The transport must be invisible on disk — worker-direct payloads
-    are bit-identical to the parent-funneled writes of a serial engine,
-    and the persistent index stays coherent under the multi-process
-    write fan-out.
-    """
+    """Store writes of process-backend lots (the parent persists every
+    result a worker measured) and store byte budgets."""
 
     N = 8
 
@@ -417,35 +412,11 @@ class TestWorkerDirectWrites:
             true_values, [2**14] * self.N, [2048] * self.N, device_rngs
         )
 
-    def test_direct_writes_bit_identical_to_parent_funneled(self, tmp_path):
-        funneled = ResultStore(tmp_path / "funneled")
-        reference = plan_measurements(self._tasks()).run(
-            MeasurementEngine(store=funneled)
-        )
-
-        direct = ResultStore(tmp_path / "direct")
-        with MeasurementScheduler(
-            backend="process", max_workers=2, store=direct
-        ) as sched:
-            assert sched.pool.store_root == str(direct.root)
-            results = sched.run(self._tasks())
-
-        for a, b in zip(reference, results):
-            assert_results_identical(a, b)
-        walk = funneled.index()
-        assert len(walk) == self.N
-        assert len(direct.index()) == self.N
-        for entry in walk:
-            mirrored = direct.read_payload_bytes(entry.kind, entry.key)
-            assert mirrored == entry.read_bytes()
-        assert direct.verify_index()["consistent"]
-
     def test_production_process_backend_persists_devices(self, tmp_path):
         # Regression: a store-backed homogeneous lot on the process
-        # backend used to take the map_sweep path, whose workers
-        # rebuild benches out of the provenance keys' reach — only the
-        # outcome manifest persisted, never the per-device results.  A
-        # write-capable store must force the planned path.
+        # backend once took a per-device sweep whose workers rebuilt
+        # benches out of the provenance keys' reach — only the outcome
+        # manifest persisted, never the per-device results.
         from repro.experiments.production import run_production
 
         store = ResultStore(tmp_path / "lot")

@@ -9,6 +9,7 @@ from repro.signals.batch_rng import (
     BatchNoiseGenerator,
     bernoulli_thresholds_u32,
     gaussian_exceed_probability,
+    set_fill_cpus,
     validate_rng_mode,
     white_noise_matrix,
 )
@@ -242,3 +243,12 @@ class TestThreadedNormalFill:
         # explicit counts are honored (capped by rows)
         assert resolve(16, 4, 100) == 4
         assert resolve(2, 4, 100) == 2
+        # a process-wide CPU cap (pool workers set 1) bounds auto sizing
+        set_fill_cpus(1)
+        try:
+            assert resolve(None, 3, 1 << 20) == 1
+            assert resolve(2, 4, 100) == 2
+        finally:
+            set_fill_cpus(None)
+        with pytest.raises(ConfigurationError):
+            set_fill_cpus(0)

@@ -349,13 +349,9 @@ class TestWorkerMerge:
         assert [r.noise_figure_db for r in proc_results] == [
             r.noise_figure_db for r in serial_results
         ]
-        # Worker-side counters came home exactly once: one hot and one
-        # cold PSD row per device, published back via shared memory.
-        assert _counter(proc_snap, "worker.welch_rows") == 6
-        assert (
-            _counter(proc_snap, "shm.rows_published")
-            + _counter(proc_snap, "shm.rows_pickled")
-        ) == 6
+        # Worker-side counters came home exactly once: each device is
+        # acquired in exactly one worker chunk.
+        assert _counter(proc_snap, "engine.devices_acquired") == 3
         # Every dispatch carried a worker-side task timing.
         (task_hist,) = [
             h

@@ -22,6 +22,7 @@ from repro.engine.shm import publish_packed_tasks, resolve_shared_task
 from repro.errors import ConfigurationError, ExecutionError, MeasurementError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.faults import FaultPlan, inject
+from repro.signals.batch_rng import BatchNoiseGenerator
 from repro.signals.random import make_rng, spawn_rngs
 
 
@@ -103,6 +104,11 @@ def named_task_mean(task, rng):
     return float(np.mean(task.rec.unpack())) * task.scale
 
 
+def auto_fill_threads(_):
+    """Threads an auto-sized philox fill of 8 long rows would use here."""
+    return BatchNoiseGenerator._resolve_fill_threads(None, 8, 1 << 20)
+
+
 class TestWorkerPool:
     def test_bad_workers_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -119,6 +125,10 @@ class TestWorkerPool:
         assert pool.map(square, []) == []
         assert pool.spawn_count == 0
         assert not pool.active
+
+    def test_workers_fill_on_one_thread(self):
+        with WorkerPool(max_workers=2) as pool:
+            assert pool.map(auto_fill_threads, [0, 1]) == [1, 1]
 
     def test_reuse_across_calls(self):
         with WorkerPool(max_workers=1) as pool:
