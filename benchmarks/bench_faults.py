@@ -12,8 +12,8 @@ Two measurements, merged into ``BENCH_engine.json`` under the
   best-of-N timing on both sides to keep shared-runner noise out of
   the ratio.
 * **Chaos smoke.**  The screen run under the ``transient`` fault plan
-  (injected task exceptions, store truncation/corruption, shm publish
-  failures) plus a resumed pass over the damaged store.  Acceptance
+  (injected worker crashes, task exceptions, store truncation/
+  corruption) plus a resumed pass over the damaged store.  Acceptance
   bar: both faulted outcomes bit-identical to the clean reference and
   at least one fault actually injected.
 """

@@ -1,47 +1,31 @@
 """Benchmark (extension): the compiled multi-backend kernel tier.
 
-Two measurement families at paper scale, merged into
-``BENCH_engine.json`` under the ``"kernels"`` key:
-
-* **Backend parity + tuned Welch speedup.**  Every enabled kernel
-  backend is self-checked (the registry's parity suite) and its
-  bit-domain Welch PSD compared to the reference tier at paper scale
-  (8 records x 1e6 samples, nperseg 1e4) — identical to <= 1e-15
-  scale-relative, asserted.  The tuned tier (cache-blocked unpack,
-  cached rfft plans, einsum power accumulation) must beat the
-  reference bit-domain path by >= 1.3x wall-clock (the PR 4 path, kept
-  verbatim as the reference tier).  The numba tier is measured when
-  numba is installed and recorded as absent — not failed — otherwise.
-* **Zero-copy result return.**  The shared-memory result return path
-  (workers publish PSD rows into a :class:`SharedResultBlock`, only
-  headers travel back) versus the pickle return (rows serialized
-  through the executor's result pipe), measured through a real worker
-  process for a multi-device lot (48 records = 24 devices x 2 states
-  of 5001-bin PSDs).  Both paths must produce identical arrays
-  (asserted) and the shm return must be >= 1.2x faster.
+Backend parity + tuned Welch speedup at paper scale, merged into
+``BENCH_engine.json`` under the ``"kernels"`` key.  Every enabled
+kernel backend is self-checked (the registry's parity suite) and its
+bit-domain Welch PSD compared to the reference tier at paper scale
+(8 records x 1e6 samples, nperseg 1e4) — identical to <= 1e-15
+scale-relative, asserted.  The tuned tier (cache-blocked unpack,
+cached rfft plans, einsum power accumulation) must beat the reference
+bit-domain path, kept verbatim as the reference tier, by >= 1.3x
+wall-clock.  The numba tier is measured when numba is installed and
+recorded as absent — not failed — otherwise.
 
 Timings are paired and interleaved (ref/tuned alternate, best-of-N)
-because shared runners jitter by ~10%; the floors can be relaxed via
-``BENCH_KERNELS_MIN_WELCH_SPEEDUP`` / ``BENCH_KERNELS_MIN_SHM_RETURN_
-SPEEDUP`` on oversubscribed CI hosts.
+because shared runners jitter by ~10%; the floor can be relaxed via
+``BENCH_KERNELS_MIN_WELCH_SPEEDUP`` on oversubscribed CI hosts.
 """
 
 import json
 import os
 import pathlib
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from conftest import envinfo, run_once
 
 from repro.dsp.psd import welch_batch
-from repro.engine.shm import (
-    SharedResultBlock,
-    collect_results,
-    publish_results,
-)
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.kernels import available_backends, kernel_backend, self_check
 from repro.reporting.tables import render_table
@@ -52,23 +36,12 @@ REPO_ROOT = pathlib.Path(__file__).parent.parent
 N_RECORDS = 8
 N_SAMPLES = 1_000_000
 NPERSEG = 10_000
-N_BINS = NPERSEG // 2 + 1
-
-#: The multi-device lot for the return-path measurement: two
-#: production screens of 24 devices x 2 thermal states.
-LOT_RECORDS = 96
 
 BEST_OF = 8
-RETURN_BEST_OF = 10
 
 #: Acceptance floor for the tuned bit-domain Welch tier vs reference.
 MIN_WELCH_SPEEDUP = float(
     os.environ.get("BENCH_KERNELS_MIN_WELCH_SPEEDUP", "1.3")
-)
-
-#: Acceptance floor for the shm result return vs the pickle return.
-MIN_SHM_RETURN_SPEEDUP = float(
-    os.environ.get("BENCH_KERNELS_MIN_SHM_RETURN_SPEEDUP", "1.2")
 )
 
 #: Scale-relative PSD agreement every non-reference backend must hold.
@@ -79,38 +52,6 @@ def _time(fn, *args):
     start = time.perf_counter()
     result = fn(*args)
     return result, time.perf_counter() - start
-
-
-#: Worker-side row cache: the lot's PSD rows are synthesized once per
-#: worker process so the timed round trips measure only the dispatch
-#: and the return path, not the synthesis.
-_ROWS_CACHE = {}
-
-
-def _lot_rows(n_records, seed):
-    key = (n_records, seed)
-    rows = _ROWS_CACHE.get(key)
-    if rows is None:
-        rows = _ROWS_CACHE[key] = np.random.default_rng(seed).random(
-            (n_records, N_BINS)
-        )
-    return rows
-
-
-def _pickle_return_task(args):
-    """Worker: a lot's PSD rows returned via the executor (pickle)."""
-    n_records, seed = args
-    return list(range(n_records)), _lot_rows(n_records, seed)
-
-
-def _shm_return_task(args):
-    """Worker: same rows, published into shared memory (headers back)."""
-    n_records, seed, descriptor = args
-    rows = _lot_rows(n_records, seed)
-    indices = list(range(n_records))
-    if publish_results(descriptor, indices, rows):
-        return indices, None
-    return indices, rows  # pragma: no cover - shm attach failed
 
 
 def test_kernels(benchmark, emit):
@@ -158,36 +99,6 @@ def test_kernels(benchmark, emit):
         name: best["reference"] / best[name] for name in timed
     }
 
-    # --- zero-copy result return vs pickle return --------------------
-    psd_pickle = np.empty((LOT_RECORDS, N_BINS))
-    psd_shm = np.empty((LOT_RECORDS, N_BINS))
-    with ProcessPoolExecutor(max_workers=1) as executor:
-        with SharedResultBlock(LOT_RECORDS, N_BINS) as block:
-            descriptor = block.descriptor
-
-            def pickle_round():
-                outcome = executor.submit(
-                    _pickle_return_task, (LOT_RECORDS, seed)
-                ).result()
-                collect_results([outcome], None, psd_pickle)
-
-            def shm_round():
-                outcome = executor.submit(
-                    _shm_return_task, (LOT_RECORDS, seed, descriptor)
-                ).result()
-                collect_results([outcome], block, psd_shm)
-
-            pickle_round()  # warm the worker and both code paths
-            shm_round()
-            t_shm = t_pickle = None
-            for _ in range(RETURN_BEST_OF):
-                _, a = _time(shm_round)
-                _, b = _time(pickle_round)
-                t_shm = a if t_shm is None else min(t_shm, a)
-                t_pickle = b if t_pickle is None else min(t_pickle, b)
-    return_identical = bool(np.array_equal(psd_shm, psd_pickle))
-    return_speedup = t_pickle / t_shm
-
     # --- report -------------------------------------------------------
     rows = [
         [
@@ -208,17 +119,6 @@ def test_kernels(benchmark, emit):
         )
     if "numba" not in backends:
         rows.append(["welch numba", "-", "numba absent (skipped)", "-"])
-    rows.extend(
-        [
-            ["return pickle", t_pickle, f"{LOT_RECORDS} x {N_BINS} rows", "-"],
-            [
-                "return shm",
-                t_shm,
-                "identical" if return_identical else "MISMATCH",
-                f"{return_speedup:.2f}x",
-            ],
-        ]
-    )
     emit(
         "kernels",
         render_table(
@@ -261,23 +161,12 @@ def test_kernels(benchmark, emit):
             if "numba" in backends
             else {"status": "absent", "skipped": True}
         ),
-        "result_return": {
-            "lot_records": LOT_RECORDS,
-            "n_bins": N_BINS,
-            "best_of": RETURN_BEST_OF,
-            "pickle_seconds": round(t_pickle, 6),
-            "shm_seconds": round(t_shm, 6),
-            "speedup": round(return_speedup, 2),
-            "identical": return_identical,
-        },
     }
     bench_path.write_text(json.dumps(payload, indent=2) + "\n")
 
-    # Acceptance bars: every enabled backend within 1e-15 of reference,
-    # tuned Welch >= 1.3x, shm return identical and >= 1.2x.  The numba
-    # tier is skipped (recorded absent), never failed, when missing.
+    # Acceptance bars: every enabled backend within 1e-15 of reference
+    # and tuned Welch >= 1.3x.  The numba tier is skipped (recorded
+    # absent), never failed, when missing.
     for name, diff in parity.items():
         assert diff <= MAX_PSD_REL_DIFF, (name, diff)
-    assert return_identical
     assert speedups["tuned"] >= MIN_WELCH_SPEEDUP, speedups
-    assert return_speedup >= MIN_SHM_RETURN_SPEEDUP, return_speedup

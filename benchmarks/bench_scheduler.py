@@ -5,9 +5,9 @@ Two measurements, merged into ``BENCH_engine.json`` under the
 
 * **Pool reuse.**  A multi-sweep session (several ``map_sweep`` calls
   of small analysis tasks — the production-screening shape: many quick
-  fan-outs, not one monolith) run twice: once the old way, a fresh
-  ``ProcessPoolExecutor`` per call, and once on a persistent
-  :class:`~repro.engine.WorkerPool` spawned exactly once.  The
+  fan-outs, not one monolith) run twice: once with a fresh
+  :class:`~repro.engine.WorkerPool` opened and closed per call, and
+  once on a persistent pool spawned exactly once.  The
   acceptance bar is >= 2x for the persistent session — per-call pool
   spawn is pure overhead once the pool outlives the call.
 * **Planned heterogeneous screen.**  A mixed-configuration device lot
@@ -30,7 +30,6 @@ from repro.engine import (
     MeasurementScheduler,
     MeasurementTask,
     WorkerPool,
-    run_with_processes,
 )
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.reporting.tables import render_table
@@ -64,14 +63,15 @@ def session_per_call_pools(seed):
     gen = make_rng(seed)
     for _ in range(N_SWEEPS):
         rngs = spawn_rngs(gen, TASKS_PER_SWEEP)
-        out.append(
-            run_with_processes(
-                analyze_record,
-                [(SWEEP_SAMPLES, 2000)] * TASKS_PER_SWEEP,
-                rngs,
-                max_workers=os.cpu_count() or 1,
+        with WorkerPool() as pool:
+            engine = MeasurementEngine(backend="process", pool=pool)
+            out.append(
+                engine.map_sweep(
+                    analyze_record,
+                    [(SWEEP_SAMPLES, 2000)] * TASKS_PER_SWEEP,
+                    rngs=rngs,
+                )
             )
-        )
     return out
 
 

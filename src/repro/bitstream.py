@@ -11,7 +11,7 @@ samples per byte (``numpy.packbits`` order), bit ``1`` for ``+1`` and
 bit ``0`` for ``-1``, carrying the sample rate and optional
 spawn-seeded provenance so a record remains traceable to the generator
 that produced it.  :class:`PackedRecordBatch` is the stacked form the
-measurement engine ships through shared memory.  Both unpack to the
+measurement engine acquires, stores and analyzes.  Both unpack to the
 exact float64 ``+/-1`` arrays the float pipeline uses, so every
 consumer (Welch kernels, normalization, Y-factor) sees bit-identical
 values; blocked access (:meth:`PackedBitstream.unpack_range`,
@@ -411,7 +411,7 @@ class PackedRecordBatch:
             )
         # Own the buffer so the validated batch cannot drift under a
         # caller's writes.  ``copy=False`` is the internal/zero-copy
-        # escape hatch (fresh private arrays, shared-memory views);
+        # escape hatch (fresh private arrays, read-only views);
         # either way the held array is frozen.
         if copy is None:
             copy = arr.flags.writeable and arr is words

@@ -15,8 +15,10 @@ reproducibility (each record draws from its own ``spawn_rngs`` child).
 in-process or over a persistent worker pool with per-task child seeds.
 
 :mod:`repro.engine.scheduler` sits on top: :class:`WorkerPool` keeps
-one process pool alive across a whole session of sweeps and batched
-Welch passes, and :class:`MeasurementScheduler` plans arbitrary
+one process pool alive across a whole session, and is the only way
+work reaches another process — whole measurements (chunks of
+``run_batch`` repeats or ``measure_devices`` devices) and sweep tasks,
+never parts of one.  :class:`MeasurementScheduler` plans arbitrary
 mixed-configuration screens into compatible sub-batches
 (:func:`plan_measurements`) with results bit-identical to per-device
 measurement.
@@ -29,7 +31,6 @@ from repro.engine.engine import (
     Engine,
     MeasurementEngine,
 )
-from repro.engine.executors import run_serial, run_with_processes
 from repro.engine.scheduler import (
     GroupReport,
     MapOutcome,
@@ -46,16 +47,6 @@ from repro.engine.scheduler import (
     plan_retest,
 )
 from repro.store import ResultStore
-from repro.engine.shm import (
-    SharedPackedBatch,
-    SharedResultBlock,
-    WelchParams,
-    collect_results,
-    publish_packed_tasks,
-    publish_results,
-    resolve_shared_task,
-    welch_batch_shared,
-)
 
 __all__ = [
     "AnalogBatchAcquirer",
@@ -73,19 +64,9 @@ __all__ = [
     "RetryPolicy",
     "RunReport",
     "TaskFailure",
-    "SharedPackedBatch",
-    "SharedResultBlock",
-    "WelchParams",
     "WorkerPool",
     "as_scheduler",
-    "collect_results",
     "default_pool",
     "plan_measurements",
     "plan_retest",
-    "publish_packed_tasks",
-    "publish_results",
-    "resolve_shared_task",
-    "run_serial",
-    "run_with_processes",
-    "welch_batch_shared",
 ]

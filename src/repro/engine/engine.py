@@ -13,21 +13,24 @@ seed implementation into stacked-array batch runs:
   stacks records across *different* DUT models — each device's analog
   chain runs with its own parameters and per-record noise densities,
   is digitized against its own reference, and every record shares one
-  batched Welch pass; the process backend splits the devices into one
-  contiguous chunk per pool worker, and each worker runs the whole
-  chain for its chunk;
+  batched Welch pass;
 * parameter sweeps (:meth:`MeasurementEngine.map_sweep`) fan out over
-  tasks with per-task child seeds, in-process or on a
-  ``ProcessPoolExecutor``.
+  tasks with per-task child seeds.
+
+The process backend has one rule: whole measurements and sweep tasks
+go to the pool, nothing smaller.  ``run_batch`` and
+``measure_devices`` split their repeats / devices into one contiguous
+chunk per pool worker, and each worker measures its chunk start to end
+(acquire, digitize, Welch, Y-factor estimate) and sends back only the
+results; ``map_sweep`` sends each task to the pool; a single
+``measure`` stays in-process.
 
 Records travel packed by default (1 bit/sample,
 :class:`~repro.bitstream.PackedRecordBatch`): acquirers that implement
-the packed protocol hand back packed batches, the Welch kernels unpack
-one FFT block at a time, and the process backend ships batches through
-a shared-memory pool (:mod:`repro.engine.shm`) instead of pickling
-float64 records.  Acquirers without a packed path keep working — the
-engine falls back to float records transparently, and results are
-identical either way (the packed pipeline is bit-exact).
+the packed protocol hand back packed batches and the Welch kernels
+unpack one FFT block at a time.  Acquirers without a packed path keep
+working — the engine falls back to float records transparently, and
+results are identical either way (the packed pipeline is bit-exact).
 
 Random-number discipline: the engine spawns child generators in exactly
 the order the serial code paths do (``estimator.measure`` spawns
@@ -61,32 +64,22 @@ from repro.core.bist import (
     check_bitstream_samples,
 )
 from repro.digitizer.digitizer import OneBitDigitizer
-from repro.dsp.psd import DEFAULT_BLOCK_SEGMENTS, _welch_grid, welch_batch
+from repro.dsp.psd import DEFAULT_BLOCK_SEGMENTS, welch_batch
 from repro.dsp.spectrum import SpectrumBatch
-from repro.dsp.windows import get_window
 from repro.errors import ConfigurationError, MeasurementError
-from repro.kernels import get_kernel_backend
 from repro import obs
 from repro.signals.batch_rng import validate_rng_mode
 from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
 from repro.store.keys import measurement_key
 from repro.store.store import ResultStore
 
-from repro.engine.executors import run_serial, run_with_processes
 from repro.engine.scheduler import RetryPolicy, WorkerPool
-from repro.engine.shm import WelchParams, welch_batch_shared
 
 _BACKENDS = ("vectorized", "process")
 
 #: Store interaction modes: whether cached results are consulted
 #: (``read``) and whether fresh results are persisted (``write``).
 _CACHE_MODES = ("off", "read", "write", "readwrite")
-
-#: Smallest packed batch the process backend fans out to workers.  A
-#: fresh ``ProcessPoolExecutor`` costs pool spawn + per-child import —
-#: far more than transforming a hot/cold pair in-process — so tiny
-#: batches (a single ``measure``) always stay local.
-MIN_SHARED_WELCH_RECORDS = 4
 
 #: Single-measurement writes between engine-side budget checks;
 #: bounding the store costs an enumeration, so it is amortized.
@@ -163,10 +156,9 @@ class MeasurementEngine:
     backend:
         ``"vectorized"`` keeps everything in-process (stacked-array
         batches); ``"process"`` additionally fans :meth:`map_sweep`
-        tasks and :meth:`measure_devices` chunks over a persistent
-        worker pool, and computes the batched Welch passes of
-        :meth:`measure` / :meth:`run_batch` in worker processes fed
-        from a shared-memory pool of packed records.
+        tasks and the chunks of :meth:`run_batch` and
+        :meth:`measure_devices` over a persistent worker pool (a
+        single :meth:`measure` stays in-process).
     max_workers:
         Worker cap for the process backend (default: CPU count).
     block_segments:
@@ -363,8 +355,8 @@ class MeasurementEngine:
 
         Created lazily (spawning workers costs real time, so a
         ``"process"`` engine that never fans out never pays it) and
-        reused across ``map_sweep`` calls, device chunks and batched
-        Welch passes.  ``None`` on the in-process backend.
+        reused across ``map_sweep`` calls and measurement chunks.
+        ``None`` on the in-process backend.
         """
         if self.backend != "process":
             return None
@@ -416,63 +408,22 @@ class MeasurementEngine:
         batched FFT pipeline over the ``(n_records, n_segments,
         nperseg)`` framing, with the estimator's analysis parameters.
         ``records`` may be a float stack or a
-        :class:`~repro.bitstream.PackedRecordBatch`; packed batches of
-        at least :data:`MIN_SHARED_WELCH_RECORDS` records on the
-        ``"process"`` backend are shipped to worker processes through
-        shared memory (no float64 pickling) and transformed there,
-        with bit-identical results (smaller batches stay in-process —
-        pool spawn costs more than a hot/cold pair's FFTs).
+        :class:`~repro.bitstream.PackedRecordBatch`.  Always runs in
+        this process, on either backend: the process backend fans out
+        whole measurements, and this pass is part of one.
         """
         config = estimator.config
-        obs_t0 = time.monotonic() if obs.enabled() else 0.0
-        if (
-            self.backend == "process"
-            and isinstance(records, PackedRecordBatch)
-            and records.n_records >= MIN_SHARED_WELCH_RECORDS
-        ):
-            if sample_rate is not None and float(sample_rate) != records.sample_rate:
-                raise ConfigurationError(
-                    f"sample_rate {sample_rate} Hz does not match the "
-                    f"packed batch rate {records.sample_rate} Hz"
-                )
-            params = WelchParams(
+        with obs.timed("engine.welch_seconds"):
+            return welch_batch(
+                records,
                 nperseg=config.nperseg,
+                sample_rate=sample_rate,
                 window=config.window,
                 overlap=config.overlap,
                 detrend=True,
                 block_segments=self.block_segments,
                 bit_domain=self.bit_domain,
-                kernel_backend=get_kernel_backend(),
             )
-            psd = welch_batch_shared(
-                records, params, self.max_workers, pool=self.worker_pool
-            )
-            win = get_window(config.window, config.nperseg)
-            freqs, enbw_hz = _welch_grid(
-                win, config.nperseg, records.sample_rate
-            )
-            if obs_t0:
-                obs.observe(
-                    "engine.welch_seconds", time.monotonic() - obs_t0,
-                    {"path": "shared"},
-                )
-            return SpectrumBatch(freqs, psd, enbw_hz=enbw_hz)
-        out = welch_batch(
-            records,
-            nperseg=config.nperseg,
-            sample_rate=sample_rate,
-            window=config.window,
-            overlap=config.overlap,
-            detrend=True,
-            block_segments=self.block_segments,
-            bit_domain=self.bit_domain,
-        )
-        if obs_t0:
-            obs.observe(
-                "engine.welch_seconds", time.monotonic() - obs_t0,
-                {"path": "inprocess"},
-            )
-        return out
 
     # ------------------------------------------------------------------
     # Measurements
@@ -555,6 +506,13 @@ class MeasurementEngine:
         ``2 * n_repeats`` records are acquired as a single stack and
         measured from one batched Welch pass.
 
+        On the ``"process"`` backend the repeats are split into
+        ``min(max_workers, n_repeats)`` contiguous chunks, and each pool
+        worker measures its chunk start to end, exactly as
+        :meth:`measure_devices` does with devices.  The generator pairs
+        are spawned here and travel with the chunks, so results are
+        bit-identical across backends.
+
         Returns one entry per repeat, in order.  With
         ``allow_failures``, repeats whose reference line is lost
         (:class:`~repro.errors.MeasurementError`) yield ``None`` instead
@@ -568,10 +526,15 @@ class MeasurementEngine:
         pairs = [
             tuple(spawn_rngs(child, 2)) for child in spawn_rngs(gen, n_repeats)
         ]
-        results, _ = self._measure_pairs(
-            source, estimator, pairs, allow_failures
+        if self.worker_pool is None:
+            return self._measure_pairs(
+                source, estimator, pairs, allow_failures
+            )[0]
+        return self._fan_out(
+            _measure_repeat_chunk,
+            len(pairs),
+            lambda s: (source, estimator, pairs[s], allow_failures),
         )
-        return results
 
     def _acquire(
         self,
@@ -734,34 +697,42 @@ class MeasurementEngine:
                     "with plan_measurements"
                 )
         pairs = [tuple(spawn_rngs(make_rng(r), 2)) for r in rngs]
-        pool = self.worker_pool
-        if pool is None:
+        if self.worker_pool is None:
             return self._measure_devices_local(
                 sources, estimators, pairs, allow_failures
             )
+        return self._fan_out(
+            _measure_device_chunk,
+            len(sources),
+            lambda s: (sources[s], estimators[s], pairs[s], allow_failures),
+        )
+
+    def _fan_out(
+        self,
+        task: Callable,
+        n_items: int,
+        chunk_args: Callable[[slice], tuple],
+    ) -> List[Optional[BISTResult]]:
+        """Measure ``n_items`` in one contiguous chunk per pool worker.
+
+        ``chunk_args(s)`` builds the arguments of the chunk covering
+        items ``s``; ``task`` (module-level, so the pool can pickle it)
+        measures them on an in-process engine configured like this
+        one.  Results come back in item order.
+        """
+        pool = self.worker_pool
         settings = {
             "block_segments": self.block_segments,
             "packed": self.packed,
             "rng_mode": self.rng_mode,
         }
         chunks = np.array_split(
-            np.arange(len(sources)), min(pool.max_workers, len(sources))
+            np.arange(n_items), min(pool.max_workers, n_items)
         )
         payloads = [
-            (
-                settings,
-                sources[c[0]:c[-1] + 1],
-                estimators[c[0]:c[-1] + 1],
-                pairs[c[0]:c[-1] + 1],
-                allow_failures,
-            )
-            for c in chunks
+            (settings, *chunk_args(slice(c[0], c[-1] + 1))) for c in chunks
         ]
-        return [
-            result
-            for chunk in pool.map(_measure_device_chunk, payloads)
-            for result in chunk
-        ]
+        return [result for out in pool.map(task, payloads) for result in out]
 
     def _measure_devices_local(
         self,
@@ -902,11 +873,10 @@ class MeasurementEngine:
         latter to keep seed-compatibility with an existing serial
         sweep).  The ``"process"`` backend distributes tasks over the
         engine's persistent :class:`~repro.engine.scheduler.WorkerPool`
-        (spawned once, reused across sweeps until :meth:`close`), and
-        packed records found inside tasks travel through shared memory
-        instead of pickle; since the generators travel with the tasks,
-        results are identical across backends.  ``fn`` must be a
-        module-level callable for the process backend (pickling).
+        (spawned once, reused across sweeps until :meth:`close`); since
+        the generators travel with the tasks, results are identical
+        across backends.  ``fn`` and the tasks must pickle for the
+        process backend (``fn`` module-level).
 
         A non-compat engine ``rng_mode`` is forwarded to workers whose
         signature accepts an ``rng_mode`` keyword (as a
@@ -927,11 +897,17 @@ class MeasurementEngine:
             return []
         if self.rng_mode != "compat" and _accepts_kwarg(fn, "rng_mode"):
             fn = functools.partial(fn, rng_mode=self.rng_mode)
-        if self.backend == "process":
-            return run_with_processes(
-                fn, tasks, rngs, self.max_workers, pool=self.worker_pool
+        if self.worker_pool is not None:
+            return self.worker_pool.map(
+                _sweep_task, [(fn, task, rng) for task, rng in zip(tasks, rngs)]
             )
-        return run_serial(fn, tasks, rngs)
+        return [fn(task, rng) for task, rng in zip(tasks, rngs)]
+
+
+def _sweep_task(payload):
+    """Pool task: one :meth:`MeasurementEngine.map_sweep` task."""
+    fn, task, rng = payload
+    return fn(task, rng)
 
 
 def _measure_device_chunk(payload) -> List[Optional[BISTResult]]:
@@ -942,6 +918,15 @@ def _measure_device_chunk(payload) -> List[Optional[BISTResult]]:
     return MeasurementEngine(**settings)._measure_devices_local(
         sources, estimators, pairs, allow_failures
     )
+
+
+def _measure_repeat_chunk(payload) -> List[Optional[BISTResult]]:
+    """Pool task: one contiguous chunk of a :meth:`MeasurementEngine.
+    run_batch` call; only the results travel back, not the records."""
+    settings, source, estimator, pairs, allow_failures = payload
+    return MeasurementEngine(**settings)._measure_pairs(
+        source, estimator, pairs, allow_failures
+    )[0]
 
 
 #: The ISSUE-facing short alias.

@@ -1,34 +1,29 @@
 """Measurement scheduler: persistent worker pool and sub-batch planner.
 
-The execution layer under the engine used to pay two structural taxes:
-every ``map_sweep`` / batched-Welch fan-out spawned (and tore down) its
-own ``ProcessPoolExecutor``, and :meth:`MeasurementEngine.
-measure_devices` refused to batch screens whose estimators disagreed on
-any analysis parameter.  This module removes both:
-
 * :class:`WorkerPool` is a persistent, lazily spawned process pool with
-  an explicit ``close()`` / context-manager lifetime.  One pool is
-  shared across every fan-out an engine performs — sweep tasks, batched
-  Welch passes over shared memory, repeated sweeps of a whole session —
-  so the pool-spawn cost is paid once per session instead of once per
-  call.
+  an explicit ``close()`` / context-manager lifetime and per-task fault
+  handling (retries, respawns, hung-worker timeouts).  It is the only
+  way work reaches another process: an engine sends it whole
+  measurements (one chunk of ``run_batch`` repeats or
+  ``measure_devices`` devices per worker) and ``map_sweep`` tasks, and
+  one pool serves every fan-out of a session, so the pool-spawn cost is
+  paid once per session instead of once per call.
 * :func:`plan_measurements` / :class:`MeasurementPlan` take an
   arbitrary mix of ``(source, estimator, rng)`` measurement tasks and
   group them into sub-batches that are *compatible* under the engine's
   multi-device batching rules (identical nperseg / window / overlap /
   sample rate / record length, sources implementing the
   :class:`~repro.engine.engine.AnalogBatchAcquirer` protocol).  Each
-  group runs through ``measure_devices`` (on the process backend, one
-  contiguous chunk of devices per pool worker, each measured start to
-  end in its worker); singletons and protocol-less sources fall back
-  to per-task ``measure``.  Because
-  every path spawns per-record generators identically, the planned
-  results are bit-identical to running ``engine.measure`` once per
-  task, in task order.
+  group runs through ``measure_devices``; singletons and protocol-less
+  sources fall back to per-task ``measure``.  Because every path
+  spawns per-record generators identically, the planned results are
+  bit-identical to running ``engine.measure`` once per task, in task
+  order.  :meth:`MeasurementPlan.run_report` is the one execution
+  loop; :meth:`MeasurementPlan.run` is the same loop raising the first
+  failed group's exception at the end.
 * :class:`MeasurementScheduler` is the facade the experiments layer
   uses: ``run()`` for planned heterogeneous screens, ``map_sweep()``
-  for free-form sweeps (packed record payloads travel through
-  :mod:`repro.engine.shm` instead of pickle), one pool underneath.
+  for free-form sweeps, one pool underneath.
 """
 
 from __future__ import annotations
@@ -112,10 +107,10 @@ def _obs_task(payload) -> Tuple[object, Optional[dict]]:
     """Worker-side dispatch wrapper when observability is on.
 
     Runs the real task, then drains the worker's process-global
-    registry (counters/histograms the task's kernels, shm publishes
-    and store writes recorded) and ships the snapshot home with the
-    result — the parent merges it, so per-worker telemetry composes
-    with the process backend without shared-memory coordination.
+    registry (counters/histograms the task's acquisition and kernels
+    recorded) and ships the snapshot home with the result — the
+    parent merges it, so per-worker telemetry composes with the
+    process backend without shared-memory coordination.
     Disabled runs never dispatch through here, keeping the default
     path byte-identical to an un-instrumented build.
     """
@@ -633,7 +628,12 @@ class PlanGroup:
 
 @dataclass(frozen=True)
 class GroupReport:
-    """How one sub-batch of a plan fared (see :class:`RunReport`)."""
+    """How one sub-batch of a plan fared (see :class:`RunReport`).
+
+    A failed group's original exception rides along (not part of
+    equality or :meth:`describe`) so :meth:`MeasurementPlan.run` can
+    re-raise it.
+    """
 
     index: int
     n_tasks: int
@@ -641,6 +641,9 @@ class GroupReport:
     status: str  # "ok" | "failed"
     wall_s: float
     error: str = ""
+    exception: Optional[BaseException] = field(
+        default=None, compare=False, repr=False
+    )
 
     def describe(self) -> dict:
         return {
@@ -822,42 +825,39 @@ class MeasurementPlan:
     ) -> List:
         """Execute the plan on an engine; results in task order.
 
-        Groups run one after another; on the process backend each
-        batched group fans out over the worker pool inside
-        ``engine.measure_devices``.
+        :meth:`run_report`, then a raise: every group runs — on the
+        process backend each batched group fans out over the worker
+        pool inside ``engine.measure_devices`` — and with a
+        store-carrying engine every group that completes is persisted
+        as the plan advances.  If any group failed, the first failed
+        group's original exception (a task's
+        :class:`~repro.errors.MeasurementError`, say) is raised after
+        the last group; a failed group does not stop the groups after
+        it, and a later ``resume=True`` pass re-measures only what is
+        missing.
 
-        With a store-carrying engine, every completed group's results
-        are persisted as the plan advances, and ``resume=True`` replays
-        an interrupted plan by loading stored results and re-planning
-        *only* the missing tasks into fresh sub-batches — stored tasks
-        are never re-acquired.  Results are identical to a cold run
-        (the store round-trip is bit-exact).
+        ``resume=True`` replays an interrupted plan by loading stored
+        results and re-planning *only* the missing tasks into fresh
+        sub-batches — stored tasks are never re-acquired.  Results are
+        identical to a cold run (the store round-trip is bit-exact).
 
         ``on_group_end(group_index, n_groups)`` is a checkpoint hook
         invoked after each group's results are committed (and, with a
-        store, persisted).  An exception it raises aborts the remaining
-        groups but loses nothing already committed — the measurement
-        service's drain/deadline/preemption points.
+        store, persisted).  An exception it raises — like any
+        ``BaseException`` — stops the remaining groups at once but
+        loses nothing already committed: the measurement service's
+        drain/deadline/preemption points.
         """
-        if resume:
-            return self._run_resumed(engine, allow_failures, on_group_end)
-        keys = self._task_keys(engine)
-        results: List = [None] * len(self.tasks)
-        for gi, group in enumerate(self.groups):
-            tasks = [self.tasks[i] for i in group.indices]
-            if group.batched:
-                out = engine.measure_devices(
-                    [t.source for t in tasks],
-                    [t.estimator for t in tasks],
-                    rngs=[t.rng for t in tasks],
-                    allow_failures=allow_failures,
-                )
-            else:
-                out = self._measure_fallback(engine, tasks, allow_failures)
-            self._commit(engine, keys, group, out, results)
-            if on_group_end is not None:
-                on_group_end(gi, len(self.groups))
-        return results
+        report = self.run_report(
+            engine,
+            allow_failures=allow_failures,
+            resume=resume,
+            on_group_end=on_group_end,
+        )
+        for group in report.groups:
+            if group.status == "failed":
+                raise group.exception
+        return report.results
 
     def run_report(
         self,
@@ -868,28 +868,27 @@ class MeasurementPlan:
     ) -> RunReport:
         """Execute the plan with graceful degradation; return a report.
 
-        Unlike :meth:`run`, a group that fails terminally (a task
-        dead-lettered past its retries, a pool past its respawn
-        budget, an unexpected error) does *not* abort the plan: the
-        group is recorded as ``"failed"`` in the report and every
-        remaining group still runs — and, on store-backed engines, is
-        persisted — so one poisoned sub-batch costs its own tasks, not
-        the lot.  The report carries the worker-pool telemetry this
-        run consumed (attempts / retries / timeouts / respawns / dead
-        letters) and, when a fault injector is active, the per-site
-        counts of faults injected during the run.
+        A group that fails terminally (a task dead-lettered past its
+        retries, a pool past its respawn budget, an unexpected error)
+        does *not* abort the plan: the group is recorded as
+        ``"failed"`` in the report and every remaining group still
+        runs — and, on store-backed engines, is persisted — so one
+        poisoned sub-batch costs its own tasks, not the lot.  The
+        report carries the worker-pool telemetry this run consumed
+        (attempts / retries / timeouts / respawns / dead letters) and,
+        when a fault injector is active, the per-site counts of faults
+        injected during the run.
 
         Groups execute sequentially, so the report attributes
-        wall-clock and telemetry per group.  ``resume=True``
-        behaves as in :meth:`run` — stored tasks are loaded, only the
-        missing ones are re-planned and executed — with the served
-        tasks counted in ``cached_tasks``.
+        wall-clock and telemetry per group.  ``resume=True`` loads
+        stored tasks and re-plans and executes only the missing ones,
+        with the served tasks counted in ``cached_tasks``.
 
-        ``on_group_end(group_index, n_groups)`` is the checkpoint hook
-        of :meth:`run`: it fires after each group commits, and an
-        exception it raises stops the remaining groups while keeping
-        everything already committed (unlike a group *failure*, which
-        is recorded and skipped over).
+        ``on_group_end(group_index, n_groups)`` is the checkpoint hook:
+        it fires after each group commits, and an exception it raises
+        stops the remaining groups while keeping everything already
+        committed (unlike a group *failure*, which is recorded and
+        skipped over).
         """
         started_wall = time.time()
         start = time.monotonic()
@@ -932,9 +931,9 @@ class MeasurementPlan:
                                 engine, tasks, allow_failures
                             )
                         self._commit(engine, keys, group, out, results)
-                        status, error = "ok", ""
+                        status, error, exception = "ok", "", None
                     except Exception as exc:
-                        status, error = "failed", repr(exc)
+                        status, error, exception = "failed", repr(exc), exc
                 wall = time.monotonic() - t0
                 obs.observe("scheduler.group_seconds", wall)
                 group_reports.append(
@@ -945,6 +944,7 @@ class MeasurementPlan:
                         status=status,
                         wall_s=wall,
                         error=error,
+                        exception=exception,
                     )
                 )
                 if on_group_end is not None:
@@ -1009,38 +1009,6 @@ class MeasurementPlan:
             groups=sub.groups,
             cached_tasks=cached,
         )
-
-    def _run_resumed(
-        self, engine, allow_failures: bool, on_group_end=None
-    ) -> List:
-        """Load stored tasks, re-plan and run only the missing ones."""
-        if getattr(engine, "store", None) is None or not engine.cache_reads:
-            raise ConfigurationError(
-                "resume=True needs an engine with a store in a "
-                "read-capable cache mode"
-            )
-        keys = self._task_keys(engine)
-        results: List = [None] * len(self.tasks)
-        missing: List[int] = []
-        for i, key in enumerate(keys):
-            hit = engine.store.get_result(key) if key is not None else None
-            if hit is not None:
-                results[i] = hit
-            else:
-                missing.append(i)
-        if missing:
-            subplan = plan_measurements(
-                [self.tasks[i] for i in missing],
-                max_group_size=self.max_group_size,
-            )
-            sub_results = subplan.run(
-                engine,
-                allow_failures=allow_failures,
-                on_group_end=on_group_end,
-            )
-            for local, i in enumerate(missing):
-                results[i] = sub_results[local]
-        return results
 
 
 def _coerce_task(task) -> MeasurementTask:
@@ -1327,7 +1295,9 @@ class MeasurementScheduler:
 
         Bit-identical to per-task ``engine.measure`` calls; compatible
         tasks share one multi-device batch (on the process backend,
-        one chunk of whole devices per pool worker).
+        one chunk of whole devices per pool worker).  Every group runs;
+        a failed group's exception is raised after the last one (see
+        :meth:`MeasurementPlan.run`).
         ``resume=True`` (store-backed engines) loads already-persisted
         tasks and recomputes only the missing ones.
         ``max_group_size`` / ``on_group_end`` add checkpoint boundaries

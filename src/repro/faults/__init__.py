@@ -5,8 +5,8 @@ tested against: a :class:`FaultPlan` names per-site failure
 probabilities under one seed, a :class:`FaultInjector` draws
 reproducible injection decisions and logs every fault it fires, and
 :func:`inject` installs the injector for a ``with`` block so the
-scheduler, the shared-memory transport and the result store consult it
-at their fault sites.  See ``docs/ROBUSTNESS.md`` for the fault model
+scheduler, the result store and the service consult it at their
+fault sites.  See ``docs/ROBUSTNESS.md`` for the fault model
 and the guarantees (chaos identity, crash-consistent resume) asserted
 in the test suite.
 """

@@ -9,11 +9,11 @@ coordinates) replays the same faults, and a *retry* of a task draws at
 its new attempt number instead of re-hitting the same fault forever.
 
 The execution stack reaches the injector through module-level hooks
-(:func:`task_fault`, :func:`store_fault`, :func:`shm_fault`) that read
-the process-global active injector installed by :func:`inject`.  With
-no injector active every hook is a single ``None`` check — the
-fault-free hot path stays unmeasurable (see ``benchmarks/
-bench_faults.py``).
+(:func:`task_fault`, :func:`store_fault` and the other ``*_fault``
+functions) that read the process-global active injector installed by
+:func:`inject`.  With no injector active every hook is a single
+``None`` check — the fault-free hot path stays unmeasurable (see
+``benchmarks/bench_faults.py``).
 
 Worker-side faults (crash / hang / transient exception) are decided in
 the *parent* at dispatch time and shipped to the worker as a
@@ -48,7 +48,6 @@ __all__ = [
     "index_torn_fault",
     "job_deadline_fault",
     "journal_torn_fault",
-    "shm_fault",
     "store_fault",
     "store_lock_fault",
     "task_fault",
@@ -133,7 +132,7 @@ class FaultInjector:
 
     def _sequence(self, site: str) -> int:
         """A monotonic per-site counter (sites without natural
-        coordinates, e.g. shared-memory publishes, draw on it)."""
+        coordinates, e.g. lock acquisitions, draw on it)."""
         with self._lock:
             n = self._counts.get(f"_seq_{site}", 0)
             self._counts[f"_seq_{site}"] = n + 1
@@ -180,11 +179,6 @@ class FaultInjector:
         if self._draw("store_corrupt", coords, detail):
             return "corrupt"
         return None
-
-    def shm_directive(self) -> bool:
-        """Whether this shared-memory publish should fail."""
-        seq = self._sequence("shm_publish")
-        return self._draw("shm_publish", (seq,), f"publish={seq}")
 
     def lock_directive(self) -> bool:
         """Whether this lock acquisition should lose its first race.
@@ -300,13 +294,6 @@ def store_fault(key: str, write_seq: int) -> Optional[str]:
     if _ACTIVE is None:
         return None
     return _ACTIVE.store_directive(key, write_seq)
-
-
-def shm_fault() -> bool:
-    """Whether the current shared-memory publish should fail."""
-    if _ACTIVE is None:
-        return False
-    return _ACTIVE.shm_directive()
 
 
 def store_lock_fault() -> bool:

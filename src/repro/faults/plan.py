@@ -3,11 +3,11 @@
 A :class:`FaultPlan` names a *distribution* of failures over the
 injection sites the execution stack exposes — worker processes that
 die or hang, tasks that raise transiently, store payloads that land
-truncated or bit-flipped, shared-memory publishes that fail — with one
-probability per site and a single seed.  Every injection decision is a
-pure function of ``(seed, site, invocation coordinates)``, so a plan
-replays the same fault sequence run after run (see
-:class:`~repro.faults.injector.FaultInjector`).
+truncated or bit-flipped, lock races, torn appends, dropped clients
+and forced deadlines — with one probability per site and a single
+seed.  Every injection decision is a pure function of ``(seed, site,
+invocation coordinates)``, so a plan replays the same fault sequence
+run after run (see :class:`~repro.faults.injector.FaultInjector`).
 
 :data:`FAULT_PLANS` registers the named plans the CLI ``chaos``
 subcommand and the CI chaos smoke accept.
@@ -22,32 +22,34 @@ from repro.errors import ConfigurationError
 
 __all__ = ["FaultPlan", "FAULT_PLANS", "SITES", "resolve_plan"]
 
-#: Injection sites, in the order the harness consults them.  The
-#: integer position of a site doubles as its seed-stream key, so the
-#: order is part of the deterministic contract — append, never reorder.
-SITES = (
-    "worker_crash",     # a worker process dies mid-task (SIGKILL)
-    "worker_hang",      # a task blocks far beyond its deadline
-    "task_exception",   # a task raises a transient (retryable) error
-    "store_truncate",   # a store payload lands cut short, as a crash
-                        # mid-write (without the atomic rename) would
-    "store_corrupt",    # a store payload lands with flipped bits
-    "shm_publish",      # publishing records to shared memory fails
-    "store_lock",       # a shard/index lock attempt loses a race and
-                        # must back off and retry
-    "index_torn_write", # a store-index append is cut mid-record, as a
-                        # crash between write() and the record boundary
-    "journal_torn_write",  # a service-journal append is cut mid-record,
-                        # as a daemon SIGKILLed between write() and the
-                        # record boundary would leave it
-    "client_disconnect",  # a service client connection drops before the
-                        # response is written (network blip, client
-                        # crash); the accepted job must survive
-    "job_deadline",     # a service job's wall-clock budget is forced
-                        # to expire at its next checkpoint
-)
+#: Injection sites, in the order the harness consults them, with their
+#: seed-stream keys.  The key is part of the deterministic contract: a
+#: new site takes the next unused key and a retired site's key is never
+#: reused (5 is retired), so a plan and seed keep drawing the same
+#: faults at the same places across versions.
+SITE_IDS: Dict[str, int] = {
+    "worker_crash": 0,      # a worker process dies mid-task (SIGKILL)
+    "worker_hang": 1,       # a task blocks far beyond its deadline
+    "task_exception": 2,    # a task raises a transient (retryable) error
+    "store_truncate": 3,    # a store payload lands cut short, as a crash
+                            # mid-write (without the atomic rename) would
+    "store_corrupt": 4,     # a store payload lands with flipped bits
+    "store_lock": 6,        # a shard/index lock attempt loses a race and
+                            # must back off and retry
+    "index_torn_write": 7,  # a store-index append is cut mid-record, as
+                            # a crash between write() and the record
+                            # boundary
+    "journal_torn_write": 8,  # a service-journal append is cut
+                            # mid-record, as a daemon SIGKILLed between
+                            # write() and the record boundary would leave it
+    "client_disconnect": 9,  # a service client connection drops before
+                            # the response is written (network blip,
+                            # client crash); the accepted job must survive
+    "job_deadline": 10,     # a service job's wall-clock budget is forced
+                            # to expire at its next checkpoint
+}
 
-SITE_IDS: Dict[str, int] = {site: i for i, site in enumerate(SITES)}
+SITES = tuple(SITE_IDS)
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,6 @@ class FaultPlan:
     task_exception: float = 0.0
     store_truncate: float = 0.0
     store_corrupt: float = 0.0
-    shm_publish: float = 0.0
     store_lock: float = 0.0
     index_torn_write: float = 0.0
     journal_torn_write: float = 0.0
@@ -122,7 +123,6 @@ FAULT_PLANS: Dict[str, FaultPlan] = {
         task_exception=0.20,
         store_truncate=0.25,
         store_corrupt=0.25,
-        shm_publish=0.15,
     ),
     "crashes": FaultPlan(worker_crash=0.25),
     "hangs": FaultPlan(worker_hang=0.20, hang_seconds=20.0),
@@ -139,7 +139,6 @@ FAULT_PLANS: Dict[str, FaultPlan] = {
         task_exception=0.25,
         store_truncate=0.30,
         store_corrupt=0.30,
-        shm_publish=0.25,
         store_lock=0.20,
         index_torn_write=0.15,
         journal_torn_write=0.15,

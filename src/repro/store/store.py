@@ -357,6 +357,15 @@ class ResultStore:
         self.root = pathlib.Path(root)
         created = False
         marker = self.root / "store.json"
+        # List before checking for the marker, leaving out the marker's
+        # own temp files: a creator publishes store.json before anything
+        # else, so any other entry seen here means the marker is there
+        # by the time it is checked, and a directory holding only a
+        # concurrent (or crashed) creator's temp file opens as new.
+        occupied = self.root.exists() and any(
+            not (p.name.startswith(marker.stem) and p.suffix == ".tmp")
+            for p in self.root.iterdir()
+        )
         if marker.exists():
             try:
                 info = json.loads(marker.read_text())
@@ -374,7 +383,7 @@ class ResultStore:
             # An older marker is fine: entries carry their own schema
             # and stale ones are gc-able.
             self.schema = schema
-        elif self.root.exists() and any(self.root.iterdir()):
+        elif occupied:
             raise ConfigurationError(
                 f"{self.root} exists, is not empty and is not a result "
                 "store (no store.json marker)"

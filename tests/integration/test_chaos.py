@@ -3,9 +3,9 @@
 Two acceptance bars for the fault-tolerant execution stack:
 
 * a production screen run under injected transient faults — worker
-  crashes, task exceptions, store truncation/corruption, shm publish
-  failures — retries/quarantines its way to a population outcome
-  bit-identical to the fault-free screen;
+  crashes, task exceptions, store truncation/corruption — retries/
+  quarantines its way to a population outcome bit-identical to the
+  fault-free screen;
 * a screen SIGKILLed mid-lot leaves a crash-consistent store, and a
   ``resume=True`` rerun measures only the missing devices and converges
   to the same outcome as an uninterrupted run.

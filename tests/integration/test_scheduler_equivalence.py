@@ -11,6 +11,8 @@ several planned runs) and for the process backend's lot fan-out (one
 chunk of whole devices per pool worker).
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,123 @@ class TestLotFanOut:
                 )
             seeds[backend] = (lot.measured_nf_db, _spawned(gen))
         assert seeds["process"] == seeds["serial"]
+
+
+def _result_fields(result):
+    """The numbers of a result, for exact comparison (None stays None)."""
+    if result is None:
+        return None
+    return (
+        result.noise_figure_db,
+        result.y,
+        result.band_power_hot,
+        result.band_power_cold,
+        result.normalization.hot.psd.tobytes(),
+        result.normalization.cold.psd.tobytes(),
+    )
+
+
+def _device_bench():
+    """One production-lot device bench and its estimator."""
+    true_values, _ = _draw_lot(8.0, 1.5, 4, 2005)
+    [task] = _lot_tasks(true_values[:1], [2**14], [2048], [None])
+    return task.source, task.estimator
+
+
+class AcquireLoggingSim(MatlabSimulation):
+    """A simulation that notes which process acquires each batch."""
+
+    def __init__(self, config, log_dir):
+        super().__init__(config)
+        self.log_dir = log_dir
+
+    def acquire_bitstreams(
+        self, states, rngs, digitizer=None, packed=False, rng_mode="compat"
+    ):
+        path = os.path.join(self.log_dir, f"{os.getpid()}.records")
+        with open(path, "a") as log:
+            log.write(f"{len(states)}\n")
+        return super().acquire_bitstreams(
+            states, rngs, digitizer, packed=packed, rng_mode=rng_mode
+        )
+
+
+class TestRepeatFanOut:
+    """A process ``run_batch`` measures one chunk of whole repeats per
+    pool worker, bit for bit like one in-process batch."""
+
+    @pytest.mark.parametrize("rng_mode", ["compat", "philox"])
+    @pytest.mark.parametrize("bench", ["matlab_sim", "device_bench"])
+    def test_process_run_batch_matches_vectorized(self, rng_mode, bench):
+        if bench == "matlab_sim":
+            [source] = _small_sims(0.2)
+            estimator = source.make_estimator()
+        else:
+            source, estimator = _device_bench()
+        runs = {}
+        for backend in ("vectorized", "process"):
+            with MeasurementEngine(
+                backend=backend, max_workers=2, rng_mode=rng_mode
+            ) as eng:
+                # Three repeats on two workers: chunks of 2 and 1.
+                results = eng.run_batch(source, estimator, 3, rng=11)
+                if backend == "process":
+                    assert eng.worker_pool.telemetry.attempts == 2
+            runs[backend] = [_result_fields(r) for r in results]
+        assert runs["process"] == runs["vectorized"]
+
+    def test_workers_acquire_whole_repeats(self, tmp_path):
+        sim = AcquireLoggingSim(
+            MatlabSimConfig(n_samples=30_000, nperseg=3000), str(tmp_path)
+        )
+        with MeasurementEngine(backend="process", max_workers=2) as eng:
+            eng.run_batch(sim, sim.make_estimator(), 3, rng=1)
+            # A single measure stays in this process.
+            eng.measure(sim, sim.make_estimator(), rng=1)
+        logs = {
+            int(p.stem): p.read_text().split() for p in tmp_path.iterdir()
+        }
+        assert logs.pop(os.getpid()) == ["2"]
+        # Each worker acquired its chunk's hot/cold pairs: 2 + 1 repeats.
+        assert sorted(n for log in logs.values() for n in log) == ["2", "4"]
+
+    def test_allow_failures_keep_their_slots(self):
+        # A marginal reference line: repeats 0 and 2 lose it, repeat 1
+        # keeps it, so the first chunk (repeats 0-1) is mixed.
+        [sim] = _small_sims(0.03)
+        estimator = sim.make_estimator()
+        serial = MeasurementEngine().run_batch(
+            sim, estimator, 3, rng=5, allow_failures=True
+        )
+        with MeasurementEngine(backend="process", max_workers=2) as eng:
+            procs = eng.run_batch(
+                sim, estimator, 3, rng=5, allow_failures=True
+            )
+        assert [r is None for r in procs] == [True, False, True]
+        assert [_result_fields(r) for r in procs] == [
+            _result_fields(r) for r in serial
+        ]
+
+    def test_worker_measurement_error_is_not_retried(self):
+        [sim] = _small_sims(0.001)
+        with MeasurementEngine(backend="process", max_workers=2) as eng:
+            with pytest.raises(MeasurementError):
+                eng.run_batch(sim, sim.make_estimator(), 3, rng=7)
+            telemetry = eng.worker_pool.telemetry
+            assert (telemetry.attempts, telemetry.retries) == (2, 0)
+
+    def test_caller_generator_consumed_like_vectorized(self):
+        [sim] = _small_sims(0.2)
+        estimator = sim.make_estimator()
+        runs = {}
+        for backend in ("vectorized", "process"):
+            gen = make_rng(5)
+            with MeasurementEngine(backend=backend, max_workers=2) as eng:
+                first = eng.run_batch(sim, estimator, 3, rng=gen)
+                second = eng.run_batch(sim, estimator, 2, rng=gen)
+            runs[backend] = (
+                [r.noise_figure_db for r in first + second],
+                _spawned(gen),
+            )
+        assert runs["process"] == runs["vectorized"]
+        assert runs["process"][1] == 5

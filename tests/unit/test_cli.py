@@ -277,9 +277,9 @@ class TestChaosSubcommand:
             main(["chaos", "--plan", "nope", "--fast"])
 
     def test_chaos_serial_identity(self, tmp_path, capsys):
-        # Serial backend keeps this test cheap: store and shm
-        # faults still fire, and the faulted outcomes must match the
-        # clean reference exactly (exit code 0).
+        # Serial backend keeps this test cheap: store faults still
+        # fire, and the faulted outcomes must match the clean
+        # reference exactly (exit code 0).
         import json
 
         rc = main(

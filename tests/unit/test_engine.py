@@ -1,4 +1,4 @@
-"""Tests for repro.engine (MeasurementEngine API and executors)."""
+"""Tests for repro.engine (MeasurementEngine API and sweeps)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.core.averaging import RepeatedMeasurement
 from repro.dsp.psd import welch, welch_batch
 from repro.engine import Engine, MeasurementEngine
-from repro.engine.executors import run_serial, run_with_processes
 from repro.errors import ConfigurationError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.signals.random import make_rng, spawn_rngs
@@ -169,8 +168,13 @@ class TestMapSweep:
         assert procs == serial
 
     def test_executor_helpers(self):
-        rngs = spawn_rngs(make_rng(3), 2)
-        rngs_copy = spawn_rngs(make_rng(3), 2)
-        assert run_serial(draw, [0, 1], rngs) == run_with_processes(
-            draw, [0, 1], rngs_copy, max_workers=2
+        # Explicit per-task generators travel with the tasks: the pool
+        # workers draw exactly what the in-process sweep draws.
+        serial = MeasurementEngine().map_sweep(
+            draw, [0, 1], rngs=spawn_rngs(make_rng(3), 2)
         )
+        with MeasurementEngine(backend="process", max_workers=2) as eng:
+            procs = eng.map_sweep(
+                draw, [0, 1], rngs=spawn_rngs(make_rng(3), 2)
+            )
+        assert procs == serial

@@ -1,5 +1,6 @@
 """Tests for repro.faults: plans, the injector, hooks, directives."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -15,10 +16,10 @@ from repro.faults import (
 )
 from repro.faults.injector import (
     faulted_call,
-    shm_fault,
     store_fault,
     task_fault,
 )
+from repro.faults.plan import SITE_IDS
 
 
 class TestFaultPlan:
@@ -67,6 +68,29 @@ class TestFaultPlan:
 
 
 class TestInjectorDeterminism:
+    def test_site_stream_keys_are_pinned(self):
+        # A site's key seeds its decision stream: retiring a site must
+        # not shift the others, or chaos runs would draw new faults.
+        assert SITE_IDS == {
+            "worker_crash": 0,
+            "worker_hang": 1,
+            "task_exception": 2,
+            "store_truncate": 3,
+            "store_corrupt": 4,
+            "store_lock": 6,
+            "index_torn_write": 7,
+            "journal_torn_write": 8,
+            "client_disconnect": 9,
+            "job_deadline": 10,
+        }
+        assert SITES == tuple(SITE_IDS)
+        injector = FaultInjector(FaultPlan(seed=3, store_lock=0.5))
+        fired = [injector.lock_directive() for _ in range(32)]
+        assert fired == [
+            np.random.default_rng((3, 6, seq)).random() < 0.5
+            for seq in range(32)
+        ]
+
     def test_same_coordinates_same_decision(self):
         plan = FaultPlan(seed=11, task_exception=0.5)
         a = FaultInjector(plan)
@@ -137,12 +161,6 @@ class TestInjectorDeterminism:
         assert record.coordinates == (2, 4, 1)
         assert record.sequence == 0
 
-    def test_shm_sequence_advances(self):
-        injector = FaultInjector(FaultPlan(shm_publish=1.0))
-        assert injector.shm_directive()
-        assert injector.shm_directive()
-        assert [r.coordinates for r in injector.log] == [(0,), (1,)]
-
     def test_summary_shape(self):
         injector = FaultInjector(FaultPlan(task_exception=1.0))
         injector.task_directive(0, 0, 1)
@@ -157,7 +175,6 @@ class TestInjectScope:
         assert active_injector() is None
         assert task_fault(0, 0, 1) is None
         assert store_fault("ab" * 32, 0) is None
-        assert shm_fault() is False
 
     def test_install_and_teardown(self):
         with inject(FaultPlan(task_exception=1.0)) as injector:

@@ -11,14 +11,12 @@ from repro.engine import (
     MeasurementEngine,
     MeasurementScheduler,
     MeasurementTask,
+    ResultStore,
     RetryPolicy,
     WorkerPool,
     plan_measurements,
-    run_with_processes,
 )
-from repro.engine import shm
 from repro.engine.scheduler import as_scheduler
-from repro.engine.shm import publish_packed_tasks, resolve_shared_task
 from repro.errors import ConfigurationError, ExecutionError, MeasurementError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.faults import FaultPlan, inject
@@ -81,7 +79,7 @@ def hangy_worker(payload):
 
 
 def packed_mean(task, rng):
-    """Worker over a packed record payload (shm transport)."""
+    """Worker over a packed record payload (pickled with the task)."""
     record, scale = task
     return float(np.mean(record.unpack())) * scale
 
@@ -102,6 +100,11 @@ class RecordTask(NamedTuple):
 def named_task_mean(task, rng):
     """Worker accessing the record by attribute (NamedTuple preserved)."""
     return float(np.mean(task.rec.unpack())) * task.scale
+
+
+def reject_task(task, rng):
+    """Sweep worker that fails with a domain error."""
+    raise MeasurementError(f"task {task} is out of range")
 
 
 def auto_fill_threads(_):
@@ -180,24 +183,29 @@ class TestWorkerPool:
 
 
 class TestRunWithProcesses:
-    def test_empty_tasks_spawn_nothing(self, monkeypatch):
-        def explode(*a, **k):  # any spawn attempt fails the test
-            raise AssertionError("spawned a pool for zero tasks")
+    """The process backend's sweep path: ``map_sweep`` on the pool."""
 
-        monkeypatch.setattr(shm, "ProcessPoolExecutor", explode)
-        assert run_with_processes(square, [], [], max_workers=2) == []
+    def test_empty_tasks_spawn_nothing(self):
+        with MeasurementEngine(backend="process", max_workers=2) as eng:
+            assert eng.map_sweep(square, [], seed=0) == []
+            assert eng.worker_pool.spawn_count == 0
 
     def test_pool_routing_matches_fresh_executor(self):
-        rngs = spawn_rngs(make_rng(3), 3)
         with WorkerPool(max_workers=2) as pool:
-            pooled = run_with_processes(square, [1, 2, 3], rngs, pool=pool)
-        fresh = run_with_processes(
-            square, [1, 2, 3], spawn_rngs(make_rng(3), 3), max_workers=2
-        )
-        assert pooled == fresh == [1, 4, 9]
+            shared = MeasurementEngine(backend="process", pool=pool)
+            pooled = shared.map_sweep(
+                square, [1, 2, 3], rngs=spawn_rngs(make_rng(3), 3)
+            )
+        with MeasurementEngine(backend="process", max_workers=2) as eng:
+            owned = eng.map_sweep(
+                square, [1, 2, 3], rngs=spawn_rngs(make_rng(3), 3)
+            )
+        assert pooled == owned == [1, 4, 9]
 
 
 class TestSharedSweepPayloads:
+    """Sweep tasks carrying packed records pickle to the workers."""
+
     @pytest.fixture
     def records(self):
         sim = small_sim(n_samples=30_000)
@@ -205,54 +213,6 @@ class TestSharedSweepPayloads:
             ["hot", "cold"], spawn_rngs(make_rng(9), 2), packed=True
         )
         return batch
-
-    def test_plain_tasks_pass_through(self):
-        tasks = [(1, "a"), {"x": 2}]
-        rewritten, blocks = publish_packed_tasks(tasks)
-        assert rewritten == tasks
-        assert blocks == []
-
-    def test_record_roundtrip(self, records):
-        tasks = [(records[0], 2.0), (records[1], 3.0)]
-        rewritten, blocks = publish_packed_tasks(tasks)
-        try:
-            assert blocks, "records should publish into shared memory"
-            # Equal-shape records coalesce into one block.
-            assert len(blocks) == 1
-            handles = {}
-            try:
-                resolved = [
-                    resolve_shared_task(task, handles) for task in rewritten
-                ]
-            finally:
-                for handle in handles.values():
-                    handle.close()
-            for original, (rebuilt, scale) in zip(
-                [(records[0], 2.0), (records[1], 3.0)], resolved
-            ):
-                assert rebuilt == original[0]
-                assert scale == original[1]
-        finally:
-            for block in blocks:
-                block.close()
-
-    def test_batch_roundtrip(self, records):
-        tasks = [{"batch": records, "offset": 1.0}]
-        rewritten, blocks = publish_packed_tasks(tasks)
-        try:
-            handles = {}
-            try:
-                resolved = resolve_shared_task(rewritten[0], handles)
-                assert np.array_equal(
-                    resolved["batch"].words, records.words
-                )
-                assert resolved["offset"] == 1.0
-            finally:
-                for handle in handles.values():
-                    handle.close()
-        finally:
-            for block in blocks:
-                block.close()
 
     def test_map_sweep_shm_matches_serial(self, records):
         tasks = [(records[0], 2.0), (records[1], 3.0)]
@@ -286,6 +246,16 @@ class FloatOnlySource:
 
     def acquire_bitstreams(self, states, rngs, packed=False):
         return self._sim.acquire_bitstreams(states, rngs, packed=packed)
+
+
+class InterruptingSource(FloatOnlySource):
+    """A source whose acquisition is interrupted (Ctrl-C)."""
+
+    calls = 0
+
+    def acquire_bitstreams(self, states, rngs, packed=False):
+        self.calls += 1
+        raise KeyboardInterrupt
 
 
 class TestPlanner:
@@ -721,6 +691,96 @@ class TestRunReport:
                 self._mixed_tasks()[:1], resume=True
             )
 
+    def test_failed_group_keeps_its_exception_out_of_equality(self):
+        from dataclasses import replace
+
+        report = MeasurementScheduler().run_report(self._mixed_tasks())
+        [failed] = [g for g in report.groups if g.status == "failed"]
+        assert isinstance(failed.exception, MeasurementError)
+        assert failed == replace(failed, exception=None)
+        assert "exception" not in failed.describe()
+
+    def _failing_first_plan(self, tmp_path):
+        """A store-backed plan whose first group fails, then a good one."""
+        bad = MatlabSimulation(
+            MatlabSimConfig(
+                n_samples=30_000, nperseg=1500, reference_ratio=0.001
+            )
+        )
+        good = small_sim(n_samples=30_000)
+        tasks = [
+            MeasurementTask(bad, bad.make_estimator(), 3),
+            MeasurementTask(bad, bad.make_estimator(), 4),
+            MeasurementTask(good, good.make_estimator(), 1),
+            MeasurementTask(good, good.make_estimator(), 2),
+        ]
+        sched = MeasurementScheduler(store=ResultStore(tmp_path / "store"))
+        plan = sched.plan(tasks)
+        assert [g.indices for g in plan.groups] == [(0, 1), (2, 3)]
+        return sched, plan
+
+    def test_run_persists_completed_groups_then_raises(self, tmp_path):
+        # The failing group runs first; run still measures and persists
+        # the group after it, then raises the original domain error.
+        sched, plan = self._failing_first_plan(tmp_path)
+        with pytest.raises(MeasurementError):
+            plan.run(sched.engine)
+        stored = [
+            sched.store.get_result(
+                sched.engine.task_key(t.source, t.estimator, t.rng)
+            )
+            for t in plan.tasks
+        ]
+        assert [r is not None for r in stored] == [False, False, True, True]
+        good = plan.tasks[3]
+        expected = MeasurementEngine().measure(
+            good.source, good.estimator, rng=2
+        )
+        assert stored[3].noise_figure_db == expected.noise_figure_db
+
+    def test_resume_after_failed_run_serves_completed_groups(self, tmp_path):
+        sched, plan = self._failing_first_plan(tmp_path)
+        with pytest.raises(MeasurementError):
+            plan.run(sched.engine)
+        report = plan.run_report(
+            sched.engine, allow_failures=True, resume=True
+        )
+        assert report.cached_tasks == 2
+        assert [g.n_tasks for g in report.groups] == [2]
+        assert [r is not None for r in report.results] == [
+            False, False, True, True
+        ]
+
+    def test_run_hook_error_stops_at_once(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        sched = MeasurementScheduler(store=store)
+        sim = small_sim(n_samples=30_000)
+        tasks = [
+            MeasurementTask(sim, sim.make_estimator(), i) for i in range(4)
+        ]
+
+        def stop(gi, n):
+            raise RuntimeError("drain")
+
+        with pytest.raises(RuntimeError, match="drain"):
+            sched.run(tasks, max_group_size=2, on_group_end=stop)
+        stored = [
+            store.has_result(sched.engine.task_key(t.source, t.estimator, t.rng))
+            for t in tasks
+        ]
+        assert stored == [True, True, False, False]
+
+    def test_run_base_exception_stops_at_once(self):
+        sim = small_sim(n_samples=30_000)
+        interrupting = InterruptingSource(sim)
+        tasks = [
+            MeasurementTask(interrupting, sim.make_estimator(), 1),
+            MeasurementTask(interrupting, sim.make_estimator(), 2),
+        ]
+        with pytest.raises(KeyboardInterrupt):
+            MeasurementScheduler().run(tasks)
+        assert interrupting.calls == 1
+
 
 class TestEnginePoolLifetime:
     def test_vectorized_engine_has_no_pool(self):
@@ -742,6 +802,22 @@ class TestEnginePoolLifetime:
             eng.close()
             assert pool.active  # still the caller's to close
         assert not pool.active
+
+    def test_spectra_and_single_measure_stay_in_process(self):
+        sim = small_sim(n_samples=30_000)
+        records, rate = sim.acquire_bitstreams(
+            ["hot", "cold"] * 3, spawn_rngs(make_rng(5), 6), packed=True
+        )
+        with MeasurementEngine(backend="process", max_workers=2) as eng:
+            eng.spectra_of(records, rate, sim.make_estimator())
+            eng.measure(sim, sim.make_estimator(), rng=1)
+            assert eng.worker_pool.spawn_count == 0
+
+    def test_sweep_domain_error_reaches_caller(self):
+        with MeasurementEngine(backend="process", max_workers=1) as eng:
+            with pytest.raises(MeasurementError, match="out of range"):
+                eng.map_sweep(reject_task, [4], seed=0)
+            assert eng.worker_pool.telemetry.retries == 0
 
 
 def _backend_probe(_task):

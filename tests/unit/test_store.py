@@ -351,6 +351,26 @@ class TestResultStore:
         with pytest.raises(ConfigurationError):
             ResultStore(tmp_path)
 
+    def test_opens_beside_a_creators_marker_temp_file(self, tmp_path):
+        # Another process is inside the marker write (or crashed in it):
+        # the directory holds only its store<random>.tmp file.
+        root = tmp_path / "s"
+        root.mkdir()
+        (root / "storeab12cd.tmp").write_bytes(b"")
+        store = ResultStore(root)
+        assert json.loads((root / "store.json").read_text()) == {
+            "schema": SCHEMA_VERSION
+        }
+        key = "12" * 32
+        store.put_result(key, _result())
+        assert ResultStore(root).has_result(key)
+        assert [e.key for e in ResultStore(root).index()] == [key]
+
+    def test_other_temp_files_still_make_a_directory_foreign(self, tmp_path):
+        (tmp_path / "results.tmp").write_bytes(b"")
+        with pytest.raises(ConfigurationError):
+            ResultStore(tmp_path)
+
     def test_index_enumerates_and_summarizes(self, tmp_path):
         store = ResultStore(tmp_path / "s")
         store.put_result("11" * 32, _result())
