@@ -37,10 +37,10 @@ def run_once(benchmark, fn, *args, **kwargs):
 def envinfo() -> dict:
     """The compute-environment record every bench JSON section embeds.
 
-    CPU count, numpy/scipy/numba versions, the active kernel and FFT
-    backends — a benchmark number is meaningless without the
-    environment it was measured in (see docs/PERFORMANCE.md, "reading
-    BENCH_engine.json").
+    CPU count, numpy/scipy versions and the kernel implementation
+    (always ``"numpy"``) — a benchmark number is meaningless without
+    the environment it was measured in (see docs/PERFORMANCE.md,
+    "reading BENCH_engine.json").
     """
     from repro.kernels import report
 

@@ -28,6 +28,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.kernels import unpack_block
 from repro.signals.waveform import Waveform
 
 
@@ -335,18 +336,15 @@ class PackedBitstream:
         start: int,
         stop: int,
         out: Optional[np.ndarray] = None,
-        bipolar: bool = True,
     ) -> np.ndarray:
         """Unpack samples ``[start, stop)`` to float64 ``+/-1``.
 
-        This is the blocked-access primitive the Welch kernels use: only
-        the requested window is materialized, so a full-record PSD never
-        holds more than one FFT block of floats.  ``out`` may supply a
-        reusable destination buffer of length ``>= stop - start``.
-        With ``bipolar=False`` the raw ``0/1`` bits come back as floats
-        instead — the ``2b - 1`` mapping is skipped, which saves two
-        full passes over the block for consumers (the bit-domain Welch
-        path) that fold the affine map into later exact arithmetic.
+        This is the blocked-access primitive the packed Welch uses:
+        only the requested window is materialized, so a full-record PSD
+        never holds more than one FFT block of floats.  ``out`` may
+        supply a reusable destination buffer of length
+        ``>= stop - start``.  Validates the range, then runs
+        :func:`repro.kernels.unpack_block`.
         """
         if not 0 <= start <= stop <= self.n_samples:
             raise ConfigurationError(
@@ -356,11 +354,7 @@ class PackedBitstream:
             raise ConfigurationError(
                 f"out buffer has {out.shape[0]} samples, need {stop - start}"
             )
-        from repro.kernels import get_kernel
-
-        return get_kernel("unpack_block")(
-            self.words, start, stop, out=out, bipolar=bipolar
-        )
+        return unpack_block(self.words, start, stop, out=out)
 
     def iter_blocks(self, block_samples: int) -> Iterator[np.ndarray]:
         """Yield successive float64 ``+/-1`` blocks of the record."""

@@ -34,10 +34,7 @@ computing only what the store is missing, and ``--json`` switches the
 scheduler-driven production/record_length/robustness outputs to
 machine-readable JSON.  ``--max-retries``/``--task-timeout`` configure
 the process backend's fault tolerance (task retry budget and hung-
-worker detection).  ``--kernel-backend``/``--fft-backend`` select the
-compute tiers (``repro.kernels`` dispatch and the FFT library) for the
-whole invocation — results are bit-identical across backends, only
-wall-clock changes.  The ``store`` subcommand inspects, compacts
+worker detection).  The ``store`` subcommand inspects, compacts
 (``compact``: merge small payloads into per-shard packs), size-bounds
 (``evict --budget``), reindexes (``reindex``: rebuild the persistent
 enumeration index) and garbage-collects a store directory;
@@ -46,10 +43,9 @@ writes.  The ``chaos`` subcommand runs the
 production screen under a named fault-injection plan and verifies the
 flagship robustness guarantee from the shell: the faulted outcome must
 be bit-identical to a fault-free run.  ``bench envinfo`` prints the
-compute environment (CPU count, library versions, active backends)
-that every benchmark JSON section embeds::
+compute environment (CPU count, numpy and scipy versions) that every
+benchmark JSON section embeds::
 
-    python -m repro run production --kernel-backend tuned --fft-backend scipy
     python -m repro bench envinfo
 
 ``serve`` runs the supervised measurement daemon of
@@ -545,53 +541,6 @@ def _add_retry_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    """The compute-tier knobs shared by ``run`` and ``chaos``."""
-    parser.add_argument(
-        "--kernel-backend",
-        choices=("reference", "tuned", "numba", "auto"),
-        default=None,
-        metavar="TIER",
-        help="kernel tier for the hot compute paths (reference/tuned/"
-        "numba/auto; default: tuned, or REPRO_KERNEL_BACKEND); every "
-        "tier is parity-checked against the reference before use, so "
-        "results are identical — only wall-clock changes",
-    )
-    parser.add_argument(
-        "--fft-backend",
-        choices=("numpy", "scipy"),
-        default=None,
-        metavar="LIB",
-        help="FFT library for the batched transforms (default: numpy); "
-        "scipy's pocketfft is bit-identical and adds a workers= "
-        "thread pool on multi-core hosts",
-    )
-
-
-def _apply_backend_flags(parser: argparse.ArgumentParser, args) -> None:
-    """Select the requested compute tiers (process-global, workers
-    inherit them through the pool initializer)."""
-    from repro.errors import ConfigurationError
-
-    if getattr(args, "kernel_backend", None) is not None:
-        from repro.kernels import set_kernel_backend
-
-        try:
-            set_kernel_backend(args.kernel_backend)
-        except ConfigurationError as exc:
-            parser.error(str(exc))
-    if getattr(args, "fft_backend", None) is not None:
-        from repro.dsp.fft_backend import set_fft_backend
-
-        # Parent-side analysis gets the full thread fan-out; worker
-        # processes pin workers=1 through the pool initializer.
-        workers = -1 if args.fft_backend == "scipy" else None
-        try:
-            set_fft_backend(args.fft_backend, workers=workers)
-        except ConfigurationError as exc:
-            parser.error(str(exc))
-
-
 def _retry_policy(args):
     """The RetryPolicy the CLI flags describe (None = pool defaults)."""
     if args.max_retries is None and args.task_timeout is None:
@@ -698,7 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
         + " only)",
     )
     _add_retry_arguments(run)
-    _add_backend_arguments(run)
     chaos = sub.add_parser(
         "chaos",
         help="run the production screen under injected faults and "
@@ -747,7 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reduced lot size and record length for a quick check",
     )
     _add_retry_arguments(chaos)
-    _add_backend_arguments(chaos)
     store = sub.add_parser(
         "store", help="inspect, compact or garbage-collect a result store"
     )
@@ -908,7 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
         "drains",
     )
     _add_retry_arguments(serve)
-    _add_backend_arguments(serve)
     submit = sub.add_parser(
         "submit",
         help="submit one job to a running measurement daemon",
@@ -1029,7 +975,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub.add_parser(
         "envinfo",
         help="print the compute environment as JSON: CPU count, "
-        "numpy/scipy/numba versions, active kernel and FFT backends "
+        "numpy/scipy versions and the kernel implementation "
         "(the same record every benchmark JSON section embeds)",
     )
     return parser
@@ -1306,10 +1252,6 @@ def _render_stats(report: dict) -> str:
             f"respawns {pool.get('respawns', 0)}, "
             f"spawns {pool.get('spawns', 0)}"
         ),
-        (
-            f"backends: kernel {report.get('kernel_backend', '?')}, "
-            f"fft {report.get('fft_backend', '?')}"
-        ),
     ]
     snap = report.get("obs")
     if snap:
@@ -1450,7 +1392,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     setup_logging(level=args.log_level, as_json=args.log_json)
     if args.command == "serve":
-        _apply_backend_flags(parser, args)
         return _serve_main(args)
     if args.command == "submit":
         return _submit_main(args)
@@ -1481,10 +1422,8 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     if args.command == "bench":
         return _bench_main(args)
     if args.command == "chaos":
-        _apply_backend_flags(parser, args)
         return _chaos_main(args)
     if args.command == "run":
-        _apply_backend_flags(parser, args)
         if args.workers is not None and args.backend != "process":
             parser.error("--workers requires --backend process")
         if args.resume and args.store is None:

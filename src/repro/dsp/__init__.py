@@ -4,23 +4,13 @@ The paper's post-processing (Matlab, FFT size 1e4 on 1e6 samples) is a
 Welch-style averaged periodogram.  This package reimplements that pipeline:
 window functions, periodogram/Welch PSD estimators, a :class:`Spectrum`
 container with band-power integration and line exclusion, FFT-based
-autocorrelation and plain power utilities.
+autocorrelation, plain power utilities and popcount moments of packed
+1-bit records.  There is one Welch: packed records go through the same
+blocked kernel as float records, one FFT block unpacked at a time.
 """
 
 from repro.dsp.autocorr import autocorrelation, normalized_autocorrelation
-from repro.dsp.bitstats import (
-    packed_mean,
-    packed_mean_square,
-    packed_segment_means,
-    popcount,
-    segment_grid_aligned,
-)
-from repro.dsp.fft_backend import (
-    fft_backend,
-    get_fft_backend,
-    scipy_fft_available,
-    set_fft_backend,
-)
+from repro.dsp.bitstats import packed_mean, packed_mean_square, popcount
 from repro.dsp.power import band_power_from_spectrum, mean_square, power_ratio_db
 from repro.dsp.psd import periodogram, welch, welch_batch
 from repro.dsp.spectrum import Spectrum, SpectrumBatch
@@ -32,10 +22,6 @@ __all__ = [
     "periodogram",
     "welch",
     "welch_batch",
-    "fft_backend",
-    "get_fft_backend",
-    "set_fft_backend",
-    "scipy_fft_available",
     "Spectrum",
     "SpectrumBatch",
     "autocorrelation",
@@ -46,6 +32,4 @@ __all__ = [
     "popcount",
     "packed_mean",
     "packed_mean_square",
-    "packed_segment_means",
-    "segment_grid_aligned",
 ]

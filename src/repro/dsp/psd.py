@@ -24,10 +24,9 @@ FFT block at a time into a pooled scratch buffer, so a paper-scale
 record is held at ~1 bit/sample for its whole analysis.  Because the
 unpacked floats and the block boundaries are identical to the float
 path, packed PSDs are bit-identical to their float64 counterparts.
+That exact packed Welch is the only packed path, in every ``rng_mode``.
 
-The batched transforms go through :mod:`repro.dsp.fft_backend`, which
-defaults to ``numpy.fft`` and can be switched to ``scipy.fft`` with a
-``workers=`` thread pool (bit-identical results).
+The batched transforms call ``numpy.fft.rfft`` directly.
 """
 
 from __future__ import annotations
@@ -39,12 +38,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.bitstream import PackedBitstream, PackedRecordBatch
 from repro.buffers import default_pool
-from repro.dsp.bitstats import packed_segment_ones, segment_grid_aligned
-from repro.dsp.fft_backend import rfft
 from repro.dsp.spectrum import Spectrum, SpectrumBatch
 from repro.dsp.windows import get_window, window_gains
 from repro.errors import ConfigurationError
-from repro.kernels import get_kernel
 from repro.signals.waveform import Waveform
 
 #: Segments per batched FFT call.  Chosen so one block's detrended,
@@ -132,7 +128,7 @@ def accumulate_spectral_power(
             buf *= window
         else:
             np.multiply(block, window, out=buf)
-        spectra = rfft(buf, axis=-1)
+        spectra = np.fft.rfft(buf, axis=-1)
         power = spectra.real**2
         power += spectra.imag**2
         acc += power.sum(axis=0)
@@ -146,52 +142,16 @@ def accumulate_packed_spectral_power(
     acc: np.ndarray,
     detrend: bool,
     block_segments: int = DEFAULT_BLOCK_SEGMENTS,
-    bit_domain: bool = False,
-    window_spectrum: Optional[np.ndarray] = None,
 ) -> int:
     """Blocked :func:`accumulate_spectral_power` over a packed record.
 
     Unpacks only the samples one FFT block needs (a pooled float
     scratch of ``(block_segments - 1) * step + nperseg`` samples), so
-    the record itself stays at 1 bit/sample.  By default block
-    boundaries and arithmetic match the float path exactly, so the
-    accumulated sums are bit-identical.
-
-    With ``bit_domain`` (and ``detrend`` on a byte-aligned segment
-    grid — the paper's nperseg 1e4 / 50 % overlap qualifies), the
-    per-segment means come from one popcount pass over the packed
-    words (:func:`repro.dsp.bitstats.packed_segment_means`, means
-    bit-identical to the float path) and the whole blocked
-    accumulation runs through the active ``welch_bit_domain`` kernel
-    (:mod:`repro.kernels`): the detrend subtraction moves into the
-    spectrum as a rank-one ``mean * F[window]`` correction — segments
-    unpack straight into the windowed buffer.  PSDs then match the
-    float path to FFT rounding (<= 1e-10 relative) instead of
-    bit-for-bit; misaligned grids fall back to the exact path
-    silently.  ``window_spectrum`` may supply a precomputed
-    ``rfft(window)`` so batch callers pay the transform once per
-    batch, not once per record.  Returns the number of segments
-    accumulated.
+    the record itself stays at 1 bit/sample.  Block boundaries and
+    arithmetic match the float path exactly, so the accumulated sums
+    are bit-identical.  Returns the number of segments accumulated.
     """
     n_segments = 1 + (packed.n_samples - nperseg) // step
-    use_bit_domain = (
-        bit_domain and detrend and segment_grid_aligned(nperseg, step)
-    )
-    if use_bit_domain:
-        means01 = packed_segment_ones(packed, nperseg, step) / float(nperseg)
-        if window_spectrum is None:
-            window_spectrum = np.fft.rfft(window)
-        return get_kernel("welch_bit_domain")(
-            packed.words,
-            packed.n_samples,
-            nperseg,
-            step,
-            window,
-            window_spectrum,
-            means01,
-            acc,
-            block_segments,
-        )
     scratch = default_pool.take(
         "psd.unpack_block", (block_segments - 1) * step + nperseg
     )
@@ -275,7 +235,6 @@ def welch(
     overlap: float = 0.5,
     detrend: bool = True,
     block_segments: int = DEFAULT_BLOCK_SEGMENTS,
-    bit_domain: bool = False,
 ) -> Spectrum:
     """Welch-averaged one-sided PSD (vectorized, no per-segment FFT loop).
 
@@ -295,12 +254,6 @@ def welch(
         Remove each segment's mean (suppresses DC leakage).
     block_segments:
         Segments per batched FFT call (cache-residency knob).
-    bit_domain:
-        Packed-input fast path: compute segment means by popcount on
-        the packed words and fold the detrend into the spectrum (see
-        :func:`accumulate_packed_spectral_power`).  Results then match
-        the exact path to <= 1e-10 relative instead of bit-for-bit;
-        ignored for float inputs and for misaligned segment grids.
     """
     if isinstance(signal, PackedBitstream):
         fs = signal.sample_rate
@@ -313,8 +266,7 @@ def welch(
         win = get_window(window, nperseg)
         acc = np.zeros(nperseg // 2 + 1)
         n_segments = accumulate_packed_spectral_power(
-            signal, nperseg, step, win, acc, detrend, block_segments,
-            bit_domain=bit_domain,
+            signal, nperseg, step, win, acc, detrend, block_segments
         )
     else:
         samples, fs = _as_samples(signal, sample_rate)
@@ -340,7 +292,6 @@ def welch_batch(
     overlap: float = 0.5,
     detrend: bool = True,
     block_segments: int = DEFAULT_BLOCK_SEGMENTS,
-    bit_domain: bool = False,
 ) -> SpectrumBatch:
     """Welch PSDs of a stack of records in one batched pipeline.
 
@@ -351,8 +302,7 @@ def welch_batch(
     precision (identical code path).  Packed batches are unpacked one
     FFT block at a time — peak float memory is one block, not the
     record stack.  ``sample_rate`` may be omitted for packed batches
-    (they carry their rate).  ``bit_domain`` enables the popcount
-    detrend fast path for packed batches (see :func:`welch`).
+    (they carry their rate).
 
     Returns a :class:`~repro.dsp.spectrum.SpectrumBatch` whose ``psd``
     matrix has one row per record.
@@ -367,13 +317,11 @@ def welch_batch(
         step = _welch_params(nperseg, overlap, records.n_samples)
         win = get_window(window, nperseg)
         accs = np.zeros((records.n_records, nperseg // 2 + 1))
-        win_spectrum = np.fft.rfft(win) if bit_domain else None
         n_segments = 1
         for r in range(records.n_records):
             n_segments = accumulate_packed_spectral_power(
                 records[r], nperseg, step, win, accs[r], detrend,
-                block_segments, bit_domain=bit_domain,
-                window_spectrum=win_spectrum,
+                block_segments,
             )
         psd = _one_sided_scale(
             accs, nperseg, fs * np.sum(win**2) * n_segments

@@ -27,8 +27,8 @@ results; ``map_sweep`` sends each task to the pool; a single
 
 Records travel packed by default (1 bit/sample,
 :class:`~repro.bitstream.PackedRecordBatch`): acquirers that implement
-the packed protocol hand back packed batches and the Welch kernels
-unpack one FFT block at a time.  Acquirers without a packed path keep
+the packed protocol hand back packed batches and the packed Welch
+unpacks one FFT block at a time.  Acquirers without a packed path keep
 working — the engine falls back to float records transparently, and
 results are identical either way (the packed pipeline is bit-exact).
 
@@ -64,7 +64,7 @@ from repro.core.bist import (
     check_bitstream_samples,
 )
 from repro.digitizer.digitizer import OneBitDigitizer
-from repro.dsp.psd import DEFAULT_BLOCK_SEGMENTS, welch_batch
+from repro.dsp.psd import welch_batch
 from repro.dsp.spectrum import SpectrumBatch
 from repro.errors import ConfigurationError, MeasurementError
 from repro import obs
@@ -161,9 +161,6 @@ class MeasurementEngine:
         single :meth:`measure` stays in-process).
     max_workers:
         Worker cap for the process backend (default: CPU count).
-    block_segments:
-        Segments per batched FFT call in the Welch kernel (see
-        :mod:`repro.dsp.psd`).
     packed:
         Acquire and transport records bit-packed (1 bit/sample) when
         the acquirer supports it.  Packed results are bit-exact equal
@@ -181,10 +178,11 @@ class MeasurementEngine:
         (default) replays the per-record ``default_rng`` streams bit
         for bit; ``"philox"`` is the fast mode — counter-based 2-D
         noise fills (and, where the acquirer supports it, direct
-        packed-record synthesis) plus the popcount bit-domain detrend
-        in the packed Welch kernels.  Philox results are deterministic
-        per seed and statistically equivalent to compat, not
-        bit-identical.
+        packed-record synthesis).  The mode selects synthesis only:
+        both modes analyze records with the same exact packed Welch,
+        so equal records give equal spectra.  Philox results are
+        deterministic per seed and statistically equivalent to
+        compat, not bit-identical.
     store:
         A :class:`~repro.store.ResultStore` to consult and fill.  With
         one attached, :meth:`measure` computes each measurement's
@@ -225,7 +223,6 @@ class MeasurementEngine:
         self,
         backend: str = "vectorized",
         max_workers: Optional[int] = None,
-        block_segments: int = DEFAULT_BLOCK_SEGMENTS,
         packed: bool = True,
         pool: Optional[WorkerPool] = None,
         rng_mode: str = "compat",
@@ -251,17 +248,12 @@ class MeasurementEngine:
             raise ConfigurationError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
-        if block_segments < 1:
-            raise ConfigurationError(
-                f"block_segments must be >= 1, got {block_segments}"
-            )
         if cache_budget_bytes is not None and cache_budget_bytes < 1:
             raise ConfigurationError(
                 f"cache_budget_bytes must be >= 1, got {cache_budget_bytes}"
             )
         self.backend = backend
         self.max_workers = max_workers
-        self.block_segments = int(block_segments)
         self.packed = bool(packed)
         self.rng_mode = validate_rng_mode(rng_mode)
         self.store = store
@@ -383,16 +375,6 @@ class MeasurementEngine:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def bit_domain(self) -> bool:
-        """Whether the packed Welch kernels run the popcount fast path.
-
-        On in philox mode only: the bit-domain detrend matches the
-        float path to <= 1e-10 instead of bit-for-bit, and compat mode
-        guarantees bit-identity end to end.
-        """
-        return self.rng_mode == "philox"
-
     # ------------------------------------------------------------------
     # Batched spectral estimation
     # ------------------------------------------------------------------
@@ -421,8 +403,6 @@ class MeasurementEngine:
                 window=config.window,
                 overlap=config.overlap,
                 detrend=True,
-                block_segments=self.block_segments,
-                bit_domain=self.bit_domain,
             )
 
     # ------------------------------------------------------------------
@@ -722,7 +702,6 @@ class MeasurementEngine:
         """
         pool = self.worker_pool
         settings = {
-            "block_segments": self.block_segments,
             "packed": self.packed,
             "rng_mode": self.rng_mode,
         }

@@ -40,10 +40,8 @@ import numpy as np
 
 from repro.core.bist import OneBitNoiseFigureBIST
 from repro.core.production import Verdict
-from repro.dsp.fft_backend import get_fft_backend, set_fft_backend
 from repro.errors import ConfigurationError, ExecutionError, MeasurementError
 from repro.faults.injector import active_injector, faulted_call, task_fault
-from repro.kernels import get_kernel_backend, set_kernel_backend
 from repro import obs
 from repro.obs.registry import MetricsRegistry, diff_snapshots
 from repro.signals.batch_rng import set_fill_cpus, validate_rng_mode
@@ -71,33 +69,18 @@ __all__ = [
 _SETTLE_TIMEOUT_S = 10.0
 
 
-def _worker_init(
-    kernel_backend: str,
-    fft_name: str,
-    obs_enabled: bool = False,
-) -> None:
-    """Pool initializer: inherit the parent's backend selections.
+def _worker_init(obs_enabled: bool = False) -> None:
+    """Pool initializer: one fill thread, and the parent's obs switch.
 
-    Runs once in every spawned worker process.  The kernel tier carries
-    over as selected in the parent (triggering the backend's one-time
-    parity self-check in the child before any hot-path dispatch); the
-    FFT backend carries over with ``workers`` pinned to 1 — each worker
-    owns one core, and a pocketfft thread pool per worker process is a
-    fight, not a speedup.  Philox row fills follow the same rule and run
-    on one thread.  A selection that cannot be honoured in the child
-    (environment drift) falls back to the defaults rather than
-    poisoning the pool.
+    Runs once in every spawned worker process.  Each worker owns one
+    core, so philox row fills run on one thread: a fill thread pool per
+    worker process is a fight, not a speedup.
 
     ``obs_enabled`` carries the parent's observability switch into the
     child at spawn; a pool spawned *before* the parent enabled
     observability still catches up lazily — :func:`_obs_task` enables
     the worker-side registry on first instrumented dispatch.
     """
-    try:
-        set_kernel_backend(kernel_backend)
-        set_fft_backend(fft_name, workers=1)
-    except ConfigurationError:  # pragma: no cover - env drift at spawn
-        pass
     set_fill_cpus(1)
     if obs_enabled:
         obs.enable()
@@ -235,11 +218,9 @@ class MapOutcome:
     ``results`` keeps payload order (``None`` for dead-lettered tasks);
     ``attempts`` counts every dispatch, ``retries`` the re-dispatches,
     ``timeouts`` the hung-worker detections, ``respawns`` the pool
-    rebuilds this call consumed.  ``kernel_backend`` / ``fft_backend``
-    record which compute tiers were active when the call ran (workers
-    inherit them through the pool initializer).  With observability on
-    (:mod:`repro.obs`), ``obs`` carries the merged worker-side metrics
-    snapshot this call produced (``None`` otherwise).
+    rebuilds this call consumed.  With observability on (:mod:`repro.obs`),
+    ``obs`` carries the merged worker-side metrics snapshot this call
+    produced (``None`` otherwise).
     """
 
     results: List
@@ -248,8 +229,6 @@ class MapOutcome:
     timeouts: int = 0
     respawns: int = 0
     dead: List[TaskFailure] = field(default_factory=list)
-    kernel_backend: str = ""
-    fft_backend: str = ""
     obs: Optional[dict] = None
 
     @property
@@ -327,11 +306,7 @@ class WorkerPool:
             self._executor = ProcessPoolExecutor(
                 max_workers=wanted,
                 initializer=_worker_init,
-                initargs=(
-                    get_kernel_backend(),
-                    get_fft_backend()[0],
-                    obs.enabled(),
-                ),
+                initargs=(obs.enabled(),),
             )
             self._size = wanted
             self.spawn_count += 1
@@ -399,8 +374,6 @@ class WorkerPool:
             else (self.policy or DEFAULT_RETRY_POLICY)
         )
         outcome = MapOutcome(results=[None] * len(payloads))
-        outcome.kernel_backend = get_kernel_backend()
-        outcome.fft_backend = get_fft_backend()[0]
         if not payloads:
             return outcome
         run_seq = self._run_seq
@@ -528,8 +501,6 @@ class WorkerPool:
         self.telemetry.timeouts += outcome.timeouts
         self.telemetry.respawns += outcome.respawns
         self.telemetry.dead.extend(outcome.dead)
-        self.telemetry.kernel_backend = outcome.kernel_backend
-        self.telemetry.fft_backend = outcome.fft_backend
         return outcome
 
     def map(
@@ -668,9 +639,7 @@ class RunReport:
     (if any) fired *during* this run, per site — under chaos testing
     every injected fault must be accounted for here or in a recovery
     the report can explain.  ``cached_tasks`` counts tasks served from
-    the store on a resumed run.  ``kernel_backend`` / ``fft_backend``
-    record the compute tiers active for the run (worker processes
-    inherit them through the pool initializer).
+    the store on a resumed run.
     """
 
     results: List
@@ -687,8 +656,6 @@ class RunReport:
     wall_s: float = 0.0
     started_at: float = 0.0
     finished_at: float = 0.0
-    kernel_backend: str = ""
-    fft_backend: str = ""
     #: Metrics delta this run produced (``None`` with obs disabled).
     obs: Optional[dict] = None
 
@@ -717,8 +684,6 @@ class RunReport:
             "wall_s": self.wall_s,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
-            "kernel_backend": self.kernel_backend,
-            "fft_backend": self.fft_backend,
             "obs": self.obs,
             "groups": [g.describe() for g in self.groups],
         }
@@ -963,8 +928,6 @@ class MeasurementPlan:
                 report.injections[record.site] = (
                     report.injections.get(record.site, 0) + 1
                 )
-        report.kernel_backend = get_kernel_backend()
-        report.fft_backend = get_fft_backend()[0]
         report.wall_s = time.monotonic() - start
         report.started_at = started_wall
         report.finished_at = time.time()

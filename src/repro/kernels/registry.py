@@ -1,291 +1,44 @@
-"""Kernel registry: one interface, several implementations per kernel.
+"""Name lookup for the 1-bit kernels, and the environment report.
 
-The hot loops of the reproduction — popcount segment sums, the
-bit-domain spectral detrend, Bernoulli threshold-compare synthesis and
-the windowed block unpack — are registered here once per *backend
-tier* and dispatched at call time:
-
-``"reference"``
-    The plain-numpy implementations the equivalence tests pin.  Always
-    present, always correct; every other tier is validated against it.
-
-``"tuned"``
-    Cache-blocked, scratch-preallocating numpy: larger FFT blocks with
-    preallocated ``rfft(..., out=)`` spectra, power folded through a
-    single ``einsum`` pass, per-record (not per-block) detrend
-    corrections, and the ``numpy.bitwise_count`` popcount fast path.
-    Integer kernels are bit-identical to reference; the spectral
-    kernel matches to summation rounding (<= 1e-15 scale-relative).
-
-``"numba"``
-    Optional compiled tier (:mod:`repro.kernels.numba_backend`):
-    auto-detected, lazily ``njit``-compiled on first use, and skipped
-    cleanly when numba is not importable.  Kernels the tier does not
-    implement fall back to ``tuned`` then ``reference``.
-
-Selection is process-global (like the FFT backend): worker processes
-inherit the parent's choice through the pool initializer (see
-:class:`repro.engine.scheduler.WorkerPool`).  Switching to a
-non-reference backend runs :func:`self_check` once per process — every
-registered kernel is asserted against reference (exact for integer
-kernels, <= 1e-15 scale-relative for spectral ones) before the tier
-serves a single hot-path call.
+The library imports its kernels directly from :mod:`repro.kernels`;
+this module serves the code that looks them up by name or records the
+environment a measurement ran in.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "BACKEND_TIERS",
-    "KernelSpec",
-    "register_kernel",
-    "register_check",
-    "get_kernel",
-    "kernel_names",
-    "available_backends",
-    "resolve_backend",
-    "set_kernel_backend",
-    "get_kernel_backend",
-    "kernel_backend",
-    "self_check",
-    "report",
-]
-
-#: Backend tiers in fallback order: a backend serves its own kernels
-#: first and falls back rightward for kernels it does not implement.
-BACKEND_TIERS = ("reference", "tuned", "numba")
-
-#: Fallback chain per selected backend.
-_FALLBACK: Dict[str, Tuple[str, ...]] = {
-    "reference": ("reference",),
-    "tuned": ("tuned", "reference"),
-    "numba": ("numba", "tuned", "reference"),
-}
+__all__ = ["get_kernel", "report"]
 
 
-@dataclass
-class KernelSpec:
-    """One dispatchable kernel: its name, contract and implementations."""
+def get_kernel(name: str) -> Callable:
+    """The :mod:`repro.kernels` function called ``name``.
 
-    name: str
-    doc: str = ""
-    impls: Dict[str, Callable] = field(default_factory=dict)
-    #: Parity checker: ``check(candidate, reference) -> None`` raising
-    #: AssertionError / ConfigurationError on mismatch.
-    check: Optional[Callable[[Callable, Callable], None]] = None
-
-
-_REGISTRY: Dict[str, KernelSpec] = {}
-_LOCK = threading.Lock()
-
-#: Non-reference backends whose registered kernels already passed
-#: :func:`self_check` in this process.
-_CHECKED: set = set()
-
-#: Backends with a self-check in flight (re-entrancy guard: the check
-#: itself dispatches kernels).
-_CHECKING: set = set()
-
-
-def _default_backend() -> str:
-    name = os.environ.get("REPRO_KERNEL_BACKEND", "tuned")
-    if name == "auto" or name not in BACKEND_TIERS:
-        return "tuned"
-    return name
-
-
-_active_backend: str = _default_backend()
-
-
-def register_kernel(
-    name: str, backend: str, fn: Callable, doc: str = ""
-) -> Callable:
-    """Register ``fn`` as the ``backend`` implementation of ``name``.
-
-    Returns ``fn`` so it can be used as a decorator factory target.
-    Registering the same (name, backend) twice replaces the entry —
-    that is what lets the numba tier re-register its lazily compiled
-    kernels over the module-import stubs.
+    ``perfbench/tracer.py`` is the only caller; the library imports its
+    kernels directly.  The lookup reads the package at call time, so a
+    kernel rebound there (the tracer wraps each one in a span recorder)
+    is the one returned.  Raises
+    :class:`~repro.errors.ConfigurationError` for an unknown name.
     """
-    if backend not in BACKEND_TIERS:
-        raise ConfigurationError(
-            f"unknown kernel backend {backend!r}; tiers: {BACKEND_TIERS}"
-        )
-    with _LOCK:
-        spec = _REGISTRY.setdefault(name, KernelSpec(name=name))
-        if doc and not spec.doc:
-            spec.doc = doc
-        spec.impls[backend] = fn
-    return fn
+    import repro.kernels as kernels
 
-
-def register_check(
-    name: str, check: Callable[[Callable, Callable], None]
-) -> None:
-    """Attach the parity checker :func:`self_check` runs for ``name``."""
-    with _LOCK:
-        spec = _REGISTRY.setdefault(name, KernelSpec(name=name))
-        spec.check = check
-
-
-def kernel_names() -> List[str]:
-    """Registered kernel names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def _impl_for(name: str, backend: str) -> Callable:
-    spec = _REGISTRY.get(name)
-    if spec is None:
+    if name not in ("bernoulli_pack", "popcount", "unpack_block"):
         raise ConfigurationError(f"unknown kernel {name!r}")
-    for tier in _FALLBACK[backend]:
-        fn = spec.impls.get(tier)
-        if fn is not None:
-            return fn
-    raise ConfigurationError(
-        f"kernel {name!r} has no implementation reachable from backend "
-        f"{backend!r} (registered: {sorted(spec.impls)})"
-    )
-
-
-def get_kernel(name: str, backend: Optional[str] = None) -> Callable:
-    """The implementation of ``name`` for the active (or given) backend.
-
-    Backends fall back down their tier chain for kernels they do not
-    implement (``numba -> tuned -> reference``), so a partially
-    implemented tier is usable, never broken.  The first dispatch of a
-    not-yet-checked non-reference backend triggers :func:`self_check`
-    — no tier serves a hot-path call before passing parity.
-    """
-    backend = backend or _active_backend
-    if (
-        backend != "reference"
-        and backend not in _CHECKED
-        and backend not in _CHECKING
-    ):
-        self_check(backend)
-    return _impl_for(name, backend)
-
-
-def available_backends() -> List[str]:
-    """Backends that can actually serve kernels on this host.
-
-    ``reference`` and ``tuned`` are always available; ``numba`` appears
-    only when the numba import succeeds (auto-detection — the tier is
-    not compiled until first use).
-    """
-    out = ["reference", "tuned"]
-    from repro.kernels import numba_backend
-
-    if numba_backend.numba_available():
-        out.append("numba")
-    return out
-
-
-def resolve_backend(name: str) -> str:
-    """Map a user-facing backend choice (``auto`` included) to a tier."""
-    if name == "auto":
-        return "numba" if "numba" in available_backends() else "tuned"
-    if name not in BACKEND_TIERS:
-        raise ConfigurationError(
-            f"kernel backend must be one of {BACKEND_TIERS + ('auto',)}, "
-            f"got {name!r}"
-        )
-    return name
-
-
-def set_kernel_backend(name: str) -> None:
-    """Select the kernel backend (process-global).
-
-    ``"auto"`` picks the best available tier.  The first switch to a
-    non-reference backend in a process runs :func:`self_check` for that
-    backend — parity with reference is asserted before the tier serves
-    a single call.
-    """
-    global _active_backend
-    name = resolve_backend(name)
-    if name == "numba":
-        from repro.kernels import numba_backend
-
-        if not numba_backend.numba_available():
-            raise ConfigurationError(
-                "numba kernel backend requested but numba is not "
-                "installed; tuned/reference remain available"
-            )
-    if name != "reference" and name not in _CHECKED:
-        self_check(name)
-    _active_backend = name
-
-
-def get_kernel_backend() -> str:
-    """The active kernel backend tier."""
-    return _active_backend
-
-
-@contextmanager
-def kernel_backend(name: str):
-    """Temporarily select a kernel backend (restores on exit)."""
-    previous = _active_backend
-    set_kernel_backend(name)
-    try:
-        yield
-    finally:
-        set_kernel_backend(previous)
-
-
-def self_check(backend: Optional[str] = None) -> int:
-    """Assert every checked kernel of ``backend`` against reference.
-
-    Runs each registered kernel's parity checker with the backend's
-    implementation (honoring the fallback chain) against the reference
-    implementation on synthetic inputs — exact equality for integer
-    kernels, <= 1e-15 scale-relative for spectral accumulation.
-    Returns the number of kernels checked; raises
-    :class:`~repro.errors.ConfigurationError` on any mismatch.
-    Results are cached per process, so the check runs once per
-    backend, not once per call.
-    """
-    backend = resolve_backend(backend or _active_backend)
-    checked = 0
-    _CHECKING.add(backend)
-    try:
-        for name in kernel_names():
-            spec = _REGISTRY[name]
-            if spec.check is None:
-                continue
-            candidate = _impl_for(name, backend)
-            ref = _impl_for(name, "reference")
-            try:
-                spec.check(candidate, ref)
-            except AssertionError as exc:
-                raise ConfigurationError(
-                    f"kernel {name!r} backend {backend!r} failed parity "
-                    f"self-check against reference: {exc}"
-                ) from exc
-            checked += 1
-    finally:
-        _CHECKING.discard(backend)
-    _CHECKED.add(backend)
-    return checked
+    return getattr(kernels, name)
 
 
 def report() -> dict:
-    """Environment + backend info (the ``bench envinfo`` payload).
+    """The compute environment (the ``bench envinfo`` payload).
 
     Embedded into every bench JSON section so recorded numbers carry
-    the CPU count, library versions and the backends that actually
-    executed.
+    the CPU count and library versions.  ``kernel_backend`` is always
+    ``"numpy"``: each kernel has one numpy implementation.
     """
     import numpy as np
-
-    from repro.dsp.fft_backend import get_fft_backend, plan_cache_info
-    from repro.kernels import numba_backend
 
     try:
         import scipy
@@ -293,17 +46,9 @@ def report() -> dict:
         scipy_version: Optional[str] = scipy.__version__
     except ImportError:  # pragma: no cover - scipy is a soft dependency
         scipy_version = None
-    fft_name, fft_workers = get_fft_backend()
     return {
         "cpu_count": os.cpu_count() or 1,
         "numpy": np.__version__,
         "scipy": scipy_version,
-        "numba": numba_backend.numba_version(),
-        "has_bitwise_count": hasattr(np, "bitwise_count"),
-        "kernel_backend": get_kernel_backend(),
-        "kernel_backends_available": available_backends(),
-        "kernels": kernel_names(),
-        "fft_backend": fft_name,
-        "fft_workers": fft_workers,
-        "fft_plan_cache": plan_cache_info(),
+        "kernel_backend": "numpy",
     }

@@ -170,8 +170,6 @@ class ServiceReport:
     draining: bool = False
     uptime_s: float = 0.0
     pool: Dict[str, int] = field(default_factory=dict)
-    kernel_backend: str = ""
-    fft_backend: str = ""
     #: Journal disk accounting (``quick_stats``: segments + bytes).
     journal: Dict[str, int] = field(default_factory=dict)
     #: Terminal records journaled since the last mid-run rotation.
@@ -198,8 +196,6 @@ class ServiceReport:
             "draining": self.draining,
             "uptime_s": self.uptime_s,
             "pool": dict(self.pool),
-            "kernel_backend": self.kernel_backend,
-            "fft_backend": self.fft_backend,
             "journal": dict(self.journal),
             "records_since_rotate": self.records_since_rotate,
             "obs": self.obs,
@@ -296,9 +292,6 @@ class MeasurementService:
     # Telemetry
     # ------------------------------------------------------------------
     def report(self) -> ServiceReport:
-        from repro.dsp.fft_backend import get_fft_backend
-        from repro.kernels import get_kernel_backend
-
         queue_stats = self.queue.stats()
         obs.gauge("service.queue_depth", queue_stats["depth"])
         pool = self.sched.pool
@@ -330,8 +323,6 @@ class MeasurementService:
             draining=queue_stats["draining"],
             uptime_s=float(self.clock() - self._started_at),
             pool=pool_counters,
-            kernel_backend=get_kernel_backend(),
-            fft_backend=get_fft_backend()[0],
             journal=self.journal.quick_stats(),
             records_since_rotate=self._done_since_rotate,
             obs=obs.snapshot(),

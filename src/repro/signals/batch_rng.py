@@ -53,7 +53,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.kernels import get_kernel
+from repro.kernels import bernoulli_pack
 from repro.signals.random import GeneratorLike, make_rng
 
 __all__ = [
@@ -284,11 +284,10 @@ class BatchNoiseGenerator:
                 )
         n = int(rows[0].size)
         n_raw = (n + 1) // 2  # two u32 lanes per raw u64
-        pack = get_kernel("bernoulli_pack")
         words = np.empty((self.n_streams, (n + 7) // 8), dtype=np.uint8)
         for i, gen in enumerate(self._gens):
             raw = gen.bit_generator.random_raw(n_raw)
-            pack(raw, rows[i], words[i])
+            bernoulli_pack(raw, rows[i], words[i])
         return words
 
 

@@ -246,7 +246,7 @@ def measurement_key(
     analysis parameters and calibration temperatures, seed lineage,
     synthesis mode and schema version — and deliberately excludes
     execution knobs that are guaranteed result-invariant (backend,
-    worker count, block size, packed transport): a result computed on
+    worker count, packed transport): a result computed on
     any backend is a valid hit for every other.
     """
     seed = seed_fingerprint(rng)

@@ -174,13 +174,3 @@ class TestEngineMatchesSerialMeasurements:
         results = MeasurementEngine().run_batch(bench, est, 3, rng=13)
         for serial_nf, result in zip(serial.nf_values_db, results):
             assert result.noise_figure_db == pytest.approx(serial_nf, abs=1e-9)
-
-    def test_batch_reproducible_across_engines(self):
-        sim = MatlabSimulation(MatlabSimConfig(n_samples=60_000, nperseg=3000))
-        est = sim.make_estimator()
-        a = MeasurementEngine(block_segments=4).run_batch(sim, est, 2, rng=2)
-        b = MeasurementEngine(block_segments=64).run_batch(sim, est, 2, rng=2)
-        for ra, rb in zip(a, b):
-            assert ra.noise_figure_db == pytest.approx(
-                rb.noise_figure_db, abs=1e-9
-            )

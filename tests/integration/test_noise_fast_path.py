@@ -6,22 +6,20 @@ Pins the two contracts of the noise layer:
     seed-serial acquisition everywhere the fast layer touched: the
     white-noise sources, the per-record acquisition loops and the
     engine/scheduler end to end.
-(b) The popcount bit-domain Welch path matches the float detrend path
-    to <= 1e-10 (scale-relative; detrended near-DC bins of both paths
-    are numerical zeros).
+(b) Analysis does not depend on the mode: a packed record gets the
+    same exact packed Welch, bit for bit, in compat and philox mode.
 
 Philox mode has no bit-compatibility claim; its contracts — determinism
 per seed and statistical equivalence — are pinned here too.
 """
 
 import numpy as np
-import pytest
 
-from repro.bitstream import PackedBitstream, PackedRecordBatch
+from repro.bitstream import PackedBitstream
 from repro.digitizer.comparator import Comparator
 from repro.digitizer.digitizer import OneBitDigitizer
 from repro.digitizer.sampler import SampledLatch
-from repro.dsp.psd import welch, welch_batch
+from repro.dsp.psd import welch
 from repro.engine import (
     MeasurementEngine,
     MeasurementScheduler,
@@ -99,7 +97,7 @@ class TestCompatBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# (b) popcount bit-domain Welch
+# (b) one Welch in every rng_mode
 # ----------------------------------------------------------------------
 def _packed_record(n=100_000, bias=0.48, seed=1):
     rng = np.random.default_rng(seed)
@@ -107,55 +105,9 @@ def _packed_record(n=100_000, bias=0.48, seed=1):
     return samples, PackedBitstream.pack(samples, 10_000.0)
 
 
-def _assert_psd_close(psd_a, psd_b):
-    """<= 1e-10 scale-relative: detrended near-DC bins are numerical
-    zeros in both paths, so per-bin relative error is meaningless
-    there."""
-    scale = np.abs(psd_b).max()
-    assert np.abs(psd_a - psd_b).max() <= 1e-10 * scale
-
-
 class TestBitDomainWelch:
-    @pytest.mark.parametrize("window", ["hann", "hamming", "rectangular"])
-    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
-    def test_matches_float_path(self, window, overlap):
-        samples, packed = _packed_record()
-        float_spec = welch(
-            samples, nperseg=8_192, sample_rate=10_000.0, window=window,
-            overlap=overlap,
-        )
-        bit_spec = welch(
-            packed, nperseg=8_192, window=window, overlap=overlap,
-            bit_domain=True,
-        )
-        _assert_psd_close(bit_spec.psd, float_spec.psd)
-
-    def test_paper_grid(self):
-        samples, packed = _packed_record(n=500_000)
-        float_spec = welch(samples, nperseg=10_000, sample_rate=10_000.0)
-        bit_spec = welch(packed, nperseg=10_000, bit_domain=True)
-        _assert_psd_close(bit_spec.psd, float_spec.psd)
-
-    def test_misaligned_grid_falls_back_bit_exact(self):
-        _, packed = _packed_record()
-        exact = welch(packed, nperseg=8_191)
-        fallback = welch(packed, nperseg=8_191, bit_domain=True)
-        assert np.array_equal(exact.psd, fallback.psd)
-
-    def test_detrend_off_ignores_bit_domain(self):
-        _, packed = _packed_record()
-        exact = welch(packed, nperseg=8_192, detrend=False)
-        bit = welch(packed, nperseg=8_192, detrend=False, bit_domain=True)
-        assert np.array_equal(exact.psd, bit.psd)
-
-    def test_welch_batch_bit_domain(self):
-        rng = np.random.default_rng(3)
-        records = np.where(rng.random((4, 100_000)) < 0.5, 1.0, -1.0)
-        packed = PackedRecordBatch.pack(records, 10_000.0)
-        float_spec = welch_batch(records, nperseg=8_192, sample_rate=10_000.0)
-        bit_spec = welch_batch(packed, nperseg=8_192, bit_domain=True)
-        for r in range(4):
-            _assert_psd_close(bit_spec.psd[r], float_spec.psd[r])
+    """There is no bit-domain Welch: packed records take the exact
+    packed Welch whatever the synthesis mode."""
 
     def test_default_packed_path_still_bit_identical(self):
         samples, packed = _packed_record()
@@ -163,24 +115,22 @@ class TestBitDomainWelch:
         packed_spec = welch(packed, nperseg=8_192)
         assert np.array_equal(packed_spec.psd, float_spec.psd)
 
-    def test_philox_engine_nf_close_to_exact_welch(self):
-        # The engine ties bit_domain to philox mode; the analysis-side
-        # difference alone must be far below measurement resolution.
-        sim = MatlabSimulation(SMALL)
+    def test_philox_engine_spectra_equal_compat(self):
+        # nperseg 4096 at 50 % overlap puts every segment on a word
+        # boundary, like the production lot's 8192 grid.
+        sim = MatlabSimulation(MatlabSimConfig(n_samples=2**16, nperseg=4_096))
         estimator = sim.make_estimator()
         batch, rate = sim.acquire_bitstreams(
             ["hot", "cold"], spawn_rngs(5, 2), packed=True,
             rng_mode="philox",
         )
-        exact = estimator.estimate_from_spectra(
-            welch(batch[0], nperseg=SMALL.nperseg),
-            welch(batch[1], nperseg=SMALL.nperseg),
+        philox = MeasurementEngine(rng_mode="philox").spectra_of(
+            batch, rate, estimator
         )
-        bit = estimator.estimate_from_spectra(
-            welch(batch[0], nperseg=SMALL.nperseg, bit_domain=True),
-            welch(batch[1], nperseg=SMALL.nperseg, bit_domain=True),
+        compat = MeasurementEngine(rng_mode="compat").spectra_of(
+            batch, rate, estimator
         )
-        assert abs(bit.noise_figure_db - exact.noise_figure_db) < 1e-9
+        assert np.array_equal(philox.psd, compat.psd)
 
 
 # ----------------------------------------------------------------------

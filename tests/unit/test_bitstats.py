@@ -8,13 +8,9 @@ from repro.dsp.bitstats import (
     packed_mean,
     packed_mean_square,
     packed_ones,
-    packed_segment_means,
-    packed_segment_ones,
     popcount,
-    segment_grid_aligned,
 )
 from repro.errors import ConfigurationError
-from repro.kernels import kernel_backend
 
 
 def _random_record(n, seed, bias=0.5):
@@ -28,14 +24,6 @@ class TestPopcount:
         words = np.arange(256, dtype=np.uint8)
         expected = np.array([bin(v).count("1") for v in range(256)])
         assert np.array_equal(popcount(words), expected)
-
-    def test_lookup_table_fallback_matches(self):
-        words = np.random.default_rng(0).integers(
-            0, 256, size=10_000
-        ).astype(np.uint8)
-        fast = popcount(words)
-        with kernel_backend("reference"):
-            assert np.array_equal(popcount(words), fast)
 
 
 class TestPackedMoments:
@@ -59,49 +47,3 @@ class TestPackedMoments:
             packed_mean(packed)
         with pytest.raises(ConfigurationError):
             packed_mean_square(packed)
-
-
-class TestSegmentGrid:
-    def test_alignment_predicate(self):
-        assert segment_grid_aligned(10_000, 5_000)
-        assert segment_grid_aligned(8192, 2048)
-        assert not segment_grid_aligned(10_000, 4_999)
-        assert not segment_grid_aligned(9_999, 5_000)
-        assert not segment_grid_aligned(0, 8)
-
-    @pytest.mark.parametrize(
-        "n,nperseg,step",
-        [
-            (100_000, 10_000, 5_000),   # the paper's 50 % overlap grid
-            (100_000, 8_192, 2_048),    # 75 % overlap
-            (100_000, 8_000, 8_000),    # no overlap
-            (123_457, 8_000, 4_000),    # record length not a word multiple
-            (100_000, 9_984, 5_016),    # coprime-ish aligned grid
-        ],
-    )
-    def test_segment_means_bit_identical_to_float(self, n, nperseg, step):
-        samples, packed = _random_record(n, seed=nperseg, bias=0.47)
-        means = packed_segment_means(packed, nperseg, step)
-        n_segments = 1 + (n - nperseg) // step
-        assert means.shape == (n_segments,)
-        for s in range(n_segments):
-            segment = samples[s * step : s * step + nperseg]
-            assert means[s] == segment.mean()
-
-    def test_segment_ones(self):
-        samples, packed = _random_record(50_000, seed=5)
-        ones = packed_segment_ones(packed, 8_000, 4_000)
-        for s, count in enumerate(ones):
-            assert count == int(
-                (samples[s * 4_000 : s * 4_000 + 8_000] > 0).sum()
-            )
-
-    def test_misaligned_grid_rejected(self):
-        _, packed = _random_record(50_000, seed=5)
-        with pytest.raises(ConfigurationError):
-            packed_segment_ones(packed, 8_001, 4_000)
-
-    def test_short_record_rejected(self):
-        _, packed = _random_record(1_000, seed=5)
-        with pytest.raises(ConfigurationError):
-            packed_segment_ones(packed, 8_000, 4_000)

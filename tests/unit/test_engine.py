@@ -41,10 +41,6 @@ class TestEngineConstruction:
         with pytest.raises(ConfigurationError):
             MeasurementEngine(max_workers=0)
 
-    def test_bad_block_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MeasurementEngine(block_segments=0)
-
 
 class TestWelchBatch:
     def test_rows_match_single_record_welch(self, rng):

@@ -1,250 +1,124 @@
-"""Unit tests for the multi-backend kernel registry and its tiers.
+"""Unit tests for the 1-bit kernels of :mod:`repro.kernels`.
 
-The property-style parity suite (edge shapes: tail bits inside the
-last word, nperseg not dividing n_samples, single-record and empty
-batches) runs every available backend against the reference tier —
-exact equality for the integer kernels, <= 1e-15 scale-relative for
-the spectral accumulation kernel.
+Each kernel is checked against an independent numpy expression on the
+edge inputs that break bit-level code: empty input, a single word,
+every byte value, 2-D input, ranges across the final-byte padding and
+lengths that are not a multiple of 8.  The name lookup and the
+environment report are checked as the contract ``perfbench/`` reads.
 """
 
 import numpy as np
 import pytest
 
-from repro.bitstream import PackedBitstream, PackedRecordBatch
-from repro.dsp.bitstats import packed_segment_ones, popcount
-from repro.dsp.psd import welch_batch
+import repro.kernels
 from repro.errors import ConfigurationError
-from repro.kernels import (
-    BACKEND_TIERS,
-    available_backends,
-    get_kernel,
-    get_kernel_backend,
-    kernel_backend,
-    kernel_names,
-    report,
-    resolve_backend,
-    self_check,
-    set_kernel_backend,
-)
+from repro.kernels import bernoulli_pack, popcount, registry, unpack_block
 
-RATE = 10_000.0
-
-#: Every backend this host can serve (numba joins when installed).
-BACKENDS = available_backends()
-NON_REFERENCE = [b for b in BACKENDS if b != "reference"]
+KERNELS = ("bernoulli_pack", "popcount", "unpack_block")
 
 
-def _packed_record(n, seed=0, bias=0.5):
-    rng = np.random.default_rng(seed)
-    samples = np.where(rng.random(n) < bias, 1.0, -1.0)
-    return samples, PackedBitstream.pack(samples, RATE)
+def _bit_counts(words):
+    """Set bits per byte, by unpacking each byte to its eight bits."""
+    words = np.asarray(words, dtype=np.uint8)
+    return np.unpackbits(words[..., np.newaxis], axis=-1).sum(axis=-1)
 
 
-def _packed_batch(n_records, n_samples, seed=0):
-    rng = np.random.default_rng(seed)
-    records = np.where(rng.random((n_records, n_samples)) < 0.5, 1.0, -1.0)
-    return PackedRecordBatch.pack(records, RATE)
+class TestPopcount:
+    CASES = {
+        "empty": np.empty(0, dtype=np.uint8),
+        "single_word": np.array([0b10110001], dtype=np.uint8),
+        "every_byte": np.arange(256, dtype=np.uint8),
+        "2d": np.random.default_rng(8).integers(
+            0, 256, size=(4, 33), dtype=np.uint8
+        ),
+    }
 
-
-class TestRegistry:
-    def test_all_kernels_registered(self):
-        assert kernel_names() == [
-            "bernoulli_pack",
-            "popcount",
-            "segment_ones",
-            "unpack_block",
-            "welch_bit_domain",
-        ]
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_kernel("no_such_kernel")
-
-    def test_reference_and_tuned_always_available(self):
-        assert "reference" in BACKENDS
-        assert "tuned" in BACKENDS
-
-    def test_resolve_auto_prefers_best_available(self):
-        expected = "numba" if "numba" in BACKENDS else "tuned"
-        assert resolve_backend("auto") == expected
-
-    def test_resolve_unknown_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_backend("cuda")
-
-    def test_context_manager_restores(self):
-        before = get_kernel_backend()
-        with kernel_backend("reference"):
-            assert get_kernel_backend() == "reference"
-        assert get_kernel_backend() == before
-
-    def test_context_manager_restores_on_error(self):
-        before = get_kernel_backend()
-        with pytest.raises(RuntimeError):
-            with kernel_backend("reference"):
-                raise RuntimeError("boom")
-        assert get_kernel_backend() == before
-
-    def test_numba_absent_is_skipped_not_failed(self):
-        """The numba tier degrades to an explicit error on selection
-        and simply stays out of ``available_backends`` otherwise."""
-        if "numba" in BACKENDS:
-            pytest.skip("numba installed on this host")
-        with pytest.raises(ConfigurationError):
-            set_kernel_backend("numba")
-        assert get_kernel_backend() != "numba"
-
-    @pytest.mark.parametrize("backend", NON_REFERENCE)
-    def test_self_check_covers_every_kernel(self, backend):
-        assert self_check(backend) == len(kernel_names())
-
-    def test_fallback_chain_serves_unimplemented_kernels(self):
-        # The tuned tier does not register unpack_block; dispatch must
-        # fall back to the reference implementation, not fail.
-        from repro.kernels import reference
-
-        assert get_kernel("unpack_block", "tuned") is reference.unpack_block
-
-    def test_report_shape(self):
-        info = report()
-        assert info["kernel_backend"] in BACKEND_TIERS
-        assert info["kernels"] == kernel_names()
-        assert info["cpu_count"] >= 1
-        assert info["numpy"]
-        assert set(info["kernel_backends_available"]) <= set(BACKEND_TIERS)
-        assert info["fft_backend"] in ("numpy", "scipy")
-
-
-class TestPopcountParity:
-    """Property-style parity across edge shapes for the bit kernels."""
-
-    CASES = [
-        np.empty(0, dtype=np.uint8),  # empty batch of words
-        np.array([0b10110001], dtype=np.uint8),  # single word
-        np.arange(256, dtype=np.uint8),  # every byte value
-        np.random.default_rng(7).integers(0, 256, size=257).astype(np.uint8),
-        np.random.default_rng(8)
-        .integers(0, 256, size=(4, 33))
-        .astype(np.uint8),  # 2-D batch, odd trailing dim
-    ]
-
-    @pytest.mark.parametrize("backend", NON_REFERENCE)
-    @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_popcount_bit_identical(self, backend, case):
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_unpacked_bit_sum(self, case):
         words = self.CASES[case]
-        ref = get_kernel("popcount", "reference")(words)
-        out = get_kernel("popcount", backend)(words)
-        assert out.shape == ref.shape
-        assert np.array_equal(out, ref)
+        out = popcount(words)
+        assert out.shape == words.shape
+        assert np.array_equal(out, _bit_counts(words))
 
-    @pytest.mark.parametrize("backend", NON_REFERENCE)
+    def test_every_byte_value_by_string_count(self):
+        expected = [bin(v).count("1") for v in range(256)]
+        assert popcount(np.arange(256, dtype=np.uint8)).tolist() == expected
+
+
+class TestUnpackBlock:
+    N = 301  # 37 full words plus 5 bits in a padded final word
+
+    @pytest.fixture
+    def record(self):
+        rng = np.random.default_rng(2005)
+        samples = np.where(rng.random(self.N) < 0.5, 1.0, -1.0)
+        return samples, np.packbits(samples > 0)
+
     @pytest.mark.parametrize(
-        "n_samples,nperseg,step",
+        "start,stop",
         [
-            (301, 64, 32),  # tail bits inside the last packed word
-            (520, 64, 64),  # nperseg not dividing n_samples
-            (512, 512, 256),  # single full segment
-            (4104, 256, 128),  # segment grid ends mid-record
+            (0, N),  # whole record, padding included
+            (7, 123),  # unaligned at both ends
+            (295, N),  # inside the final, padded word
+            (290, N),  # across the last word boundary into the padding
+            (0, 0),  # empty at the start
+            (64, 64),  # empty mid-record
+            (N, N),  # empty at the end
         ],
     )
-    def test_segment_ones_bit_identical(self, backend, n_samples, nperseg, step):
-        _, packed = _packed_record(n_samples, seed=n_samples)
-        with kernel_backend("reference"):
-            ref = packed_segment_ones(packed, nperseg, step)
-        with kernel_backend(backend):
-            out = packed_segment_ones(packed, nperseg, step)
-        assert np.array_equal(out, ref)
+    def test_matches_source_samples(self, record, start, stop):
+        samples, words = record
+        out = unpack_block(words, start, stop)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, samples[start:stop])
 
-    @pytest.mark.parametrize("backend", NON_REFERENCE)
-    @pytest.mark.parametrize("n", [1, 7, 64, 301])
-    @pytest.mark.parametrize("bipolar", [True, False])
-    def test_unpack_block_bit_identical(self, backend, n, bipolar):
-        samples, packed = _packed_record(n, seed=n)
-        ref_fn = get_kernel("unpack_block", "reference")
-        fn = get_kernel("unpack_block", backend)
-        for start, stop in [(0, n), (n // 2, n), (0, (n + 1) // 2)]:
-            ref = ref_fn(packed.words, start, stop, bipolar=bipolar)
-            out = fn(packed.words, start, stop, bipolar=bipolar)
-            assert np.array_equal(out, ref)
+    @pytest.mark.parametrize("start,stop", [(7, 123), (290, N)])
+    def test_out_buffer_is_filled_and_returned(self, record, start, stop):
+        samples, words = record
+        out = np.full(stop - start + 3, np.nan)
+        result = unpack_block(words, start, stop, out=out)
+        assert np.shares_memory(result, out)
+        assert np.array_equal(result, samples[start:stop])
+        assert np.array_equal(out[: stop - start], samples[start:stop])
+        assert np.isnan(out[stop - start :]).all()
 
-    @pytest.mark.parametrize("backend", NON_REFERENCE)
+
+class TestBernoulliPack:
     @pytest.mark.parametrize("n", [1, 7, 128, 1001])
-    def test_bernoulli_pack_bit_identical(self, backend, n):
+    def test_matches_lane_compare(self, n):
         rng = np.random.default_rng(n)
         raw = rng.integers(0, 2**64, size=(n + 1) // 2, dtype=np.uint64)
         thresholds = rng.integers(0, 2**32, size=n, dtype=np.uint32)
-        n_words = (n + 7) // 8
-        ref_words = np.empty(n_words, dtype=np.uint8)
-        out_words = np.empty(n_words, dtype=np.uint8)
-        get_kernel("bernoulli_pack", "reference")(raw, thresholds, ref_words)
-        get_kernel("bernoulli_pack", backend)(raw, thresholds, out_words)
-        assert np.array_equal(out_words, ref_words)
+        # Two u32 lanes per raw word, low half first.
+        lanes = np.empty(2 * raw.size, dtype=np.uint64)
+        lanes[0::2] = raw & np.uint64(0xFFFFFFFF)
+        lanes[1::2] = raw >> np.uint64(32)
+        bits = (lanes[:n] < thresholds).astype(np.uint8)
+        padded = np.zeros(8 * ((n + 7) // 8), dtype=np.uint8)
+        padded[:n] = bits
+        weights = 1 << np.arange(7, -1, -1)
+        expected = (padded.reshape(-1, 8) * weights).sum(axis=1)
+
+        words = np.full((n + 7) // 8, 0xAA, dtype=np.uint8)
+        result = bernoulli_pack(raw, thresholds, words)
+        assert result is words
+        assert np.array_equal(words, expected)
 
 
-class TestWelchParity:
-    @pytest.mark.parametrize("backend", NON_REFERENCE)
-    @pytest.mark.parametrize(
-        "n_records,n_samples,nperseg",
-        [
-            (1, 4096, 256),  # single-record batch
-            (3, 4104, 256),  # nperseg not dividing n_samples
-            (2, 1000, 128),  # tail bits inside the last packed word
-        ],
-    )
-    def test_psd_within_1e15_of_reference(
-        self, backend, n_records, n_samples, nperseg
-    ):
-        batch = _packed_batch(n_records, n_samples, seed=nperseg)
-        with kernel_backend("reference"):
-            ref = welch_batch(batch, nperseg, bit_domain=True).psd
-        with kernel_backend(backend):
-            out = welch_batch(batch, nperseg, bit_domain=True).psd
-        assert out.shape == ref.shape
-        assert float(np.abs(out - ref).max() / ref.max()) <= 1e-15
+class TestRegistry:
+    """The names ``perfbench/tracer.py`` and ``perfbench/run.py`` use."""
 
-    @pytest.mark.parametrize("backend", NON_REFERENCE)
-    def test_bit_domain_matches_exact_path(self, backend):
-        # Cross-check against the exact (unpacked) Welch path too: the
-        # kernel tier must not drift from the float pipeline.
-        batch = _packed_batch(2, 4096, seed=3)
-        exact = welch_batch(batch, 256).psd
-        with kernel_backend(backend):
-            bit = welch_batch(batch, 256, bit_domain=True).psd
-        assert float(np.abs(bit - exact).max() / exact.max()) <= 1e-10
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_get_kernel_returns_package_function(self, name):
+        assert registry.get_kernel(name) is getattr(repro.kernels, name)
 
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(ConfigurationError):
+            registry.get_kernel("no_such_kernel")
 
-class TestDispatchedPublicApis:
-    """The public hot paths go through the registry: switching the
-    backend must not change a single bit of their output."""
-
-    def test_popcount_public_api_dispatches(self):
-        words = np.random.default_rng(5).integers(
-            0, 256, size=999
-        ).astype(np.uint8)
-        per_backend = []
-        for backend in BACKENDS:
-            with kernel_backend(backend):
-                per_backend.append(popcount(words))
-        for out in per_backend[1:]:
-            assert np.array_equal(out, per_backend[0])
-
-    def test_packed_bernoulli_words_backend_invariant(self):
-        from repro.signals.batch_rng import (
-            BatchNoiseGenerator,
-            bernoulli_thresholds_u32,
-        )
-
-        thresholds = bernoulli_thresholds_u32(np.full(1001, 0.3))
-        outs = []
-        for backend in BACKENDS:
-            with kernel_backend(backend):
-                gen = BatchNoiseGenerator([1234, 5678])
-                outs.append(gen.packed_bernoulli_words(thresholds))
-        for out in outs[1:]:
-            assert np.array_equal(out, outs[0])
-
-    def test_unpack_range_backend_invariant(self):
-        samples, packed = _packed_record(301, seed=11)
-        for backend in BACKENDS:
-            with kernel_backend(backend):
-                assert np.array_equal(packed.unpack_range(3, 299), samples[3:299])
+    def test_report_shape(self):
+        info = repro.kernels.report()
+        assert set(info) == {"cpu_count", "numpy", "scipy", "kernel_backend"}
+        assert info["kernel_backend"] == "numpy"
+        assert info["cpu_count"] >= 1
+        assert info["numpy"] == np.__version__

@@ -820,56 +820,6 @@ class TestEnginePoolLifetime:
             assert eng.worker_pool.telemetry.retries == 0
 
 
-def _backend_probe(_task):
-    """Module-level worker: report the backends active in the worker."""
-    from repro.dsp.fft_backend import get_fft_backend
-    from repro.kernels import get_kernel_backend
-
-    return get_kernel_backend(), get_fft_backend()
-
-
-class TestBackendTelemetry:
-    """MapOutcome / RunReport carry the active kernel and FFT backends."""
-
-    def test_map_outcome_records_backends(self):
-        from repro.dsp.fft_backend import get_fft_backend
-        from repro.kernels import get_kernel_backend
-
-        with WorkerPool(1) as pool:
-            outcome = pool.run(abs, [-5])
-        assert outcome.kernel_backend == get_kernel_backend()
-        assert outcome.fft_backend == get_fft_backend()[0]
-
-    def test_empty_run_still_records_backends(self):
-        with WorkerPool(1) as pool:
-            outcome = pool.run(abs, [])
-        assert outcome.kernel_backend
-        assert outcome.fft_backend
-
-    def test_run_report_records_backends(self):
-        from repro.kernels import kernel_backend
-
-        sim = small_sim(n_samples=30_000)
-        tasks = [MeasurementTask(sim, sim.make_estimator(), 1)]
-        with kernel_backend("reference"):
-            report = MeasurementScheduler().run_report(tasks)
-        assert report.kernel_backend == "reference"
-        assert report.fft_backend in ("numpy", "scipy")
-        doc = report.describe()
-        assert doc["kernel_backend"] == "reference"
-        assert doc["fft_backend"] == report.fft_backend
-
-    def test_workers_inherit_parent_backend_selection(self):
-        from repro.kernels import kernel_backend
-
-        with kernel_backend("reference"):
-            with WorkerPool(1) as pool:
-                outcome = pool.run(_backend_probe, [0])
-        # The pool initializer pins the parent's selection in every
-        # worker, with FFT threads collapsed to workers=1.
-        assert outcome.results == [("reference", ("numpy", 1))]
-
-
 class TestChunkedPlanning:
     def test_max_group_size_splits_groups(self):
         sim = small_sim()
