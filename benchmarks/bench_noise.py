@@ -9,7 +9,7 @@ Four measurements at paper scale (8 records x 1e6 samples, nperseg
   counter streams, one 32-bit uniform compare per bit, no Gaussian
   floats).  Acceptance bar: >= 3x records/sec.
 * **Noise-matrix fill.**  The raw white-noise 2-D fill
-  (``GaussianNoiseSource.render_batch``) compat vs philox — reported
+  (``white_noise_matrix``) compat vs philox — reported
   for context (the float fill is ziggurat-bound; the record-synthesis
   win comes from never materializing the floats).
 * **Threaded philox fill.**  The philox row fan-out over threads
@@ -36,8 +36,8 @@ from conftest import envinfo, run_once
 from repro.engine import MeasurementEngine
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.reporting.tables import render_table
+from repro.signals.batch_rng import white_noise_matrix
 from repro.signals.random import spawn_rngs
-from repro.signals.sources import GaussianNoiseSource
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
@@ -112,14 +112,17 @@ def test_noise(benchmark, emit):
     )
 
     # --- raw white-noise 2-D fill (context) --------------------------
-    source = GaussianNoiseSource(0.3)
     _, t_fill_compat = _best_of(
-        2, source.render_batch, N_SAMPLES, 1e4, spawn_rngs(seed, N_RECORDS)
+        2,
+        lambda: white_noise_matrix(
+            spawn_rngs(seed, N_RECORDS), N_SAMPLES, scale=0.3
+        ),
     )
     _, t_fill_philox = _best_of(
         2,
-        lambda: source.render_batch(
-            N_SAMPLES, 1e4, spawn_rngs(seed, N_RECORDS), rng_mode="philox"
+        lambda: white_noise_matrix(
+            spawn_rngs(seed, N_RECORDS), N_SAMPLES, scale=0.3,
+            rng_mode="philox",
         ),
     )
 

@@ -159,8 +159,13 @@ class NonInvertingAmplifier:
         rs = self.source_resistance_ohm
         en2 = self.opamp.en_density(f)
         in2 = self.opamp.in_density(f)
-        johnson_rp = 4.0 * BOLTZMANN * self.temperature_k * rp
-        return en2 + in2 * (rs**2 + rp**2) + johnson_rp
+        return en2 + in2 * (rs**2 + rp**2) + self.feedback_johnson_density
+
+    @property
+    def feedback_johnson_density(self) -> float:
+        """Johnson noise density of the feedback network, ``4kT*Rp`` —
+        the white part of :meth:`amplifier_noise_density`."""
+        return 4.0 * BOLTZMANN * self.temperature_k * self.feedback_parallel_ohm
 
     def total_input_noise_density(
         self, freqs_hz, source_temperature_k: Optional[float] = None
@@ -209,24 +214,21 @@ class NonInvertingAmplifier:
             )
             total = total + in_source.render(n_samples, sample_rate, gen)
 
-        johnson_density = 4.0 * BOLTZMANN * self.temperature_k * rp
+        johnson_density = self.feedback_johnson_density
         if johnson_density > 0:
             johnson = GaussianNoiseSource.from_density(johnson_density, sample_rate)
             total = total + johnson.render(n_samples, sample_rate, gen)
         return total
 
     def render_input_noise_batch(
-        self, n_samples: int, sample_rate: float, rngs, rng_mode: str = "compat"
+        self, n_samples: int, sample_rate: float, rngs
     ) -> np.ndarray:
         """Stacked input-referred noise records, one per generator.
 
-        In compat mode row ``i`` is bit-exact equal to
-        ``render_input_noise(..., rngs[i]).samples``: each record's
-        contributors draw from its own generator in the serial order
-        (en, then in, then Johnson) while the 1/f spectral shaping runs
-        as batched FFTs across records.  ``rng_mode="philox"`` draws
-        every contributor's white stage from per-record counter streams
-        instead (see :mod:`repro.signals.batch_rng`).
+        Row ``i`` is bit-exact equal to ``render_input_noise(...,
+        rngs[i]).samples``: each record's contributors draw from its own
+        generator in the serial order (en, then in, then Johnson) while
+        the 1/f spectral shaping runs as batched FFTs across records.
         """
         gens = [make_rng(rng) for rng in rngs]
         rs = self.source_resistance_ohm
@@ -236,24 +238,18 @@ class NonInvertingAmplifier:
         en_source = ShapedNoiseSource.one_over_f(
             self.opamp.en_v_per_rthz**2, self.opamp.en_corner_hz
         )
-        total = en_source.render_batch(
-            n_samples, sample_rate, gens, rng_mode=rng_mode
-        )
+        total = en_source.render_batch(n_samples, sample_rate, gens)
 
         if self.opamp.in_a_per_rthz > 0 and r_eq > 0:
             in_source = ShapedNoiseSource.one_over_f(
                 (self.opamp.in_a_per_rthz * r_eq) ** 2, self.opamp.in_corner_hz
             )
-            total = total + in_source.render_batch(
-                n_samples, sample_rate, gens, rng_mode=rng_mode
-            )
+            total = total + in_source.render_batch(n_samples, sample_rate, gens)
 
-        johnson_density = 4.0 * BOLTZMANN * self.temperature_k * rp
+        johnson_density = self.feedback_johnson_density
         if johnson_density > 0:
             johnson = GaussianNoiseSource.from_density(johnson_density, sample_rate)
-            total = total + johnson.render_batch(
-                n_samples, sample_rate, gens, rng_mode=rng_mode
-            )
+            total = total + johnson.render_batch(n_samples, sample_rate, gens)
         return total
 
     def process(
@@ -289,16 +285,13 @@ class NonInvertingAmplifier:
         sample_rate: float,
         rngs=None,
         include_noise: bool = True,
-        rng_mode: str = "compat",
     ) -> np.ndarray:
         """Amplify a stack of records (batch form of :meth:`process`).
 
         ``records`` is ``(n_records, n_samples)``; ``rngs`` supplies one
-        generator per record for the amplifier's own noise.  In compat
-        mode row ``i`` is bit-exact equal to
-        ``process(Waveform(records[i], sample_rate), rngs[i]).samples``;
-        ``rng_mode="philox"`` draws the amplifier noise from per-record
-        counter streams (fast mode, not bit-identical).
+        generator per record for the amplifier's own noise.  Row ``i``
+        is bit-exact equal to ``process(Waveform(records[i],
+        sample_rate), rngs[i]).samples``.
         """
         arr = np.asarray(records, dtype=float)
         if arr.ndim != 2:
@@ -319,7 +312,7 @@ class NonInvertingAmplifier:
                     f"got {arr.shape[0]} records but {len(rngs)} generators"
                 )
             noise = self.render_input_noise_batch(
-                arr.shape[-1], sample_rate, rngs, rng_mode=rng_mode
+                arr.shape[-1], sample_rate, rngs
             )
             total = arr + noise
         if self.bandwidth_hz < sample_rate / 2.0:

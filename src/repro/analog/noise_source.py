@@ -127,18 +127,13 @@ class CalibratedNoiseSource:
         n_samples: int,
         sample_rate: float,
         rngs,
-        rng_mode: str = "compat",
     ) -> np.ndarray:
         """Render one record per ``(state, rng)`` pair as a stacked array.
 
-        ``states`` and ``rngs`` are equal-length sequences; in compat
-        mode row ``i`` is bit-exact equal to ``render(states[i], ...,
-        rngs[i])`` so a hot/cold pair (or a whole repeat batch) can be
-        generated in one call without losing per-record
-        reproducibility.  ``rng_mode="philox"`` fills the stack from
-        per-record counter streams instead (deterministic, not
-        bit-identical; see :mod:`repro.signals.batch_rng`) — the
-        per-state densities ride along as a per-row scale vector.
+        ``states`` and ``rngs`` are equal-length sequences; row ``i`` is
+        bit-exact equal to ``render(states[i], ..., rngs[i])`` so a
+        hot/cold pair (or a whole repeat batch) can be generated in one
+        call without losing per-record reproducibility.
         """
         states = list(states)
         rngs = list(rngs)
@@ -153,9 +148,7 @@ class CalibratedNoiseSource:
             for state in set(states)
         }
         rms_rows = np.array([sources[state].rms for state in states])
-        return white_noise_matrix(
-            rngs, n_samples, scale=rms_rows, rng_mode=rng_mode
-        )
+        return white_noise_matrix(rngs, n_samples, scale=rms_rows)
 
     @property
     def y_factor_true(self) -> float:

@@ -607,9 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="noise-synthesis mode for the scheduler-driven experiments: "
         "compat replays per-record generator streams bit for bit; "
         "philox is the fast counter-based mode (deterministic per "
-        "seed, statistically equivalent, not bit-identical; largest "
-        "gains on white-noise simulation benches, where records are "
-        "synthesized directly as packed bits)",
+        "seed, statistically equivalent, not bit-identical): white-"
+        "noise simulation benches synthesize their records directly as "
+        "packed bits, testbench chains as one shaped spectrum per record",
     )
     run.add_argument(
         "--store",

@@ -164,7 +164,10 @@ class MeasurementEngine:
     packed:
         Acquire and transport records bit-packed (1 bit/sample) when
         the acquirer supports it.  Packed results are bit-exact equal
-        to the float pipeline; disable only to A/B the two paths.
+        to the float pipeline in both ``rng_mode`` values (a philox
+        acquirer that synthesizes packed bits directly unpacks the
+        same bits for a float request), so the store key leaves
+        ``packed`` out; disable only to A/B the two paths.
     pool:
         An existing :class:`~repro.engine.scheduler.WorkerPool` to
         share (e.g. one pool across several engines of a session).
@@ -176,9 +179,12 @@ class MeasurementEngine:
         Noise-synthesis mode threaded to every acquirer that accepts
         it (see :mod:`repro.signals.batch_rng`): ``"compat"``
         (default) replays the per-record ``default_rng`` streams bit
-        for bit; ``"philox"`` is the fast mode — counter-based 2-D
-        noise fills (and, where the acquirer supports it, direct
-        packed-record synthesis).  The mode selects synthesis only:
+        for bit; ``"philox"`` is the fast mode — counter-based
+        synthesis: direct Bernoulli bits for
+        :class:`~repro.experiments.matlab_sim.MatlabSimulation`, one
+        shaped spectrum per record for the
+        :class:`~repro.instruments.testbench.PrototypeTestbench`
+        analog chain.  The mode selects synthesis only:
         both modes analyze records with the same exact packed Welch,
         so equal records give equal spectra.  Philox results are
         deterministic per seed and statistically equivalent to
@@ -730,17 +736,16 @@ class MeasurementEngine:
         out_rate: Optional[float] = None
         obs_t0 = time.monotonic() if obs.enabled() else 0.0
         for source, (rng_hot, rng_cold) in zip(sources, pairs):
-            # In philox mode a packed engine routes each device through
-            # its own full acquire_bitstreams — the exact call (and
-            # generator spawns) engine.measure makes — so fast-mode
-            # acquirers reach their direct packed synthesis
-            # (MatlabSimulation's Bernoulli path) inside planned
-            # screens too, and planned philox results stay identical
-            # to per-task philox measurement.
+            # In philox mode each device goes through its own full
+            # acquire_bitstreams — the exact call (and generator
+            # spawns) engine.measure makes — so fast-mode acquirers
+            # reach their direct synthesis (MatlabSimulation's
+            # Bernoulli path) inside planned screens too, and planned
+            # philox results stay identical to per-task philox
+            # measurement, packed or not.
             acquire_bits = getattr(source, "acquire_bitstreams", None)
             if (
-                self.packed
-                and self.rng_mode != "compat"
+                self.rng_mode != "compat"
                 and acquire_bits is not None
                 and _accepts_packed(acquire_bits)
                 and _accepts_kwarg(acquire_bits, "rng_mode")
@@ -748,17 +753,22 @@ class MeasurementEngine:
                 pair, device_rate = acquire_bits(
                     ["hot", "cold"],
                     [rng_hot, rng_cold],
-                    packed=True,
+                    packed=self.packed,
                     rng_mode=self.rng_mode,
                 )
-                if (
-                    not isinstance(pair, PackedRecordBatch)
-                    or pair.n_records != 2
-                ):
+                if self.packed:
+                    valid = (
+                        isinstance(pair, PackedRecordBatch)
+                        and pair.n_records == 2
+                    )
+                else:
+                    pair = np.asarray(pair, dtype=float)
+                    valid = pair.ndim == 2 and pair.shape[0] == 2
+                if not valid:
                     raise ConfigurationError(
-                        "packed device acquisition must return a "
-                        "2-record PackedRecordBatch, got "
-                        f"{type(pair).__name__}"
+                        "device acquisition must return 2 "
+                        f"{'packed' if self.packed else 'float'} records, "
+                        f"got {type(pair).__name__}"
                     )
                 if out_rate is None:
                     out_rate = float(device_rate)

@@ -65,8 +65,9 @@ def measure_drift_point(task, rng, rng_mode: str = "compat") -> GainSensitivityP
     the drifted bench.  Module-level so the engine's process backend
     can pickle it.  A philox-mode engine forwards ``rng_mode`` (see
     :meth:`~repro.engine.MeasurementEngine.map_sweep`): the two analog
-    records then render as one counter-based batch — deterministic per
-    point seed, not bit-identical to the compat scalar renders.
+    records are then drawn by spectral synthesis, with the drifted
+    post-amplifier gain in their PSD — deterministic per point seed,
+    not bit-identical to the compat scalar renders.
     """
     drift, opamp, n_samples, f_low, f_high, expected_nf, assumed_gain, n0 = (
         task

@@ -253,56 +253,55 @@ class MatlabSimulation:
         peak float memory is one record — not the batch — no matter how
         many records are stacked.
 
-        ``rng_mode="philox"`` is the fast synthesis mode.  For packed
-        acquisition through a digitizer the Bernoulli model covers
-        (no hysteresis, no latch jitter — offset, comparator input
-        noise and clock division all fold in analytically), the packed
-        records are synthesized *directly*: each bit is an iid
-        Bernoulli draw with probability ``P(noise >= ref_t)``, pulled
-        from one per-record Philox counter stream as a 32-bit uniform
-        compare — no Gaussian float is ever materialized, which is
-        where the >= 3x record-synthesis speedup of the noise layer
-        comes from.  The synthesized records follow exactly the same
-        stochastic process as the compat records (white noise against
-        a deterministic reference makes the decisions independent
-        across samples), up to a ``2**-32`` probability quantization
-        per sample; they are deterministic per seed but a different
-        realization than compat.  Configurations outside the Bernoulli
-        model fall back to counter-based noise fills plus the regular
-        digitize path.
+        ``rng_mode="philox"`` is the fast synthesis mode.  Through a
+        digitizer the Bernoulli model covers (no hysteresis, no latch
+        jitter — offset, comparator input noise and clock division all
+        fold in analytically), the records are synthesized *directly*
+        as packed bits: each bit is an iid Bernoulli draw with
+        probability ``P(noise >= ref_t)``, pulled from one per-record
+        Philox counter stream as a 32-bit uniform compare — no Gaussian
+        float is ever materialized, which is where the >= 3x
+        record-synthesis speedup of the noise layer comes from.  A
+        float request gets the same records unpacked, so packed and
+        float philox results are equal.  The synthesized records follow
+        exactly the same stochastic process as the compat records
+        (white noise against a deterministic reference makes the
+        decisions independent across samples), up to a ``2**-32``
+        probability quantization per sample; they are deterministic per
+        seed but a different realization than compat.  Configurations
+        outside the Bernoulli model fall back to counter-based noise
+        fills plus the regular digitize path.
         """
         validate_rng_mode(rng_mode)
         c = self.config
+        states, gens, rms, dig = self._batch_setup(states, rngs, digitizer)
+        if rng_mode == "philox":
+            thresholds = {
+                state: self._bernoulli_thresholds(state, dig)
+                for state in set(states)
+            }
+            if all(t is not None for t in thresholds.values()):
+                batch_gen = BatchNoiseGenerator(gens)
+                words = batch_gen.packed_bernoulli_words(
+                    [thresholds[state] for state in states]
+                )
+                provenance = [
+                    RecordProvenance.from_rng(
+                        gen, state=state, rng_mode="philox"
+                    )
+                    for state, gen in zip(states, gens)
+                ]
+                out_rate = c.sample_rate_hz / dig.sampler.divider
+                batch = PackedRecordBatch(
+                    words,
+                    thresholds[states[0]].size,
+                    out_rate,
+                    provenance=provenance,
+                    validate=False,
+                    copy=False,
+                )
+                return (batch if packed else batch.unpack()), out_rate
         if packed:
-            states, gens, rms, dig = self._batch_setup(
-                states, rngs, digitizer
-            )
-            if rng_mode == "philox":
-                thresholds = {
-                    state: self._bernoulli_thresholds(state, dig)
-                    for state in set(states)
-                }
-                if all(t is not None for t in thresholds.values()):
-                    batch_gen = BatchNoiseGenerator(gens)
-                    words = batch_gen.packed_bernoulli_words(
-                        [thresholds[state] for state in states]
-                    )
-                    provenance = [
-                        RecordProvenance.from_rng(
-                            gen, state=state, rng_mode="philox"
-                        )
-                        for state, gen in zip(states, gens)
-                    ]
-                    out_rate = c.sample_rate_hz / dig.sampler.divider
-                    batch = PackedRecordBatch(
-                        words,
-                        thresholds[states[0]].size,
-                        out_rate,
-                        provenance=provenance,
-                        validate=False,
-                        copy=False,
-                    )
-                    return batch, out_rate
             reference = self.reference_waveform().samples
             rows = []
             for state, gen in zip(states, gens):
@@ -321,7 +320,7 @@ class MatlabSimulation:
             batch = PackedRecordBatch.from_records(rows)
             return batch, c.sample_rate_hz / dig.sampler.divider
         noise, reference, gens, rate, dig = self.acquire_analog_batch(
-            states, rngs, digitizer=digitizer, rng_mode=rng_mode
+            states, gens, digitizer=dig, rng_mode=rng_mode
         )
         bits = dig.digitize_batch(
             noise,

@@ -25,7 +25,8 @@ from repro.constants import T0_KELVIN
 from repro.core.bist import BISTMeasurementConfig, OneBitNoiseFigureBIST
 from repro.digitizer.digitizer import OneBitDigitizer
 from repro.errors import ConfigurationError
-from repro.signals.filters import single_pole_magnitude
+from repro.signals.batch_rng import BatchNoiseGenerator, validate_rng_mode
+from repro.signals.filters import single_pole_lowpass_power, single_pole_magnitude
 from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
 from repro.signals.sources import SineSource
 from repro.signals.waveform import Waveform
@@ -148,41 +149,58 @@ class PrototypeTestbench:
 
         Returns ``(analog, reference, dig_rngs, sample_rate,
         digitizer)`` — the :class:`~repro.engine.AnalogBatchAcquirer`
-        protocol.  Per-record child generators are spawned exactly as
-        in :meth:`acquire_bitstream`, and the digitizer generators are
-        handed back un-consumed, so any later (possibly cross-device)
-        ``digitize_batch`` is bit-exact vs the scalar path.
-        ``rng_mode="philox"`` draws every stage's noise (source, both
-        amplifiers) from per-record counter streams — the fast mode,
-        deterministic per seed but not bit-identical to compat.
+        protocol.  Each record's generator is split into an analog and
+        a digitizer generator exactly as in :meth:`acquire_bitstream`,
+        and the digitizer generators are handed back un-consumed, so
+        any later (possibly cross-device) ``digitize_batch`` is
+        bit-exact vs the scalar path.
+
+        ``rng_mode="compat"`` renders the chain stage by stage (source,
+        DUT noise and pole, post-amplifier noise and pole), row ``i``
+        bit-exact equal to :meth:`analog_output`.  ``rng_mode="philox"``
+        draws each record in one step from a counter stream keyed by
+        its analog generator: a complex Gaussian half-spectrum scaled
+        by the square root of :meth:`analog_psd`, then one ``irfft``
+        (:meth:`~repro.signals.batch_rng.BatchNoiseGenerator.
+        spectral_matrix`).  Every stage is linear and Gaussian, so the
+        record is the same stochastic process — deterministic per seed,
+        not bit-identical to compat.  The compat filters start from
+        zero state while the spectral records are stationary; at the
+        benches' poles that start-up transient decays below ``1e-16``
+        within a few dozen samples, so no warm-up is discarded.
         """
+        validate_rng_mode(rng_mode)
         states = list(states)
         rngs = list(rngs)
         if len(states) != len(rngs):
             raise ConfigurationError(
                 f"got {len(states)} states but {len(rngs)} generators"
             )
-        src_rngs = []
-        dut_rngs = []
-        post_rngs = []
+        analog_rngs = []
         dig_rngs = []
         for rng in rngs:
             analog_rng, dig_rng = spawn_rngs(make_rng(rng), 2)
-            src_rng, dut_rng, post_rng = spawn_rngs(analog_rng, 3)
-            src_rngs.append(src_rng)
-            dut_rngs.append(dut_rng)
-            post_rngs.append(post_rng)
+            analog_rngs.append(analog_rng)
             dig_rngs.append(dig_rng)
-        source = self.noise_source.render_batch(
-            states, self.n_samples, self.sample_rate_hz, src_rngs,
-            rng_mode=rng_mode,
-        )
-        dut_out = self.dut.process_batch(
-            source, self.sample_rate_hz, dut_rngs, rng_mode=rng_mode
-        )
-        analog = self.post_amplifier.process_batch(
-            dut_out, self.sample_rate_hz, post_rngs, rng_mode=rng_mode
-        )
+        if rng_mode == "philox":
+            analog = BatchNoiseGenerator(analog_rngs).spectral_matrix(
+                self.analog_psd(states), self.n_samples, self.sample_rate_hz
+            )
+        else:
+            # (source, DUT, post-amplifier) generators per record.
+            stage_rngs = [spawn_rngs(analog_rng, 3) for analog_rng in analog_rngs]
+            source = self.noise_source.render_batch(
+                states,
+                self.n_samples,
+                self.sample_rate_hz,
+                [r[0] for r in stage_rngs],
+            )
+            dut_out = self.dut.process_batch(
+                source, self.sample_rate_hz, [r[1] for r in stage_rngs]
+            )
+            analog = self.post_amplifier.process_batch(
+                dut_out, self.sample_rate_hz, [r[2] for r in stage_rngs]
+            )
         return (
             analog,
             self.reference_waveform().samples,
@@ -204,8 +222,10 @@ class PrototypeTestbench:
         path.  Returns ``(bitstreams, output_sample_rate)``; with
         ``packed`` the bitstreams are a
         :class:`~repro.bitstream.PackedRecordBatch` (1 bit/sample)
-        instead of a float64 stack.  ``rng_mode="philox"`` runs the
-        analog chain on counter-based noise fills (fast mode).
+        instead of a float64 stack.  ``rng_mode="philox"`` draws the
+        analog records by spectral synthesis (see
+        :meth:`acquire_analog_batch`); the digitizer is the same in
+        both modes, so packed and float philox records are equal too.
         """
         analog, reference, dig_rngs, rate, digitizer = (
             self.acquire_analog_batch(states, rngs, rng_mode=rng_mode)
@@ -251,6 +271,47 @@ class PrototypeTestbench:
         if amplifier.bandwidth_hz < self.sample_rate_hz / 2.0:
             return single_pole_magnitude(freqs, amplifier.bandwidth_hz)
         return np.ones_like(freqs)
+
+    def analog_psd(self, states) -> np.ndarray:
+        """One-sided PSDs (V^2/Hz) of the post-amplifier output, one row
+        per state.
+
+        On the ``rfftfreq(n_samples, 1/sample_rate)`` grid of one
+        record, with ``g = actual_gain**2`` (gain drift and the hot
+        level error carry through) and ``P`` the power response of the
+        digital pole the time path applies (1 when the pole is at or
+        above Nyquist):
+        ``g_post*P_post*(g_dut*P_dut*(S_src + S_dut(f)) + S_post(f))``.
+        The DC bin gets only the white terms — the source and each
+        amplifier's ``4kT*Rp`` — because the time path's shaped (1/f)
+        contributors carry no DC.  Every other bin of a record shorter
+        than ``100 * sample_rate`` samples equals what the time path
+        shapes.  Raises :class:`~repro.errors.ConfigurationError` for
+        an unknown state.
+        """
+        source = np.array([self.noise_source.density(s) for s in states])
+        freqs = np.fft.rfftfreq(self.n_samples, d=1.0 / self.sample_rate_hz)
+        dut, post = self.dut, self.post_amplifier
+        dut_noise = dut.amplifier_noise_density(freqs)
+        post_noise = post.amplifier_noise_density(freqs)
+        dut_noise[0] = dut.feedback_johnson_density
+        post_noise[0] = post.feedback_johnson_density
+        dut_power = dut.actual_gain**2 * self._chain_power(dut, freqs)
+        post_power = post.actual_gain**2 * self._chain_power(post, freqs)
+        source_gain = post_power * dut_power
+        floor = post_power * (dut_power * dut_noise + post_noise)
+        return source[:, np.newaxis] * source_gain + floor
+
+    def _chain_power(
+        self, amplifier: NonInvertingAmplifier, freqs: np.ndarray
+    ) -> Union[float, np.ndarray]:
+        """|H|^2 of the digital pole process_batch() applies (1 when
+        the pole is at or above Nyquist, which it skips)."""
+        if amplifier.bandwidth_hz < self.sample_rate_hz / 2.0:
+            return single_pole_lowpass_power(
+                freqs, self.sample_rate_hz, amplifier.bandwidth_hz
+            )
+        return 1.0
 
     def expected_nf_db(self, f_low_hz: float, f_high_hz: float) -> float:
         """Analytical expected NF of the DUT over the measurement band."""

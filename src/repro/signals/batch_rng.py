@@ -8,8 +8,12 @@ records are drawn one at a time and the ziggurat transform runs at full
 per-sample cost for every float that is about to be collapsed to one
 bit anyway.
 
-This module is the opt-in alternative.  Every stochastic batch path in
-the library takes an ``rng_mode`` knob:
+This module is the opt-in alternative.  The acquirers
+(:class:`~repro.experiments.matlab_sim.MatlabSimulation`,
+:class:`~repro.instruments.testbench.PrototypeTestbench`), the
+digitizer's provenance and :func:`white_noise_matrix` take an
+``rng_mode`` knob; the per-contributor renderers of the analog chain
+are compat-only:
 
 ``"compat"`` (default)
     Bit-identical to the historical per-record ``default_rng`` replay.
@@ -25,6 +29,12 @@ the library takes an ``rng_mode`` knob:
     ``(n_records, n_samples)`` noise matrix in one 2-D pass
     (GIL-releasing ``standard_normal(out=row)`` fills plus a single
     vectorized scale/shift, no per-record temporaries or copies).
+
+    A linear Gaussian chain (source, amplifiers, filters) is one
+    Gaussian process with one PSD, so its records are drawn in one
+    step: a complex Gaussian half-spectrum per record, scaled by the
+    square root of the chain's PSD, then one ``irfft``
+    (:meth:`BatchNoiseGenerator.spectral_matrix`).
 
     For records whose floats only ever feed an ideal comparator, the
     generator can go further and synthesize the *packed bits* directly:
@@ -104,10 +114,9 @@ def _seed_sequence_of(seed: GeneratorLike) -> np.random.SeedSequence:
     :class:`~numpy.random.SeedSequence`, so it keeps the record's
     spawn-key provenance while remaining independent of every other
     stream derived from the same seed.  Spawning is stateful on
-    purpose: successive fills that reuse one generator (e.g. the
-    amplifier's en → in → Johnson contributors) consume successive
-    children and stay mutually independent — the counter-based
-    counterpart of compat mode's advancing draw stream.
+    purpose: successive fills that reuse one generator consume
+    successive children and stay mutually independent — the
+    counter-based counterpart of compat mode's advancing draw stream.
     """
     if isinstance(seed, np.random.Generator):
         seq = seed.bit_generator.seed_seq
@@ -234,6 +243,58 @@ class BatchNoiseGenerator:
         if mean != 0.0:
             out += mean
         return out
+
+    def spectral_matrix(
+        self,
+        psds: Union[np.ndarray, Sequence[np.ndarray]],
+        n_samples: int,
+        sample_rate: float,
+    ) -> np.ndarray:
+        """Gaussian records with prescribed one-sided PSDs, one per stream.
+
+        ``psds`` is one PSD (V^2/Hz) on the ``rfftfreq(n_samples,
+        1/sample_rate)`` grid shared by every stream, or one such PSD
+        per stream.  Row ``i`` is the ``irfft`` of a complex Gaussian
+        half-spectrum drawn from stream ``i``: interior bins have real
+        and imaginary parts ``N(0, n*fs*S/4)``, the DC bin and (for
+        even ``n``) the Nyquist bin are real with variance ``n*fs*S/2``
+        — the spectrum ``rfft`` gives white noise of density ``S``, so
+        the record is a stationary Gaussian process with PSD ``S``.
+        """
+        n = int(n_samples)
+        if n < 1:
+            raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
+        if sample_rate <= 0:
+            raise ConfigurationError(
+                f"sample rate must be > 0, got {sample_rate}"
+            )
+        n_bins = n // 2 + 1
+        if isinstance(psds, np.ndarray) and psds.ndim == 1:
+            rows = [psds] * self.n_streams
+        else:
+            rows = list(psds)
+            if len(rows) != self.n_streams:
+                raise ConfigurationError(
+                    f"got {self.n_streams} streams but {len(rows)} PSDs"
+                )
+        # Real bins carry the whole variance on one part: x sqrt(2).
+        real_bins = [0, n_bins - 1] if n % 2 == 0 else [0]
+        spectrum = np.empty((self.n_streams, n_bins), dtype=np.complex128)
+        for i, gen in enumerate(self._gens):
+            psd = np.asarray(rows[i], dtype=float)
+            if psd.shape != (n_bins,) or not (
+                psd.min() >= 0.0 and np.isfinite(psd.max())
+            ):
+                raise ConfigurationError(
+                    f"each PSD must hold {n_bins} finite non-negative "
+                    f"values, got shape {psd.shape}"
+                )
+            amp = np.sqrt(psd * (n * sample_rate / 4.0))
+            amp[real_bins] *= np.sqrt(2.0)
+            gen.standard_normal(2 * n_bins, out=spectrum[i].view(np.float64))
+            spectrum[i] *= amp
+        spectrum[:, real_bins] = spectrum[:, real_bins].real
+        return np.fft.irfft(spectrum, n=n, axis=-1)
 
     # ------------------------------------------------------------------
     def packed_bernoulli_words(

@@ -74,6 +74,24 @@ def single_pole_lowpass_array(
     return _sig.lfilter(b, a, samples, axis=-1)
 
 
+def single_pole_lowpass_power(
+    freqs_hz: np.ndarray, sample_rate: float, pole_hz: float
+) -> np.ndarray:
+    """|H(f)|^2 of the digital filter :func:`single_pole_lowpass_array`
+    applies.
+
+    The bilinear transform maps ``f`` to the analog frequency
+    ``2*fs*tan(pi*f/fs)``, so the power response is
+    ``1 / (1 + (2*fs*tan(pi*f/fs) / (2*pi*f_pole))**2)`` — equal to
+    ``|freqz|^2`` of the ``lfilter`` coefficients to rounding, and
+    (unlike the analog :func:`single_pole_magnitude`) zero at Nyquist.
+    """
+    _check_cutoff(pole_hz, sample_rate, "pole")
+    f = np.asarray(freqs_hz, dtype=float)
+    w = np.tan(f * (np.pi / sample_rate)) * (sample_rate / (np.pi * pole_hz))
+    return 1.0 / (1.0 + w * w)
+
+
 def single_pole_lowpass(wave: Waveform, pole_hz: float) -> Waveform:
     """First-order (single-pole) low-pass — the closed-loop opamp response.
 

@@ -179,19 +179,14 @@ class GaussianNoiseSource(SignalSource):
         samples = gen.normal(self.mean, self.rms, size=n_samples)
         return Waveform(samples, sample_rate)
 
-    def render_batch(
-        self, n_samples, sample_rate, rngs, rng_mode: str = "compat"
-    ) -> np.ndarray:
+    def render_batch(self, n_samples, sample_rate, rngs) -> np.ndarray:
         """Stacked records, one per generator (no Waveform copies).
 
-        ``rng_mode="compat"`` replays each record's own generator
-        stream bit for bit; ``"philox"`` fills the whole matrix from
-        per-record counter streams in one 2-D pass (deterministic but
-        not bit-identical — see :mod:`repro.signals.batch_rng`).
+        Row ``i`` replays ``rngs[i]``'s own stream bit for bit.
         """
         _validate_render_args(n_samples, sample_rate)
         return white_noise_matrix(
-            rngs, n_samples, mean=self.mean, scale=self.rms, rng_mode=rng_mode
+            rngs, n_samples, mean=self.mean, scale=self.rms
         )
 
 
@@ -226,19 +221,16 @@ class ThermalNoiseSource(SignalSource):
         inner = GaussianNoiseSource.from_density(self.density_v2_per_hz, sample_rate)
         return inner.render(n_samples, sample_rate, rng)
 
-    def render_batch(
-        self, n_samples, sample_rate, rngs, rng_mode: str = "compat"
-    ) -> np.ndarray:
+    def render_batch(self, n_samples, sample_rate, rngs) -> np.ndarray:
         """Stacked Johnson-noise records through the shared white kernel.
 
         Same contract as :meth:`GaussianNoiseSource.render_batch`: row
-        ``i`` replays ``render(..., rngs[i])`` bit for bit in compat
-        mode, philox mode is the counter-based 2-D fill.
+        ``i`` replays ``render(..., rngs[i])`` bit for bit.
         """
         _validate_render_args(n_samples, sample_rate)
         inner = GaussianNoiseSource.from_density(self.density_v2_per_hz, sample_rate)
         return white_noise_matrix(
-            rngs, n_samples, mean=inner.mean, scale=inner.rms, rng_mode=rng_mode
+            rngs, n_samples, mean=inner.mean, scale=inner.rms
         )
 
 
@@ -310,17 +302,13 @@ class ShapedNoiseSource(SignalSource):
         samples = np.fft.irfft(spectrum, n=n_samples)
         return Waveform(samples, sample_rate)
 
-    def render_batch(
-        self, n_samples, sample_rate, rngs, rng_mode: str = "compat"
-    ) -> np.ndarray:
+    def render_batch(self, n_samples, sample_rate, rngs) -> np.ndarray:
         """Stacked shaped-noise records with one batched FFT round trip.
 
-        In compat mode each record's white draws come from its own
-        generator (in the same order as :meth:`render`); philox mode
-        fills the white stage from per-record counter streams.  Either
-        way the spectral shaping runs as a single batched
-        ``rfft``/``irfft`` pair, which is bit-identical to the
-        per-record transforms.
+        Each record's white draws come from its own generator (in the
+        same order as :meth:`render`); the spectral shaping runs as a
+        single batched ``rfft``/``irfft`` pair, which is bit-identical
+        to the per-record transforms.
         """
         _validate_render_args(n_samples, sample_rate)
         rngs = list(rngs)
@@ -328,7 +316,7 @@ class ShapedNoiseSource(SignalSource):
         if n == 0:
             return np.zeros((len(rngs), 0))
         density = self._checked_density(n, sample_rate)
-        white = white_noise_matrix(rngs, n, rng_mode=rng_mode)
+        white = white_noise_matrix(rngs, n)
         spectrum = np.fft.rfft(white, axis=-1)
         spectrum *= np.sqrt(density * sample_rate / 2.0)
         spectrum[..., 0] = 0.0  # force zero mean

@@ -54,7 +54,8 @@ __all__ = [
 #: on any change to fingerprinting, serialization or measurement
 #: semantics; entries written under an older schema stop matching (their
 #: keys embed the old version) and ``ResultStore.gc`` reclaims them.
-SCHEMA_VERSION = 1
+#: Schema 2: philox testbench records are drawn by spectral synthesis.
+SCHEMA_VERSION = 2
 
 #: Entry kinds, in layout order.  The position of a kind doubles as its
 #: id in the persistent index's on-disk records, so the order is part
@@ -246,8 +247,8 @@ def measurement_key(
     analysis parameters and calibration temperatures, seed lineage,
     synthesis mode and schema version — and deliberately excludes
     execution knobs that are guaranteed result-invariant (backend,
-    worker count, packed transport): a result computed on
-    any backend is a valid hit for every other.
+    worker count, packed transport — in both synthesis modes): a
+    result computed on any backend is a valid hit for every other.
     """
     seed = seed_fingerprint(rng)
     if seed is None:

@@ -10,10 +10,12 @@ Pins the two contracts of the noise layer:
     same exact packed Welch, bit for bit, in compat and philox mode.
 
 Philox mode has no bit-compatibility claim; its contracts — determinism
-per seed and statistical equivalence — are pinned here too.
+per seed, statistical equivalence, and packed records equal to float
+records — are pinned here too.
 """
 
 import numpy as np
+import pytest
 
 from repro.bitstream import PackedBitstream
 from repro.digitizer.comparator import Comparator
@@ -26,6 +28,7 @@ from repro.engine import (
     MeasurementTask,
 )
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
+from repro.experiments.production import _build_device_bench
 from repro.instruments.testbench import build_prototype_testbench
 from repro.signals.random import make_rng, spawn_rngs
 
@@ -264,3 +267,46 @@ class TestPhiloxMode:
             ["hot", "cold"], spawn_rngs(7, 2), rng_mode="philox"
         )
         assert np.array_equal(records, again)
+
+
+class TestPhiloxPackedEqualsFloat:
+    """Packed transport is result-invariant in philox mode too — the
+    store key leaves ``packed`` out, so a packed and a float engine
+    must be valid hits for each other."""
+
+    @pytest.mark.parametrize("kind", ["matlab_sim", "device_bench"])
+    def test_packed_and_float_nfs_bit_identical(self, kind):
+        if kind == "matlab_sim":
+            source = MatlabSimulation(SMALL)
+            estimator = source.make_estimator()
+        else:
+            source = _build_device_bench(8.0, 2**15)
+            estimator = source.make_estimator(nperseg=4096)
+        runs = {}
+        for packed in (True, False):
+            engine = MeasurementEngine(rng_mode="philox", packed=packed)
+            runs[packed] = (
+                engine.measure(source, estimator, rng=7).noise_figure_db,
+                [
+                    r.noise_figure_db
+                    for r in engine.run_batch(source, estimator, 3, rng=7)
+                ],
+                [
+                    r.noise_figure_db
+                    for r in engine.measure_devices(
+                        [source] * 3, estimator, rng=7
+                    )
+                ],
+            )
+        assert runs[True] == runs[False]
+
+    def test_matlab_sim_float_records_are_unpacked_bernoulli_bits(self):
+        sim = MatlabSimulation(SMALL)
+        packed, rate = sim.acquire_bitstreams(
+            ["hot", "cold"], spawn_rngs(4, 2), packed=True, rng_mode="philox"
+        )
+        floats, float_rate = sim.acquire_bitstreams(
+            ["hot", "cold"], spawn_rngs(4, 2), rng_mode="philox"
+        )
+        assert float_rate == rate
+        assert np.array_equal(floats, packed.unpack())

@@ -113,6 +113,44 @@ class TestBatchNoiseGenerator:
         again = BatchNoiseGenerator([1, 2, 3]).normal_matrix(100)
         assert np.array_equal(out, again)
 
+    @pytest.mark.parametrize("n", [4096, 4097])
+    def test_spectral_matrix_flat_psd_is_white(self, n):
+        # A flat one-sided PSD S at rate fs is white noise of variance
+        # S * fs / 2, whatever the parity of n (odd n has no Nyquist
+        # bin).  64 x ~4096 samples: the variance SE is ~0.3 %.
+        fs, density = 1e4, 2e-4
+        psd = np.full(n // 2 + 1, density)
+        out = BatchNoiseGenerator(spawn_rngs(8, 64)).spectral_matrix(
+            psd, n, fs
+        )
+        assert out.shape == (64, n)
+        assert out.var() == pytest.approx(density * fs / 2.0, rel=0.02)
+        # Lag-1 autocorrelation of white noise: ~0 (SE ~ 2e-3).
+        assert abs(np.mean(out[:, 1:] * out[:, :-1])) < 0.02 * out.var()
+
+    def test_spectral_matrix_per_row_psd_and_determinism(self):
+        n, fs = 1000, 1e3
+        psds = [np.full(n // 2 + 1, 1.0), np.full(n // 2 + 1, 4.0)]
+        out = BatchNoiseGenerator([5, 5]).spectral_matrix(psds, n, fs)
+        # Same seed, PSD 4x: the same realization at twice the amplitude.
+        assert np.allclose(out[1], 2.0 * out[0], rtol=1e-12, atol=0.0)
+        again = BatchNoiseGenerator([5, 5]).spectral_matrix(psds, n, fs)
+        assert np.array_equal(out, again)
+
+    def test_spectral_matrix_rejects_bad_psd(self):
+        gen = BatchNoiseGenerator(spawn_rngs(1, 2))
+        with pytest.raises(ConfigurationError):
+            gen.spectral_matrix(np.ones(10), 100, 1e3)  # wrong grid
+        with pytest.raises(ConfigurationError):
+            gen.spectral_matrix([np.ones(51)], 100, 1e3)  # one PSD, 2 rows
+        bad = np.ones(51)
+        bad[3] = -1.0
+        with pytest.raises(ConfigurationError):
+            gen.spectral_matrix(bad, 100, 1e3)
+        bad[3] = np.inf
+        with pytest.raises(ConfigurationError):
+            gen.spectral_matrix(bad, 100, 1e3)
+
     def test_packed_bernoulli_deterministic(self):
         p = bernoulli_thresholds_u32(np.full(1000, 0.5))
         a = BatchNoiseGenerator(spawn_rngs(9, 2)).packed_bernoulli_words(p)

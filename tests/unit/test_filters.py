@@ -11,6 +11,7 @@ from repro.signals.filters import (
     highpass,
     lowpass,
     single_pole_lowpass,
+    single_pole_lowpass_power,
     single_pole_magnitude,
 )
 from repro.signals.sources import GaussianNoiseSource, SineSource
@@ -83,6 +84,24 @@ class TestSinglePole:
     def test_magnitude_function_matches_filter(self):
         mag = single_pole_magnitude(np.array([1000.0]), 1000.0)[0]
         assert mag == pytest.approx(1 / np.sqrt(2))
+
+    @pytest.mark.parametrize(
+        "fs, pole", [(32768.0, 4e6 / 1156.0), (32768.0, 5940.6), (FS, 100.0)]
+    )
+    def test_closed_form_power_matches_freqz(self, fs, pole):
+        from scipy import signal
+
+        b, a = signal.bilinear(
+            [1.0], [1.0 / (2.0 * np.pi * pole), 1.0], fs=fs
+        )
+        freqs = np.fft.rfftfreq(2**14, d=1.0 / fs)
+        _, h = signal.freqz(b, a, worN=freqs, fs=fs)
+        power = single_pole_lowpass_power(freqs, fs, pole)
+        assert np.max(np.abs(power - np.abs(h) ** 2)) < 1e-12
+
+    def test_closed_form_power_rejects_pole_above_nyquist(self):
+        with pytest.raises(ConfigurationError):
+            single_pole_lowpass_power(np.array([1.0]), FS, FS / 2.0)
 
     def test_enbw(self):
         assert equivalent_noise_bandwidth_single_pole(100.0) == pytest.approx(

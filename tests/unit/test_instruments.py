@@ -11,6 +11,7 @@ from repro.instruments.testbench import (
     PrototypeTestbench,
     build_prototype_testbench,
 )
+from repro.signals.random import spawn_rngs
 from repro.signals.waveform import Waveform
 
 FS = 32768.0
@@ -154,3 +155,74 @@ class TestTestbenchBehaviour:
         assert est.t_hot_k == 2900.0
         assert est.t_cold_k == 290.0
         assert est.config.reference_frequency_hz == 3000.0
+
+
+class TestSpectralSynthesis:
+    """The philox analog chain: one shaped spectrum per record."""
+
+    def _philox(self, bench, states=("hot", "cold"), seed=7):
+        return bench.acquire_analog_batch(
+            list(states), spawn_rngs(seed, len(states)), rng_mode="philox"
+        )[0]
+
+    def test_post_gain_drift_scales_psd_and_records(self):
+        bench = build_prototype_testbench("OP07", n_samples=2**12)
+        drifted = build_prototype_testbench("OP07", n_samples=2**12)
+        drifted.post_amplifier = drifted.post_amplifier.with_gain_drift(1.3)
+        assert np.allclose(
+            drifted.analog_psd(["hot", "cold"]),
+            1.3**2 * bench.analog_psd(["hot", "cold"]),
+            rtol=1e-12,
+            atol=0.0,
+        )
+        # Same seed: the same realization, 1.3x the amplitude.
+        records, nominal = self._philox(drifted), self._philox(bench)
+        assert np.max(np.abs(records - 1.3 * nominal)) < (
+            1e-12 * np.abs(records).max()
+        )
+
+    def test_hot_level_error_raises_hot_psd_only(self):
+        bench = build_prototype_testbench(n_samples=2**12)
+        hotter = build_prototype_testbench(n_samples=2**12, hot_level_error=0.1)
+        (hot, cold), (nominal_hot, nominal_cold) = (
+            hotter.analog_psd(["hot", "cold"]),
+            bench.analog_psd(["hot", "cold"]),
+        )
+        assert np.all(hot > nominal_hot)
+        assert np.array_equal(cold, nominal_cold)
+
+    def test_odd_record_length(self):
+        bench = build_prototype_testbench(n_samples=2**12 + 1)
+        assert bench.analog_psd(["hot"]).shape == (1, 2**11 + 1)
+        analog = self._philox(bench)
+        assert analog.shape == (2, 2**12 + 1)
+        assert np.all(np.isfinite(analog))
+
+    def test_unknown_state_raises(self):
+        bench = build_prototype_testbench(n_samples=2**12)
+        with pytest.raises(ConfigurationError):
+            self._philox(bench, states=("hot", "lukewarm"))
+        with pytest.raises(ConfigurationError):
+            bench.analog_psd(["lukewarm"])
+
+    def test_same_seed_same_records(self):
+        bench = build_prototype_testbench(n_samples=2**12)
+        first = self._philox(bench)
+        assert np.array_equal(first, self._philox(bench))
+        assert not np.array_equal(first, self._philox(bench, seed=8))
+
+    def test_caller_spawn_count_unchanged(self):
+        bench = build_prototype_testbench(n_samples=2**12)
+        counts = {}
+        for mode in ("compat", "philox"):
+            gens = spawn_rngs(3, 2)
+            _, _, dig_rngs, _, _ = bench.acquire_analog_batch(
+                ["hot", "cold"], gens, rng_mode=mode
+            )
+            counts[mode] = [g.bit_generator.seed_seq.n_children_spawned for g in gens]
+            # The digitizer generators come back un-consumed.
+            assert all(
+                g.bit_generator.seed_seq.n_children_spawned == 0
+                for g in dig_rngs
+            )
+        assert counts["philox"] == counts["compat"] == [2, 2]

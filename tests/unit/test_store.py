@@ -424,6 +424,39 @@ class TestResultStore:
         assert store.has_result("44" * 32)
         assert not store.has_result(stale_key)
 
+    def test_schema_one_store_opens_and_its_philox_entries_go_stale(
+        self, tmp_path, monkeypatch
+    ):
+        # Schema 2 changed how philox testbench records are drawn: a
+        # philox result stored under schema 1 must miss, the schema-1
+        # store must still open, and gc must reclaim the stale entry.
+        import repro.store.keys as keys_module
+        import repro.store.serialize as serialize_module
+        import repro.store.store as store_module
+        from repro.engine import MeasurementEngine
+        from repro.experiments.production import _build_device_bench
+
+        bench = _build_device_bench(8.0, 2**14)
+        estimator = bench.make_estimator(nperseg=2048)
+        root = tmp_path / "s"
+        with monkeypatch.context() as patch:
+            for module in (keys_module, serialize_module, store_module):
+                patch.setattr(module, "SCHEMA_VERSION", 1)
+            old = MeasurementEngine(rng_mode="philox", store=ResultStore(root))
+            old_key = old.task_key(bench, estimator, 7)
+            old.measure(bench, estimator, rng=7)
+        store = ResultStore(root)
+        assert store.schema == 1 < SCHEMA_VERSION
+        engine = MeasurementEngine(rng_mode="philox", store=store)
+        key = engine.task_key(bench, estimator, 7)
+        assert key != old_key
+        assert store.get_result(key) is None
+        engine.measure(bench, estimator, rng=7)
+        assert store.has_result(key) and store.has_result(old_key)
+        assert store.gc()["n_removed"] == 1
+        assert store.has_result(key)
+        assert not store.has_result(old_key)
+
     def test_gc_spares_fresh_tmp_files(self, tmp_path):
         # A just-written temp file may belong to a concurrent writer
         # mid-publish; gc must leave it alone.
