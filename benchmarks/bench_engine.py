@@ -154,7 +154,7 @@ def test_engine(benchmark, emit):
         bits, sim.config.sample_rate_hz, estimator
     ).psd[0]
     loop_psd = seed_loop_welch(
-        bits[0], sim.config.nperseg, sim.config.sample_rate_hz
+        bits[0].unpack(), sim.config.nperseg, sim.config.sample_rate_hz
     )
     psd_diff = float(np.max(np.abs(engine_psd - loop_psd) / np.max(loop_psd)))
     assert psd_diff <= 1e-10
@@ -205,8 +205,8 @@ def test_engine(benchmark, emit):
         payload = json.loads(bench_path.read_text())
     except (FileNotFoundError, json.JSONDecodeError):
         payload = {}  # self-heal a missing or truncated file
-    # Merge so sections owned by other benches (e.g. "packed", written
-    # by bench_packed.py) survive a rerun of this one.
+    # Merge so sections owned by other benches (e.g. "noise", written
+    # by bench_noise.py) survive a rerun of this one.
     payload.update({
         "workload": {
             "n_samples": sim.config.n_samples,

@@ -1,6 +1,6 @@
 """Benchmark (extension): the fast noise-synthesis layer.
 
-Four measurements at paper scale (8 records x 1e6 samples, nperseg
+Three measurements at paper scale (8 records x 1e6 samples, nperseg
 1e4), merged into ``BENCH_engine.json`` under the ``"noise"`` key:
 
 * **Record synthesis.**  The compat per-record loop (each record's
@@ -12,9 +12,6 @@ Four measurements at paper scale (8 records x 1e6 samples, nperseg
   (``white_noise_matrix``) compat vs philox — reported
   for context (the float fill is ziggurat-bound; the record-synthesis
   win comes from never materializing the floats).
-* **Threaded philox fill.**  The philox row fan-out over threads
-  versus one thread: bit-identical always, and >= 1.3x on multi-core
-  hosts.
 * **End-to-end pipeline.**  ``MeasurementEngine.run_batch`` (4
   repeats = 8 records, acquisition + batched Welch + estimation)
   compat vs philox.
@@ -50,12 +47,6 @@ NPERSEG = 10_000
 #: relax it via the environment.
 MIN_SYNTH_SPEEDUP = float(os.environ.get("BENCH_NOISE_MIN_SPEEDUP", "3.0"))
 
-#: Acceptance floor for the threaded philox row fan-out — asserted only
-#: on multi-core hosts (a single core has nothing to fan out to).
-MIN_THREADED_FILL_SPEEDUP = float(
-    os.environ.get("BENCH_NOISE_MIN_THREAD_SPEEDUP", "1.3")
-)
-
 
 def _states(n):
     return ["hot", "cold"] * (n // 2)
@@ -65,7 +56,6 @@ def _acquire(sim, seed, rng_mode):
     return sim.acquire_bitstreams(
         _states(N_RECORDS),
         spawn_rngs(seed, N_RECORDS),
-        packed=True,
         rng_mode=rng_mode,
     )[0]
 
@@ -126,24 +116,6 @@ def test_noise(benchmark, emit):
         ),
     )
 
-    # --- threaded philox row fan-out (multi-core hosts) --------------
-    from repro.signals.batch_rng import BatchNoiseGenerator
-
-    serial_fill, t_fill_serial = _best_of(
-        2,
-        lambda: BatchNoiseGenerator(spawn_rngs(seed, N_RECORDS)).normal_matrix(
-            N_SAMPLES, threads=1
-        ),
-    )
-    threaded_fill, t_fill_threaded = _best_of(
-        2,
-        lambda: BatchNoiseGenerator(spawn_rngs(seed, N_RECORDS)).normal_matrix(
-            N_SAMPLES
-        ),
-    )
-    threaded_identical = bool(np.array_equal(serial_fill, threaded_fill))
-    threaded_speedup = t_fill_serial / t_fill_threaded
-
     # --- end-to-end pipeline (acquire + Welch + estimate) ------------
     with MeasurementEngine() as compat_engine:
         _, t_e2e_compat = _best_of(
@@ -185,12 +157,6 @@ def test_noise(benchmark, emit):
             t_fill_philox,
             "-",
             f"{t_fill_compat / t_fill_philox:.2f}x",
-        ],
-        [
-            "philox fill threaded",
-            t_fill_threaded,
-            f"{os.cpu_count()} CPU(s), bit-identical",
-            f"{threaded_speedup:.2f}x",
         ],
         ["end-to-end compat", t_e2e_compat, "8 records", "-"],
         [
@@ -235,12 +201,6 @@ def test_noise(benchmark, emit):
             "philox_seconds": round(t_fill_philox, 4),
             "speedup": round(t_fill_compat / t_fill_philox, 2),
         },
-        "threaded_fill": {
-            "serial_seconds": round(t_fill_serial, 4),
-            "threaded_seconds": round(t_fill_threaded, 4),
-            "speedup": round(threaded_speedup, 2),
-            "identical": threaded_identical,
-        },
         "end_to_end": {
             "compat_seconds": round(t_e2e_compat, 4),
             "philox_seconds": round(t_e2e_philox, 4),
@@ -259,8 +219,3 @@ def test_noise(benchmark, emit):
     assert nf_diff == 0.0
     assert frac_diff < 5e-3
     assert synth_speedup >= MIN_SYNTH_SPEEDUP
-    # Threaded row fan-out: always bit-identical; the wall-clock bar
-    # only exists where there are cores to fan out to.
-    assert threaded_identical
-    if (os.cpu_count() or 1) > 1:
-        assert threaded_speedup >= MIN_THREADED_FILL_SPEEDUP

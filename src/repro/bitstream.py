@@ -12,7 +12,7 @@ bit ``0`` for ``-1``, carrying the sample rate and optional
 spawn-seeded provenance so a record remains traceable to the generator
 that produced it.  :class:`PackedRecordBatch` is the stacked form the
 measurement engine acquires, stores and analyzes.  Both unpack to the
-exact float64 ``+/-1`` arrays the float pipeline uses, so every
+exact float64 ``+/-1`` arrays the serial float path produces, so every
 consumer (Welch kernels, normalization, Y-factor) sees bit-identical
 values; blocked access (:meth:`PackedBitstream.unpack_range`,
 :meth:`PackedBitstream.iter_blocks`) lets the DSP layer keep peak

@@ -6,24 +6,18 @@ offset, input noise and hysteresis.  Hysteresis makes the decision
 state-dependent, so that path is evaluated sequentially; the common
 zero-hysteresis case is fully vectorized.
 
-Decisions can be emitted either as float ``+/-1`` arrays (the legacy
-representation) or bit-packed (``packed=True``) — one bit per decision,
-exactly what the hardware flip-flop chain stores.  The packed output is
-produced from the same thresholded comparison, so unpacking it yields
-the float path's values bit-for-bit.
+The scalar :meth:`Comparator.compare` emits float ``+/-1`` decisions
+(the serial reference); the batch :meth:`Comparator.compare_batch`
+emits them bit-packed — one bit per decision, exactly what the hardware
+flip-flop chain stores.  Both threshold the same comparison, so an
+unpacked batch row equals the scalar decisions bit-for-bit.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
 
-from repro.bitstream import (
-    PackedBitstream,
-    PackedRecordBatch,
-    packed_words_required,
-)
+from repro.bitstream import PackedRecordBatch, packed_words_required
 from repro.buffers import default_pool
 from repro.errors import ConfigurationError
 from repro.signals.random import GeneratorLike, make_rng
@@ -68,16 +62,11 @@ class Comparator:
         signal: Waveform,
         reference: Waveform,
         rng: GeneratorLike = None,
-        packed: bool = False,
-    ) -> Union[Waveform, PackedBitstream]:
+    ) -> Waveform:
         """Return the +/-1 comparator decision stream.
 
         ``signal`` and ``reference`` must share sample rate and length.
         Exact zero differences resolve to +1 (deterministic tie-break).
-        With ``packed`` the decisions come back bit-packed
-        (:class:`~repro.bitstream.PackedBitstream`, 1 bit/decision)
-        instead of as a float waveform; unpacking reproduces the float
-        output exactly.
         """
         if signal.sample_rate != reference.sample_rate:
             raise ConfigurationError(
@@ -95,18 +84,9 @@ class Comparator:
             diff = diff + gen.normal(0.0, self.input_noise_rms, size=diff.size)
 
         if self.hysteresis_v == 0.0:
-            if packed:
-                return PackedBitstream.from_bits(
-                    diff >= 0.0, signal.sample_rate
-                )
             bits = np.where(diff >= 0.0, 1.0, -1.0)
         else:
-            decisions = self._compare_with_hysteresis(diff)
-            if packed:
-                return PackedBitstream.from_bits(
-                    decisions > 0, signal.sample_rate
-                )
-            bits = decisions
+            bits = self._compare_with_hysteresis(diff)
         return Waveform(bits, signal.sample_rate)
 
     def compare_batch(
@@ -114,29 +94,25 @@ class Comparator:
         signals: np.ndarray,
         reference: np.ndarray,
         rngs=None,
-        overwrite_input: bool = False,
-        packed: bool = False,
-        sample_rate: Optional[float] = None,
-    ) -> Union[np.ndarray, PackedRecordBatch]:
+        *,
+        sample_rate: float,
+    ) -> PackedRecordBatch:
         """Batch decision: stacked signals against a reference.
 
         ``signals`` is ``(n_records, n_samples)``; ``reference`` is a
         1-D array broadcast across records, or a ``(n_records,
         n_samples)`` stack supplying one reference row per record (the
         multi-device case, where each DUT's bench sizes its own
-        reference amplitude).  Row ``i`` is bit-exact equal to the
-        scalar :meth:`compare` of record ``i`` with ``rngs[i]`` (the
-        comparator's own input noise, when enabled, draws from each
-        record's generator).
+        reference amplitude).  The decisions come back as a
+        :class:`~repro.bitstream.PackedRecordBatch` (1 bit/decision,
+        carrying ``sample_rate``); unpacked row ``i`` is bit-exact equal
+        to the scalar :meth:`compare` of record ``i`` with ``rngs[i]``
+        (the comparator's own input noise, when enabled, draws from
+        each record's generator).  The input is never modified.
 
         Records are processed row by row through one pooled scratch
         row — at paper scale a whole-batch broadcast would churn
-        hundreds of megabytes of fresh pages.  With ``overwrite_input``
-        the float decisions are written back into ``signals`` (valid
-        when the caller owns the array and is done with the analog
-        samples).  With ``packed`` the decisions come back as a
-        :class:`~repro.bitstream.PackedRecordBatch` (1 bit/decision,
-        carrying ``sample_rate``) and the input is never modified.
+        hundreds of megabytes of fresh pages.
         """
         sig = np.asarray(signals, dtype=float)
         ref = np.asarray(reference, dtype=float)
@@ -164,21 +140,14 @@ class Comparator:
                     f"got {sig.shape[0]} records but {len(rngs)} generators"
                 )
         n = sig.shape[-1]
-        if packed:
-            if sample_rate is None or sample_rate <= 0:
-                raise ConfigurationError(
-                    "packed decisions need the sample_rate the batch "
-                    f"carries, got {sample_rate!r}"
-                )
-            words = np.empty(
-                (sig.shape[0], packed_words_required(n)), dtype=np.uint8
+        if sample_rate is None or sample_rate <= 0:
+            raise ConfigurationError(
+                "packed decisions need the sample_rate the batch "
+                f"carries, got {sample_rate!r}"
             )
-            bits = None
-        else:
-            bits = (
-                sig if (overwrite_input and sig is signals)
-                else np.empty_like(sig)
-            )
+        words = np.empty(
+            (sig.shape[0], packed_words_required(n)), dtype=np.uint8
+        )
         diff = default_pool.take("comparator.diff", n)
         for i, rng in enumerate(rngs):
             row_ref = ref if ref.ndim == 1 else ref[i]
@@ -189,21 +158,12 @@ class Comparator:
                 gen = make_rng(rng)
                 diff += gen.normal(0.0, self.input_noise_rms, size=n)
             if self.hysteresis_v == 0.0:
-                if packed:
-                    words[i] = np.packbits(diff >= 0.0)
-                else:
-                    bits[i] = np.where(diff >= 0.0, 1.0, -1.0)
+                words[i] = np.packbits(diff >= 0.0)
             else:
-                decisions = self._compare_with_hysteresis(diff)
-                if packed:
-                    words[i] = np.packbits(decisions > 0)
-                else:
-                    bits[i] = decisions
-        if packed:
-            return PackedRecordBatch(
-                words, n, sample_rate, validate=False, copy=False
-            )
-        return bits
+                words[i] = np.packbits(self._compare_with_hysteresis(diff) > 0)
+        return PackedRecordBatch(
+            words, n, sample_rate, validate=False, copy=False
+        )
 
     def _compare_with_hysteresis(self, diff: np.ndarray) -> np.ndarray:
         """Sequential Schmitt-trigger evaluation."""

@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.bitstream import (
-    PackedBitstream,
-    PackedRecordBatch,
-    RecordProvenance,
-)
+from repro.bitstream import PackedRecordBatch, RecordProvenance
 from repro.digitizer.comparator import Comparator
 from repro.digitizer.sampler import SampledLatch
 from repro.errors import ConfigurationError
@@ -58,29 +54,10 @@ class OneBitDigitizer:
         signal: Waveform,
         reference: Waveform,
         rng: GeneratorLike = None,
-        packed: bool = False,
-    ) -> Union[Waveform, PackedBitstream]:
-        """Digitize ``signal`` against ``reference`` into a +/-1 bitstream.
-
-        With ``packed`` the bitstream comes back as a
-        :class:`~repro.bitstream.PackedBitstream` (1 bit/sample, with
-        spawn-seeded provenance) whose unpacked samples equal the float
-        output bit-for-bit.
-        """
+    ) -> Waveform:
+        """Digitize ``signal`` against ``reference`` into a +/-1 bitstream."""
         gen = make_rng(rng)
         comp_rng, latch_rng = spawn_rngs(gen, 2)
-        if packed:
-            decisions = self.comparator.compare(
-                signal, reference, comp_rng, packed=True
-            )
-            latched = self.sampler.sample_packed(decisions, latch_rng)
-            return PackedBitstream(
-                latched.words,
-                latched.n_samples,
-                latched.sample_rate,
-                provenance=RecordProvenance.from_rng(gen),
-                validate=False,
-            )
         decisions = self.comparator.compare(signal, reference, comp_rng)
         return self.sampler.sample(decisions, latch_rng)
 
@@ -90,27 +67,23 @@ class OneBitDigitizer:
         reference: np.ndarray,
         sample_rate: float,
         rngs=None,
-        overwrite_input: bool = False,
-        packed: bool = False,
         provenance: Optional[Sequence[Optional[RecordProvenance]]] = None,
         rng_mode: str = "compat",
-    ) -> Union[np.ndarray, PackedRecordBatch]:
-        """Digitize stacked records against a reference.
+    ) -> PackedRecordBatch:
+        """Digitize stacked records into a packed record batch.
 
         ``signals`` is ``(n_records, n_samples)``; ``reference`` is a
         shared 1-D reference or a ``(n_records, n_samples)`` stack with
         one reference row per record (multi-device batches, where every
         DUT sizes its own reference amplitude).  ``rngs`` supplies one
-        generator per record.  Row ``i`` is bit-exact equal to
-        :meth:`digitize` of record ``i`` with ``rngs[i]`` — the per-record
-        child generators for comparator noise and latch jitter are
-        spawned exactly as in the scalar path.  The output sample rate is
-        ``sample_rate / divider`` (see :attr:`output_sample_rate_factor`).
-        With ``overwrite_input`` the comparator reuses the signal array
-        for its float decisions (pass True only when the analog samples
-        are dead after this call).  With ``packed`` the batch comes back
-        as a :class:`~repro.bitstream.PackedRecordBatch` (1 bit/sample)
-        and the input is never modified.  ``rng_mode`` is recorded in
+        generator per record.  The records come back as a
+        :class:`~repro.bitstream.PackedRecordBatch` (1 bit/sample) and
+        the input is never modified.  Unpacked row ``i`` is bit-exact
+        equal to :meth:`digitize` of record ``i`` with ``rngs[i]`` — the
+        per-record child generators for comparator noise and latch
+        jitter are spawned exactly as in the scalar path.  The output
+        sample rate is ``sample_rate / divider`` (see
+        :attr:`output_sample_rate_factor`).  ``rng_mode`` is recorded in
         the default per-record provenance — callers whose *analog*
         records were synthesized on counter streams pass ``"philox"``
         so the stored seed identity names the stream that actually
@@ -139,33 +112,24 @@ class OneBitDigitizer:
             comp_rng, latch_rng = spawn_rngs(gen, 2)
             comp_rngs.append(comp_rng)
             latch_rngs.append(latch_rng)
-        if packed:
-            decisions = self.comparator.compare_batch(
-                sig,
-                reference,
-                comp_rngs,
-                packed=True,
-                sample_rate=float(sample_rate),
-            )
-            latched = self.sampler.sample_batch_packed(decisions, latch_rngs)
-            if provenance is None:
-                # From the generators that actually drove this record's
-                # comparator/latch spawns, so the seed identity is real.
-                provenance = [
-                    RecordProvenance.from_rng(gen, rng_mode=rng_mode)
-                    for gen in gens
-                ]
-            return PackedRecordBatch(
-                latched.words,
-                latched.n_samples,
-                latched.sample_rate,
-                provenance=provenance,
-                validate=False,
-            )
         decisions = self.comparator.compare_batch(
-            sig, reference, comp_rngs, overwrite_input=overwrite_input
+            sig, reference, comp_rngs, sample_rate=float(sample_rate)
         )
-        return self.sampler.sample_batch(decisions, latch_rngs)
+        latched = self.sampler.sample_batch_packed(decisions, latch_rngs)
+        if provenance is None:
+            # From the generators that actually drove this record's
+            # comparator/latch spawns, so the seed identity is real.
+            provenance = [
+                RecordProvenance.from_rng(gen, rng_mode=rng_mode)
+                for gen in gens
+            ]
+        return PackedRecordBatch(
+            latched.words,
+            latched.n_samples,
+            latched.sample_rate,
+            provenance=provenance,
+            validate=False,
+        )
 
     @staticmethod
     def level_ratio(signal: Waveform, reference: Waveform) -> float:

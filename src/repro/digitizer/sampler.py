@@ -9,11 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bitstream import (
-    PackedBitstream,
-    PackedRecordBatch,
-    packed_words_required,
-)
+from repro.bitstream import PackedRecordBatch, packed_words_required
 from repro.errors import ConfigurationError
 from repro.signals.random import GeneratorLike, make_rng
 from repro.signals.waveform import Waveform
@@ -59,85 +55,17 @@ class SampledLatch:
         samples = decisions.samples[indices]
         return Waveform(samples, decisions.sample_rate / self.divider)
 
-    def sample_batch(self, decisions: np.ndarray, rngs=None) -> np.ndarray:
-        """Latch a stack of decision records (batch form of :meth:`sample`).
-
-        Row ``i`` is bit-exact equal to the scalar path with ``rngs[i]``
-        (jitter, when enabled, draws from each record's generator).  The
-        pass-through configuration (divider 1, no jitter) returns the
-        input unchanged.
-        """
-        arr = np.asarray(decisions, dtype=float)
-        if arr.ndim != 2:
-            raise ConfigurationError(
-                f"decisions must be a 2-D array, got shape {arr.shape}"
-            )
-        n = arr.shape[-1]
-        if n == 0:
-            return arr
-        if self.divider == 1 and self.jitter_rms_samples == 0:
-            return arr
-        indices = np.arange(0, n, self.divider)
-        if self.jitter_rms_samples == 0:
-            return arr[:, indices]
-        if rngs is None:
-            rngs = [None] * arr.shape[0]
-        else:
-            rngs = list(rngs)
-            if len(rngs) != arr.shape[0]:
-                raise ConfigurationError(
-                    f"got {arr.shape[0]} records but {len(rngs)} generators"
-                )
-        out = np.empty((arr.shape[0], indices.size))
-        for i, rng in enumerate(rngs):
-            gen = make_rng(rng)
-            jitter = np.rint(
-                gen.normal(0.0, self.jitter_rms_samples, size=indices.size)
-            ).astype(int)
-            out[i] = arr[i, np.clip(indices + jitter, 0, n - 1)]
-        return out
-
-    # ------------------------------------------------------------------
-    # Packed paths
-    # ------------------------------------------------------------------
-    def sample_packed(
-        self, decisions: PackedBitstream, rng: GeneratorLike = None
-    ) -> PackedBitstream:
-        """Latch a packed decision stream (packed form of :meth:`sample`).
-
-        Selecting latched bits happens on a transient 1-byte-per-sample
-        bit view; the result is repacked, so unpacking it matches the
-        float :meth:`sample` output bit-for-bit.  The pass-through
-        configuration returns the input unchanged (zero copy).
-        """
-        n = decisions.n_samples
-        out_rate = decisions.sample_rate / self.divider
-        if n == 0:
-            return PackedBitstream(
-                np.zeros(0, dtype=np.uint8), 0, out_rate,
-                provenance=decisions.provenance,
-            )
-        if self.divider == 1 and self.jitter_rms_samples == 0:
-            return decisions
-        indices = np.arange(0, n, self.divider)
-        if self.jitter_rms_samples > 0:
-            gen = make_rng(rng)
-            jitter = np.rint(
-                gen.normal(0.0, self.jitter_rms_samples, size=indices.size)
-            ).astype(int)
-            indices = np.clip(indices + jitter, 0, n - 1)
-        latched = decisions.unpack_bits()[indices]
-        return PackedBitstream.from_bits(
-            latched, out_rate, provenance=decisions.provenance
-        )
-
     def sample_batch_packed(
         self, decisions: PackedRecordBatch, rngs=None
     ) -> PackedRecordBatch:
-        """Latch a packed decision batch (packed :meth:`sample_batch`).
+        """Latch a packed decision batch (batch form of :meth:`sample`).
 
-        Row ``i`` is bit-exact equal to :meth:`sample_packed` of record
-        ``i`` with ``rngs[i]``.
+        Unpacked row ``i`` is bit-exact equal to :meth:`sample` of
+        record ``i`` with ``rngs[i]`` (jitter, when enabled, draws from
+        each record's generator).  Selecting latched bits happens on a
+        transient one-record bit view that is repacked; the
+        pass-through configuration (divider 1, no jitter) returns the
+        input unchanged.
         """
         n = decisions.n_samples
         out_rate = decisions.sample_rate / self.divider

@@ -26,7 +26,6 @@ measurement.
 
 from repro.buffers import ArrayPool, default_pool
 from repro.engine.engine import (
-    AnalogBatchAcquirer,
     BatchAcquirer,
     Engine,
     MeasurementEngine,
@@ -49,7 +48,6 @@ from repro.engine.scheduler import (
 from repro.store import ResultStore
 
 __all__ = [
-    "AnalogBatchAcquirer",
     "ArrayPool",
     "BatchAcquirer",
     "Engine",

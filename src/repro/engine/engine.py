@@ -25,12 +25,11 @@ chunk per pool worker, and each worker measures its chunk start to end
 results; ``map_sweep`` sends each task to the pool; a single
 ``measure`` stays in-process.
 
-Records travel packed by default (1 bit/sample,
-:class:`~repro.bitstream.PackedRecordBatch`): acquirers that implement
-the packed protocol hand back packed batches and the packed Welch
-unpacks one FFT block at a time.  Acquirers without a packed path keep
-working — the engine falls back to float records transparently, and
-results are identical either way (the packed pipeline is bit-exact).
+Records travel packed (1 bit/sample,
+:class:`~repro.bitstream.PackedRecordBatch`), as the BIST latch keeps
+them in SoC memory: every acquirer hands back packed batches and the
+packed Welch unpacks one FFT block at a time.  Every record of every
+path comes from one call, ``acquire_bitstreams``.
 
 Random-number discipline: the engine spawns child generators in exactly
 the order the serial code paths do (``estimator.measure`` spawns
@@ -63,7 +62,6 @@ from repro.core.bist import (
     OneBitNoiseFigureBIST,
     check_bitstream_samples,
 )
-from repro.digitizer.digitizer import OneBitDigitizer
 from repro.dsp.psd import welch_batch
 from repro.dsp.spectrum import SpectrumBatch
 from repro.errors import ConfigurationError, MeasurementError
@@ -90,62 +88,35 @@ _BUDGET_CHECK_EVERY = 32
 class BatchAcquirer(Protocol):
     """Anything that can capture a batch of bitstreams.
 
-    Implementations return ``(bitstreams, sample_rate)`` where
-    ``bitstreams`` is ``(n_records, n_samples)`` (or a
-    :class:`~repro.bitstream.PackedRecordBatch` when asked for packed
-    records) and row ``i`` is the record for ``(states[i], rngs[i])`` —
-    bit-exact equal to the corresponding serial acquisition.  Both
-    :class:`~repro.instruments.testbench.PrototypeTestbench` and
-    :class:`~repro.experiments.matlab_sim.MatlabSimulation` implement
-    this protocol (including the optional ``packed`` keyword).
+    Implementations return ``(records, sample_rate)`` where ``records``
+    is a :class:`~repro.bitstream.PackedRecordBatch` with one row per
+    requested state, row ``i`` the record for ``(states[i], rngs[i])``
+    — bit-exact equal to the corresponding serial acquisition when
+    unpacked.  Both :class:`~repro.instruments.testbench.
+    PrototypeTestbench` and :class:`~repro.experiments.matlab_sim.
+    MatlabSimulation` implement this protocol, and both take the
+    optional ``rng_mode`` keyword.
     """
 
     def acquire_bitstreams(
         self, states: Sequence[str], rngs: Sequence[GeneratorLike]
-    ) -> Tuple[np.ndarray, float]: ...
-
-
-@runtime_checkable
-class AnalogBatchAcquirer(Protocol):
-    """A bench that can expose its analog chain for cross-device batching.
-
-    ``acquire_analog_batch(states, rngs)`` runs the analog front-end
-    only — per-record child generators spawned exactly as in
-    ``acquire_bitstreams`` — and returns
-    ``(analog, reference, dig_rngs, sample_rate, digitizer)``:
-
-    * ``analog``: ``(n_records, n_samples)`` analog records;
-    * ``reference``: the bench's comparator reference (1-D);
-    * ``dig_rngs``: the per-record digitizer generators (already
-      spawned, so a later shared ``digitize_batch`` is bit-exact);
-    * ``sample_rate``: simulation rate in Hz;
-    * ``digitizer``: the bench's :class:`OneBitDigitizer`.
-
-    This is what lets :meth:`MeasurementEngine.measure_devices` stack
-    records across different DUT models into one digitize + Welch pass.
-    """
-
-    def acquire_analog_batch(
-        self, states: Sequence[str], rngs: Sequence[GeneratorLike]
-    ) -> Tuple[np.ndarray, np.ndarray, list, float, OneBitDigitizer]: ...
+    ) -> Tuple[PackedRecordBatch, float]: ...
 
 
 def _accepts_kwarg(fn, name: str) -> bool:
     """Whether a callable takes a keyword argument.
 
-    Third-party acquirers that predate ``packed=`` / ``rng_mode=``
+    A ``**kwargs`` parameter counts, so a wrapper forwards the knob to
+    what it wraps; third-party callables that predate ``rng_mode=``
     keep working — the engine only forwards knobs a signature admits.
     """
     try:
-        return name in inspect.signature(fn).parameters
+        params = inspect.signature(fn).parameters
     except (TypeError, ValueError):  # pragma: no cover - exotic callables
         return False
-
-
-def _accepts_packed(acquire) -> bool:
-    """True when an ``acquire_bitstreams`` implementation takes
-    ``packed=`` (third-party float-only acquirers keep working)."""
-    return _accepts_kwarg(acquire, "packed")
+    return name in params or any(
+        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
+    )
 
 
 class MeasurementEngine:
@@ -161,13 +132,6 @@ class MeasurementEngine:
         single :meth:`measure` stays in-process).
     max_workers:
         Worker cap for the process backend (default: CPU count).
-    packed:
-        Acquire and transport records bit-packed (1 bit/sample) when
-        the acquirer supports it.  Packed results are bit-exact equal
-        to the float pipeline in both ``rng_mode`` values (a philox
-        acquirer that synthesizes packed bits directly unpacks the
-        same bits for a float request), so the store key leaves
-        ``packed`` out; disable only to A/B the two paths.
     pool:
         An existing :class:`~repro.engine.scheduler.WorkerPool` to
         share (e.g. one pool across several engines of a session).
@@ -208,8 +172,6 @@ class MeasurementEngine:
         :meth:`measure` acquisition (under the measurement's own key),
         so later runs can re-analyze without re-acquiring — the
         provenance-allowing record reuse the retest planner exploits.
-        Records are only stored for packed acquisitions (float stacks
-        are 64x the size and transcode losslessly anyway).
     retry:
         A :class:`~repro.engine.scheduler.RetryPolicy` the engine's
         own worker pool runs under (task retries with backoff, hung-
@@ -229,7 +191,6 @@ class MeasurementEngine:
         self,
         backend: str = "vectorized",
         max_workers: Optional[int] = None,
-        packed: bool = True,
         pool: Optional[WorkerPool] = None,
         rng_mode: str = "compat",
         store: Optional[ResultStore] = None,
@@ -260,7 +221,6 @@ class MeasurementEngine:
             )
         self.backend = backend
         self.max_workers = max_workers
-        self.packed = bool(packed)
         self.rng_mode = validate_rng_mode(rng_mode)
         self.store = store
         self.cache = cache
@@ -470,7 +430,7 @@ class MeasurementEngine:
         )
         if key is not None and self.cache_writes:
             self.store.put_result(key, results[0])
-            if self.store_records and isinstance(records, PackedRecordBatch):
+            if self.store_records:
                 self.store.put_records(key, records)
             self._budget_writes += 1
             self._maybe_enforce_budget()
@@ -527,21 +487,35 @@ class MeasurementEngine:
         source: BatchAcquirer,
         states: Sequence[str],
         rngs: Sequence[GeneratorLike],
-    ):
-        """Acquire a record batch, packed when source and engine allow.
+    ) -> Tuple[PackedRecordBatch, float]:
+        """Acquire one packed record per ``(states[i], rngs[i])``.
 
         The engine's ``rng_mode`` travels along to acquirers whose
         signature accepts it; acquirers without the knob stay on their
-        (compat) path.
+        (compat) path.  Anything but a
+        :class:`~repro.bitstream.PackedRecordBatch` with one row per
+        state is a :class:`~repro.errors.ConfigurationError`.
         """
         acquire = source.acquire_bitstreams
         kwargs = {}
-        if self.packed and _accepts_packed(acquire):
-            kwargs["packed"] = True
         if self.rng_mode != "compat" and _accepts_kwarg(acquire, "rng_mode"):
             kwargs["rng_mode"] = self.rng_mode
         with obs.timed("engine.acquire_seconds"):
-            return acquire(states, rngs, **kwargs)
+            records, sample_rate = acquire(states, rngs, **kwargs)
+        if (
+            not isinstance(records, PackedRecordBatch)
+            or records.n_records != len(states)
+        ):
+            got = (
+                f"{records.n_records} packed records"
+                if isinstance(records, PackedRecordBatch)
+                else type(records).__name__
+            )
+            raise ConfigurationError(
+                f"acquire_bitstreams must return a PackedRecordBatch of "
+                f"{len(states)} records, got {got}"
+            )
+        return records, float(sample_rate)
 
     def _measure_pairs(
         self,
@@ -549,27 +523,13 @@ class MeasurementEngine:
         estimator: OneBitNoiseFigureBIST,
         pairs: Sequence[Tuple[np.random.Generator, np.random.Generator]],
         allow_failures: bool,
-    ) -> Tuple[List[Optional[BISTResult]], Union[np.ndarray, PackedRecordBatch]]:
+    ) -> Tuple[List[Optional[BISTResult]], PackedRecordBatch]:
         states: List[str] = []
         rngs: List[np.random.Generator] = []
         for rng_hot, rng_cold in pairs:
             states += ["hot", "cold"]
             rngs += [rng_hot, rng_cold]
         records, sample_rate = self._acquire(source, states, rngs)
-        if isinstance(records, PackedRecordBatch):
-            n_records = records.n_records
-        else:
-            records = np.asarray(records, dtype=float)
-            n_records = records.shape[0] if records.ndim == 2 else -1
-        if n_records != len(states):
-            shape = (
-                records.shape
-                if isinstance(records, (np.ndarray, PackedRecordBatch))
-                else type(records)
-            )
-            raise ConfigurationError(
-                f"acquirer returned shape {shape} for {len(states)} records"
-            )
         if sample_rate != estimator.config.sample_rate_hz:
             raise ConfigurationError(
                 f"acquired sample rate {sample_rate} Hz does not match "
@@ -606,7 +566,7 @@ class MeasurementEngine:
     # ------------------------------------------------------------------
     def measure_devices(
         self,
-        sources: Sequence[AnalogBatchAcquirer],
+        sources: Sequence[BatchAcquirer],
         estimators: Union[
             OneBitNoiseFigureBIST, Sequence[OneBitNoiseFigureBIST]
         ],
@@ -619,12 +579,11 @@ class MeasurementEngine:
         Every entry of ``sources`` is a bench with its own DUT model
         (its own noise densities, gains, reference amplitude and
         digitizer).  Each device's ``(hot, cold)`` generator pair is
-        spawned here, exactly as :meth:`measure` would spawn it; the
-        device's two records are digitized (packed) against its own
-        reference as soon as they are rendered, and the packed records
-        then share one batched Welch pass — so device ``i``'s result is
-        bit-exact equal to ``measure(sources[i], estimators[i],
-        rng=rngs[i])``.
+        spawned here, exactly as :meth:`measure` would spawn it, and
+        goes through the same ``acquire_bitstreams`` call; the packed
+        records of every device then share one batched Welch pass — so
+        device ``i``'s result is bit-exact equal to
+        ``measure(sources[i], estimators[i], rng=rngs[i])``.
 
         On the ``"vectorized"`` backend the whole screen is one batch in
         this process.  On the ``"process"`` backend the devices are
@@ -639,8 +598,8 @@ class MeasurementEngine:
         the same exception, without a retry.
 
         Peak memory stays one device wide per process: each device's
-        analog records are digitized (and packed) as soon as they are
-        rendered, so only the 1-bit records accumulate.
+        acquisition returns packed records, so only the 1-bit records
+        accumulate.
 
         ``estimators`` is one estimator per device (or a single shared
         one); all must share the same analysis parameters, and every
@@ -707,10 +666,7 @@ class MeasurementEngine:
         one.  Results come back in item order.
         """
         pool = self.worker_pool
-        settings = {
-            "packed": self.packed,
-            "rng_mode": self.rng_mode,
-        }
+        settings = {"rng_mode": self.rng_mode}
         chunks = np.array_split(
             np.arange(n_items), min(pool.max_workers, n_items)
         )
@@ -721,114 +677,28 @@ class MeasurementEngine:
 
     def _measure_devices_local(
         self,
-        sources: Sequence[AnalogBatchAcquirer],
+        sources: Sequence[BatchAcquirer],
         estimators: Sequence[OneBitNoiseFigureBIST],
         pairs: Sequence[Tuple[np.random.Generator, np.random.Generator]],
         allow_failures: bool,
     ) -> List[Optional[BISTResult]]:
         """The whole chain of :meth:`measure_devices`, in this process.
 
-        Acquires and digitizes every device's ``(hot, cold)`` pair with
-        its pre-spawned generators, then runs one batched Welch pass and
-        the per-device Y-factor estimates.
+        Each device's ``(hot, cold)`` pair goes through the same
+        ``acquire_bitstreams`` call :meth:`measure` makes, with its
+        pre-spawned generators; the packed pairs are then stacked into
+        one batched Welch pass and the per-device Y-factor estimates.
         """
-        device_records: List = []
-        out_rate: Optional[float] = None
         obs_t0 = time.monotonic() if obs.enabled() else 0.0
-        for source, (rng_hot, rng_cold) in zip(sources, pairs):
-            # In philox mode each device goes through its own full
-            # acquire_bitstreams — the exact call (and generator
-            # spawns) engine.measure makes — so fast-mode acquirers
-            # reach their direct synthesis (MatlabSimulation's
-            # Bernoulli path) inside planned screens too, and planned
-            # philox results stay identical to per-task philox
-            # measurement, packed or not.
-            acquire_bits = getattr(source, "acquire_bitstreams", None)
-            if (
-                self.rng_mode != "compat"
-                and acquire_bits is not None
-                and _accepts_packed(acquire_bits)
-                and _accepts_kwarg(acquire_bits, "rng_mode")
-            ):
-                pair, device_rate = acquire_bits(
-                    ["hot", "cold"],
-                    [rng_hot, rng_cold],
-                    packed=self.packed,
-                    rng_mode=self.rng_mode,
-                )
-                if self.packed:
-                    valid = (
-                        isinstance(pair, PackedRecordBatch)
-                        and pair.n_records == 2
-                    )
-                else:
-                    pair = np.asarray(pair, dtype=float)
-                    valid = pair.ndim == 2 and pair.shape[0] == 2
-                if not valid:
-                    raise ConfigurationError(
-                        "device acquisition must return 2 "
-                        f"{'packed' if self.packed else 'float'} records, "
-                        f"got {type(pair).__name__}"
-                    )
-                if out_rate is None:
-                    out_rate = float(device_rate)
-                elif float(device_rate) != out_rate:
-                    raise ConfigurationError(
-                        f"output sample-rate mismatch across devices: "
-                        f"{out_rate} vs {device_rate} Hz"
-                    )
-                device_records.append(pair)
-                continue
-            acquire_analog = source.acquire_analog_batch
-            kwargs = {}
-            if self.rng_mode != "compat" and _accepts_kwarg(
-                acquire_analog, "rng_mode"
-            ):
-                kwargs["rng_mode"] = self.rng_mode
-            analog, reference, device_dig_rngs, rate, dig = acquire_analog(
-                ["hot", "cold"], [rng_hot, rng_cold], **kwargs
-            )
-            analog = np.asarray(analog, dtype=float)
-            if analog.ndim != 2 or analog.shape[0] != 2:
-                raise ConfigurationError(
-                    f"device analog batch must be (2, n_samples), got "
-                    f"{analog.shape}"
-                )
-            device_rate = float(rate) / dig.sampler.divider
-            if out_rate is None:
-                out_rate = device_rate
-            elif device_rate != out_rate:
-                raise ConfigurationError(
-                    f"output sample-rate mismatch across devices: "
-                    f"{out_rate} vs {device_rate} Hz"
-                )
-            # Digitize immediately — the device's analog floats die
-            # here, so the lot accumulates only (packed) records.
-            device_records.append(
-                dig.digitize_batch(
-                    analog,
-                    np.asarray(reference, dtype=float),
-                    float(rate),
-                    device_dig_rngs,
-                    overwrite_input=not self.packed,
-                    packed=self.packed,
-                    rng_mode=self.rng_mode,
-                )
-            )
-        if self.packed:
-            records: Union[np.ndarray, PackedRecordBatch] = (
-                PackedRecordBatch.from_records(
-                    [rec[i] for rec in device_records for i in range(2)]
-                )
-            )
-        else:
-            widths = {rec.shape[-1] for rec in device_records}
-            if len(widths) > 1:
-                raise ConfigurationError(
-                    f"record-length mismatch across devices: "
-                    f"{sorted(widths)}"
-                )
-            records = np.vstack(device_records)
+        device_records = [
+            self._acquire(source, ["hot", "cold"], pair)[0]
+            for source, pair in zip(sources, pairs)
+        ]
+        # Stacking rejects records of different lengths or rates.
+        records = PackedRecordBatch.from_records(
+            [rec[i] for rec in device_records for i in range(2)]
+        )
+        out_rate = records.sample_rate
         config = estimators[0].config
         if out_rate != config.sample_rate_hz:
             raise ConfigurationError(

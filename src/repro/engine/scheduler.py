@@ -13,8 +13,8 @@
   group them into sub-batches that are *compatible* under the engine's
   multi-device batching rules (identical nperseg / window / overlap /
   sample rate / record length, sources implementing the
-  :class:`~repro.engine.engine.AnalogBatchAcquirer` protocol).  Each
-  group runs through ``measure_devices``; singletons and protocol-less
+  :class:`~repro.engine.engine.BatchAcquirer` protocol).  Each group
+  runs through ``measure_devices``; singletons and protocol-less
   sources fall back to per-task ``measure``.  Because every path
   spawns per-record generators identically, the planned results are
   bit-identical to running ``engine.measure`` once per task, in task
@@ -44,7 +44,7 @@ from repro.errors import ConfigurationError, ExecutionError, MeasurementError
 from repro.faults.injector import active_injector, faulted_call, task_fault
 from repro import obs
 from repro.obs.registry import MetricsRegistry, diff_snapshots
-from repro.signals.batch_rng import set_fill_cpus, validate_rng_mode
+from repro.signals.batch_rng import validate_rng_mode
 from repro.signals.random import GeneratorLike
 
 __all__ = [
@@ -70,18 +70,14 @@ _SETTLE_TIMEOUT_S = 10.0
 
 
 def _worker_init(obs_enabled: bool = False) -> None:
-    """Pool initializer: one fill thread, and the parent's obs switch.
+    """Pool initializer: the parent's obs switch.
 
-    Runs once in every spawned worker process.  Each worker owns one
-    core, so philox row fills run on one thread: a fill thread pool per
-    worker process is a fight, not a speedup.
-
-    ``obs_enabled`` carries the parent's observability switch into the
-    child at spawn; a pool spawned *before* the parent enabled
-    observability still catches up lazily — :func:`_obs_task` enables
-    the worker-side registry on first instrumented dispatch.
+    Runs once in every spawned worker process.  ``obs_enabled`` carries
+    the parent's observability switch into the child at spawn; a pool
+    spawned *before* the parent enabled observability still catches up
+    lazily — :func:`_obs_task` enables the worker-side registry on
+    first instrumented dispatch.
     """
-    set_fill_cpus(1)
     if obs_enabled:
         obs.enable()
 
@@ -580,8 +576,8 @@ def _group_key(task: MeasurementTask) -> GroupKey:
 
 
 def _can_batch(source) -> bool:
-    """Whether a source supports cross-device analog batching."""
-    return callable(getattr(source, "acquire_analog_batch", None))
+    """Whether a source can join a multi-device batch."""
+    return callable(getattr(source, "acquire_bitstreams", None))
 
 
 @dataclass(frozen=True)
@@ -996,9 +992,9 @@ def plan_measurements(
     """Group an arbitrary task mix into compatible sub-batches.
 
     Tasks sharing all analysis parameters (nperseg / window / overlap /
-    sample rate / record length) whose sources implement the analog
-    batch protocol form one multi-device sub-batch; everything else —
-    singletons, sources without ``acquire_analog_batch`` — falls back
+    sample rate / record length) whose sources implement the batch
+    protocol form one multi-device sub-batch; everything else —
+    singletons, sources without ``acquire_bitstreams`` — falls back
     to per-task measurement.  Group order follows first appearance and
     indices stay ascending, so execution is deterministic.
 
@@ -1157,7 +1153,6 @@ class MeasurementScheduler:
         engine=None,
         backend: str = "serial",
         max_workers: Optional[int] = None,
-        packed: bool = True,
         rng_mode: str = "compat",
         store=None,
         cache: str = "readwrite",
@@ -1171,7 +1166,6 @@ class MeasurementScheduler:
             if (
                 backend != "serial"
                 or max_workers is not None
-                or not packed
                 or rng_mode != "compat"
                 or store is not None
                 or cache != "readwrite"
@@ -1180,7 +1174,7 @@ class MeasurementScheduler:
                 or cache_budget_bytes is not None
             ):
                 raise ConfigurationError(
-                    "pass either an engine or backend/max_workers/packed/"
+                    "pass either an engine or backend/max_workers/"
                     "rng_mode/store/cache/store_records — an explicit "
                     "engine already carries its own configuration"
                 )
@@ -1197,7 +1191,6 @@ class MeasurementScheduler:
             self.engine = MeasurementEngine(
                 backend=resolved,
                 max_workers=max_workers,
-                packed=packed,
                 rng_mode=validate_rng_mode(rng_mode),
                 store=store,
                 cache=cache,

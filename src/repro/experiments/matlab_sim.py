@@ -136,19 +136,12 @@ class MatlabSimulation:
         state: str,
         rng: GeneratorLike = None,
         digitizer: Optional[OneBitDigitizer] = None,
-        packed: bool = False,
     ) -> Waveform:
-        """Digitize one state's noise against the shared reference.
-
-        With ``packed`` the record comes back as a
-        :class:`~repro.bitstream.PackedBitstream` (1 bit/sample).
-        """
+        """Digitize one state's noise against the shared reference."""
         dig = digitizer if digitizer is not None else OneBitDigitizer()
         gen = make_rng(rng)
         noise = self.render_noise(state, gen)
-        return dig.digitize(
-            noise, self.reference_waveform(), gen, packed=packed
-        )
+        return dig.digitize(noise, self.reference_waveform(), gen)
 
     def _bernoulli_thresholds(self, state: str, dig: OneBitDigitizer):
         """u32 compare thresholds for direct packed-record synthesis.
@@ -181,77 +174,26 @@ class MatlabSimulation:
             self._bernoulli_cache[key] = cached
         return cached
 
-    def _batch_setup(self, states, rngs, digitizer):
-        """Shared per-batch setup: generators, per-state densities and
-        the digitizer — one source of truth for every batch path, so
-        the packed and float acquisitions cannot drift apart."""
-        dig = digitizer if digitizer is not None else OneBitDigitizer()
-        states = list(states)
-        gens = [make_rng(rng) for rng in rngs]
-        if len(states) != len(gens):
-            raise ConfigurationError(
-                f"got {len(states)} states but {len(gens)} generators"
-            )
-        rms = {state: self.noise_rms(state) for state in set(states)}
-        return states, gens, rms, dig
-
-    def acquire_analog_batch(
-        self,
-        states,
-        rngs,
-        digitizer: Optional[OneBitDigitizer] = None,
-        rng_mode: str = "compat",
-    ):
-        """Render the per-record noise stack for a batch of states.
-
-        Returns ``(analog, reference, dig_rngs, sample_rate,
-        digitizer)`` — the :class:`~repro.engine.AnalogBatchAcquirer`
-        protocol.  Each record draws from its own generator at its own
-        state's noise density (the per-record-density form cross-DUT
-        batching relies on), and the same generators are handed back
-        for the digitizer spawn, exactly as in the scalar
-        :meth:`bitstream` path.  ``rng_mode="philox"`` fills the stack
-        from per-record counter streams in one 2-D pass (fast mode,
-        deterministic but not bit-identical to compat).
-        """
-        c = self.config
-        states, gens, rms, dig = self._batch_setup(states, rngs, digitizer)
-        noise = white_noise_matrix(
-            gens,
-            c.n_samples,
-            scale=np.array([rms[state] for state in states]),
-            rng_mode=rng_mode,
-        )
-        return (
-            noise,
-            self.reference_waveform().samples,
-            gens,
-            c.sample_rate_hz,
-            dig,
-        )
-
     def acquire_bitstreams(
         self,
         states,
         rngs,
         digitizer: Optional[OneBitDigitizer] = None,
-        packed: bool = False,
         rng_mode: str = "compat",
-    ):
-        """Digitize a batch of states as one stacked record batch.
+    ) -> Tuple[PackedRecordBatch, float]:
+        """Digitize a batch of states as one packed record batch.
 
-        In compat mode row ``i`` is bit-exact equal to
-        ``bitstream(states[i], rngs[i]).samples``.  Returns
-        ``(bitstreams, sample_rate)`` — the batch-acquisition protocol
-        shared with :class:`~repro.instruments.testbench.
-        PrototypeTestbench`.
-
-        With ``packed`` the records come back as a
-        :class:`~repro.bitstream.PackedRecordBatch` and the acquisition
-        streams record by record: each record's analog noise is drawn,
-        digitized to packed words and discarded before the next one, so
-        peak float memory is one record — not the batch — no matter how
-        many records are stacked.
+        Returns ``(records, sample_rate)`` — the batch-acquisition
+        protocol shared with :class:`~repro.instruments.testbench.
+        PrototypeTestbench` — with the records a
+        :class:`~repro.bitstream.PackedRecordBatch` (1 bit/sample).  In
+        compat mode unpacked row ``i`` is bit-exact equal to
+        ``bitstream(states[i], rngs[i]).samples``.  The acquisition
+        streams record by record: each record's analog noise is drawn
+        at its own state's density, digitized to packed words and
+        discarded before the next one, so peak float memory is one
+        record — not the batch — no matter how many records are
+        stacked.
 
         ``rng_mode="philox"`` is the fast synthesis mode.  Through a
         digitizer the Bernoulli model covers (no hysteresis, no latch
@@ -261,20 +203,25 @@ class MatlabSimulation:
         probability ``P(noise >= ref_t)``, pulled from one per-record
         Philox counter stream as a 32-bit uniform compare — no Gaussian
         float is ever materialized, which is where the >= 3x
-        record-synthesis speedup of the noise layer comes from.  A
-        float request gets the same records unpacked, so packed and
-        float philox results are equal.  The synthesized records follow
-        exactly the same stochastic process as the compat records
-        (white noise against a deterministic reference makes the
-        decisions independent across samples), up to a ``2**-32``
-        probability quantization per sample; they are deterministic per
-        seed but a different realization than compat.  Configurations
-        outside the Bernoulli model fall back to counter-based noise
-        fills plus the regular digitize path.
+        record-synthesis speedup of the noise layer comes from.  The
+        synthesized records follow exactly the same stochastic process
+        as the compat records (white noise against a deterministic
+        reference makes the decisions independent across samples), up
+        to a ``2**-32`` probability quantization per sample; they are
+        deterministic per seed but a different realization than compat.
+        Configurations outside the Bernoulli model fall back to
+        counter-based noise fills plus the regular digitize path.
         """
         validate_rng_mode(rng_mode)
         c = self.config
-        states, gens, rms, dig = self._batch_setup(states, rngs, digitizer)
+        dig = digitizer if digitizer is not None else OneBitDigitizer()
+        states = list(states)
+        gens = [make_rng(rng) for rng in rngs]
+        if len(states) != len(gens):
+            raise ConfigurationError(
+                f"got {len(states)} states but {len(gens)} generators"
+            )
+        out_rate = c.sample_rate_hz / dig.sampler.divider
         if rng_mode == "philox":
             thresholds = {
                 state: self._bernoulli_thresholds(state, dig)
@@ -291,7 +238,6 @@ class MatlabSimulation:
                     )
                     for state, gen in zip(states, gens)
                 ]
-                out_rate = c.sample_rate_hz / dig.sampler.divider
                 batch = PackedRecordBatch(
                     words,
                     thresholds[states[0]].size,
@@ -300,36 +246,19 @@ class MatlabSimulation:
                     validate=False,
                     copy=False,
                 )
-                return (batch if packed else batch.unpack()), out_rate
-        if packed:
-            reference = self.reference_waveform().samples
-            rows = []
-            for state, gen in zip(states, gens):
-                noise = white_noise_matrix(
-                    [gen], c.n_samples, scale=rms[state], rng_mode=rng_mode
-                )[0]
-                record = dig.digitize_batch(
-                    noise[np.newaxis, :],
-                    reference,
-                    c.sample_rate_hz,
-                    [gen],
-                    packed=True,
-                    rng_mode=rng_mode,
-                )
-                rows.append(record[0])
-            batch = PackedRecordBatch.from_records(rows)
-            return batch, c.sample_rate_hz / dig.sampler.divider
-        noise, reference, gens, rate, dig = self.acquire_analog_batch(
-            states, gens, digitizer=dig, rng_mode=rng_mode
-        )
-        bits = dig.digitize_batch(
-            noise,
-            reference,
-            rate,
-            gens,
-            overwrite_input=True,
-        )
-        return bits, rate / dig.sampler.divider
+                return batch, out_rate
+        reference = self.reference_waveform().samples
+        rows = []
+        for state, gen in zip(states, gens):
+            noise = white_noise_matrix(
+                [gen], c.n_samples, scale=self.noise_rms(state),
+                rng_mode=rng_mode,
+            )
+            record = dig.digitize_batch(
+                noise, reference, c.sample_rate_hz, [gen], rng_mode=rng_mode
+            )
+            rows.append(record[0])
+        return PackedRecordBatch.from_records(rows), out_rate
 
     # ------------------------------------------------------------------
     def make_config(self) -> BISTMeasurementConfig:

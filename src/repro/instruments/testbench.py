@@ -21,6 +21,7 @@ from repro.analog.amplifier import NonInvertingAmplifier
 from repro.analog.noise_analysis import expected_noise_figure_db, noise_budget
 from repro.analog.noise_source import CalibratedNoiseSource
 from repro.analog.opamp import OPAMP_LIBRARY, OpAmpNoiseModel
+from repro.bitstream import PackedRecordBatch
 from repro.constants import T0_KELVIN
 from repro.core.bist import BISTMeasurementConfig, OneBitNoiseFigureBIST
 from repro.digitizer.digitizer import OneBitDigitizer
@@ -129,30 +130,24 @@ class PrototypeTestbench:
         return cache[3]
 
     def acquire_bitstream(
-        self, state: str, rng: GeneratorLike = None, packed: bool = False
+        self, state: str, rng: GeneratorLike = None
     ) -> Waveform:
-        """Capture one state's bitstream (analog chain + digitizer).
-
-        With ``packed`` the capture comes back as a
-        :class:`~repro.bitstream.PackedBitstream` (1 bit/sample),
-        bit-exact equal to the float waveform when unpacked.
-        """
+        """Capture one state's bitstream (analog chain + digitizer)."""
         gen = make_rng(rng)
         analog_rng, dig_rng = spawn_rngs(gen, 2)
         analog = self.analog_output(state, analog_rng)
         return self.digitizer.digitize(
-            analog, self.reference_waveform(), dig_rng, packed=packed
+            analog, self.reference_waveform(), dig_rng
         )
 
     def acquire_analog_batch(self, states, rngs, rng_mode: str = "compat"):
         """Run the analog front-end for a batch of records.
 
         Returns ``(analog, reference, dig_rngs, sample_rate,
-        digitizer)`` — the :class:`~repro.engine.AnalogBatchAcquirer`
-        protocol.  Each record's generator is split into an analog and
-        a digitizer generator exactly as in :meth:`acquire_bitstream`,
-        and the digitizer generators are handed back un-consumed, so
-        any later (possibly cross-device) ``digitize_batch`` is
+        digitizer)``.  Each record's generator is split into an analog
+        and a digitizer generator exactly as in
+        :meth:`acquire_bitstream`, and the digitizer generators are
+        handed back un-consumed, so a later ``digitize_batch`` is
         bit-exact vs the scalar path.
 
         ``rng_mode="compat"`` renders the chain stage by stage (source,
@@ -210,34 +205,26 @@ class PrototypeTestbench:
         )
 
     def acquire_bitstreams(
-        self, states, rngs, packed: bool = False, rng_mode: str = "compat"
-    ) -> Tuple[np.ndarray, float]:
-        """Capture a batch of bitstreams as one stacked record batch.
+        self, states, rngs, rng_mode: str = "compat"
+    ) -> Tuple[PackedRecordBatch, float]:
+        """Capture a batch of bitstreams as one packed record batch.
 
-        ``states`` and ``rngs`` are equal-length sequences; row ``i`` is
-        bit-exact equal to ``acquire_bitstream(states[i],
+        ``states`` and ``rngs`` are equal-length sequences; unpacked
+        row ``i`` is bit-exact equal to ``acquire_bitstream(states[i],
         rngs[i]).samples``.  The whole analog chain — source rendering,
         both amplifiers, the digitizer — runs on stacked arrays with
         per-record child generators spawned exactly as in the scalar
-        path.  Returns ``(bitstreams, output_sample_rate)``; with
-        ``packed`` the bitstreams are a
-        :class:`~repro.bitstream.PackedRecordBatch` (1 bit/sample)
-        instead of a float64 stack.  ``rng_mode="philox"`` draws the
-        analog records by spectral synthesis (see
-        :meth:`acquire_analog_batch`); the digitizer is the same in
-        both modes, so packed and float philox records are equal too.
+        path.  Returns ``(records, output_sample_rate)`` with the
+        records a :class:`~repro.bitstream.PackedRecordBatch` (1
+        bit/sample).  ``rng_mode="philox"`` draws the analog records by
+        spectral synthesis (see :meth:`acquire_analog_batch`); the
+        digitizer is the same in both modes.
         """
         analog, reference, dig_rngs, rate, digitizer = (
             self.acquire_analog_batch(states, rngs, rng_mode=rng_mode)
         )
         bits = digitizer.digitize_batch(
-            analog,
-            reference,
-            rate,
-            dig_rngs,
-            overwrite_input=not packed,
-            packed=packed,
-            rng_mode=rng_mode,
+            analog, reference, rate, dig_rngs, rng_mode=rng_mode
         )
         return bits, rate / digitizer.sampler.divider
 

@@ -27,8 +27,8 @@ are compat-only:
     compat generator carries — records stay independent, deterministic
     and traceable to their seeds — and fills the whole
     ``(n_records, n_samples)`` noise matrix in one 2-D pass
-    (GIL-releasing ``standard_normal(out=row)`` fills plus a single
-    vectorized scale/shift, no per-record temporaries or copies).
+    (``standard_normal(out=row)`` fills plus a single vectorized
+    scale/shift, no per-record temporaries or copies).
 
     A linear Gaussian chain (source, amplifiers, filters) is one
     Gaussian process with one PSD, so its records are drawn in one
@@ -56,8 +56,6 @@ results agree within ordinary statistical scatter.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -68,7 +66,6 @@ from repro.signals.random import GeneratorLike, make_rng
 
 __all__ = [
     "RNG_MODES",
-    "set_fill_cpus",
     "validate_rng_mode",
     "BatchNoiseGenerator",
     "white_noise_matrix",
@@ -78,24 +75,6 @@ __all__ = [
 
 #: Accepted random-synthesis modes, in documentation order.
 RNG_MODES = ("compat", "philox")
-
-#: Row size below which a threaded fill cannot beat its dispatch cost —
-#: ziggurat throughput is ~1e8 samples/s/core, so rows shorter than
-#: this finish in well under a millisecond each.
-MIN_THREADED_FILL_SAMPLES = 1 << 16
-
-#: CPUs an auto-sized row fill may fan out over (``None``: the host's
-#: CPU count).  Pool workers own one core each; their initializer sets 1.
-_fill_cpus: Optional[int] = None
-
-
-def set_fill_cpus(cpus: Optional[int]) -> None:
-    """Cap the CPUs auto-sized fills use in this process (``None``
-    restores the host's CPU count)."""
-    global _fill_cpus
-    if cpus is not None and cpus < 1:
-        raise ConfigurationError(f"cpus must be >= 1, got {cpus}")
-    _fill_cpus = cpus
 
 
 def validate_rng_mode(rng_mode: str) -> str:
@@ -155,37 +134,12 @@ class BatchNoiseGenerator:
         return len(self._gens)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve_fill_threads(
-        threads: Optional[int], n_streams: int, n_samples: int
-    ) -> int:
-        """Worker count for a row fan-out (1 = stay serial).
-
-        ``None`` auto-scales: rows are independent and
-        ``standard_normal(out=row)`` releases the GIL for the whole
-        C-level ziggurat pass, so on multi-core hosts one thread per
-        row (capped at the CPU count, or at :func:`set_fill_cpus`)
-        fills the matrix in parallel.  Single-core hosts, pool workers
-        and small rows stay serial — there the fan-out is pure dispatch
-        overhead.
-        """
-        if threads is not None:
-            if threads < 1:
-                raise ConfigurationError(
-                    f"threads must be >= 1, got {threads}"
-                )
-            return min(int(threads), n_streams) if n_streams else 1
-        if n_streams < 2 or n_samples < MIN_THREADED_FILL_SAMPLES:
-            return 1
-        return max(1, min(n_streams, _fill_cpus or os.cpu_count() or 1))
-
     def normal_matrix(
         self,
         n_samples: int,
         mean: float = 0.0,
         scale: Union[float, np.ndarray] = 1.0,
         out: Optional[np.ndarray] = None,
-        threads: Optional[int] = None,
     ) -> np.ndarray:
         """Fill a ``(n_streams, n_samples)`` Gaussian noise matrix.
 
@@ -196,13 +150,6 @@ class BatchNoiseGenerator:
         temporaries, copies or Python-level sample loops), then a
         single vectorized multiply/add applies scale and mean to the
         whole matrix.
-
-        On multi-core hosts the per-row fills fan out over a thread
-        pool (``threads=None`` auto-sizes; pass ``1`` to force the
-        serial loop): numpy releases the GIL while filling a
-        preallocated row, and each row is written by its own stream
-        regardless of scheduling order, so threaded output is
-        bit-identical to serial.
         """
         n = int(n_samples)
         if n < 0:
@@ -217,18 +164,8 @@ class BatchNoiseGenerator:
             )
         if n == 0:
             return out
-        n_workers = self._resolve_fill_threads(threads, self.n_streams, n)
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                list(
-                    pool.map(
-                        lambda i: self._gens[i].standard_normal(n, out=out[i]),
-                        range(self.n_streams),
-                    )
-                )
-        else:
-            for i, gen in enumerate(self._gens):
-                gen.standard_normal(n, out=out[i])
+        for i, gen in enumerate(self._gens):
+            gen.standard_normal(n, out=out[i])
         scale_arr = np.asarray(scale, dtype=float)
         if scale_arr.ndim == 0:
             if float(scale_arr) != 1.0:

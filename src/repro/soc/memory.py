@@ -84,8 +84,8 @@ class SampleMemory:
 
         Accepts an already-packed record
         (:class:`~repro.bitstream.PackedBitstream` — stored as-is, zero
-        repack; this is what the packed digitizer path delivers) or a
-        float waveform (packed on entry).  Raises
+        repack; a row of a batch acquisition is one) or a float
+        waveform (packed on entry).  Raises
         :class:`ResourceError` when the packed record does not fit.
         """
         if key in self._records:

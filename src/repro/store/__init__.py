@@ -11,7 +11,7 @@ persistence layer:
     and seed lineage, composed into SHA-256 measurement keys
     (:func:`measurement_key`).  Anything that could change a
     measurement's value is in its key; execution knobs that are
-    result-invariant (backend, workers, packed transport) are not.
+    result-invariant (backend, workers) are not.
 :mod:`repro.store.serialize`
     Bit-exact payloads: results and packed record batches round-trip
     through ``.npz`` archives losslessly, so a cache hit *equals* a

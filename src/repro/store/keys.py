@@ -247,8 +247,8 @@ def measurement_key(
     analysis parameters and calibration temperatures, seed lineage,
     synthesis mode and schema version — and deliberately excludes
     execution knobs that are guaranteed result-invariant (backend,
-    worker count, packed transport — in both synthesis modes): a
-    result computed on any backend is a valid hit for every other.
+    worker count): a result computed on any backend is a valid hit
+    for every other.
     """
     seed = seed_fingerprint(rng)
     if seed is None:

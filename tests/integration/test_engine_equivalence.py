@@ -117,8 +117,9 @@ class TestBatchAcquisitionBitExact:
             states, spawn_rngs(make_rng(21), 4)
         )
         assert rate == bench.sample_rate_hz
+        rows = bits.unpack()
         for i in range(4):
-            assert np.array_equal(bits[i], serial[i])
+            assert np.array_equal(rows[i], serial[i])
 
     def test_matlab_sim_rows_equal_serial(self):
         sim = MatlabSimulation(MatlabSimConfig(n_samples=40_000, nperseg=2000))
@@ -128,8 +129,9 @@ class TestBatchAcquisitionBitExact:
             for state, child in zip(states, spawn_rngs(make_rng(8), 2))
         ]
         bits, _ = sim.acquire_bitstreams(states, spawn_rngs(make_rng(8), 2))
+        rows = bits.unpack()
         for i in range(2):
-            assert np.array_equal(bits[i], serial[i])
+            assert np.array_equal(rows[i], serial[i])
 
     def test_gaussian_render_batch_bit_exact(self):
         source = GaussianNoiseSource(0.7, mean=0.1)

@@ -3,8 +3,9 @@
 The acceptance bar of the packed-record refactor: PSDs computed from
 packed records must match the float64 paths to <= 1e-10 for ``welch``,
 ``welch_batch``, ``StreamingWelch`` and both engine backends (serial
-and process), and the multi-device production batch must reproduce the
-per-device sweep exactly.
+and process), batch acquisitions must unpack to the serial float
+records bit for bit, and the multi-device production batch must
+reproduce the per-device sweep exactly.
 """
 
 import numpy as np
@@ -32,6 +33,14 @@ def random_bitstream(rng, n):
 
 def rel_diff(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def serial_records(sim, states, seed):
+    """The serial float reference: one ``sim.bitstream`` per record."""
+    rngs = spawn_rngs(make_rng(seed), len(states))
+    return np.vstack(
+        [sim.bitstream(state, rng).samples for state, rng in zip(states, rngs)]
+    )
 
 
 class TestWelchEquivalence:
@@ -136,27 +145,24 @@ class TestDigitizerPackedEquivalence:
     )
     def test_packed_digitize_bit_exact(self, rng, digitizer):
         n = 8001
-        signal = Waveform(rng.normal(0.0, 1.0, n), FS)
         reference = Waveform(
             0.2 * np.sign(np.sin(0.01 * np.arange(n)) + 0.5), FS
         )
-        float_wave = digitizer.digitize(signal, reference, rng=11)
-        packed = digitizer.digitize(signal, reference, rng=11, packed=True)
-        assert np.array_equal(packed.unpack(), float_wave.samples)
-        assert packed.sample_rate == float_wave.sample_rate
-
         signals = rng.normal(0.0, 1.0, (3, n))
-        float_batch = digitizer.digitize_batch(
+        packed_batch = digitizer.digitize_batch(
             signals, reference.samples, FS, rngs=[1, 2, 3]
         )
-        packed_batch = digitizer.digitize_batch(
-            signals, reference.samples, FS, rngs=[1, 2, 3], packed=True
-        )
-        assert np.array_equal(packed_batch.unpack(), float_batch)
+        rows = packed_batch.unpack()
+        for i in range(3):
+            scalar = digitizer.digitize(
+                Waveform(signals[i], FS), reference, rng=i + 1
+            )
+            assert np.array_equal(rows[i], scalar.samples)
+            assert packed_batch.sample_rate == scalar.sample_rate
 
     def test_per_record_reference_rows_match_scalar(self, rng):
         # The 2-D reference form: row i digitized against its own
-        # reference, float and packed, equal to the scalar path.
+        # reference, equal to the scalar path.
         digitizer = OneBitDigitizer()
         n = 3001
         signals = rng.normal(0.0, 1.0, (3, n))
@@ -164,18 +170,14 @@ class TestDigitizerPackedEquivalence:
             [amp * np.sign(np.sin(0.01 * np.arange(n)) + 0.3)
              for amp in (0.1, 0.2, 0.4)]
         )
-        float_batch = digitizer.digitize_batch(
+        rows = digitizer.digitize_batch(
             signals, references, FS, rngs=[1, 2, 3]
-        )
-        packed_batch = digitizer.digitize_batch(
-            signals, references, FS, rngs=[1, 2, 3], packed=True
-        )
-        assert np.array_equal(packed_batch.unpack(), float_batch)
+        ).unpack()
         for i in range(3):
             scalar = digitizer.digitize(
                 Waveform(signals[i], FS), Waveform(references[i], FS), rng=i + 1
             )
-            assert np.array_equal(float_batch[i], scalar.samples)
+            assert np.array_equal(rows[i], scalar.samples)
 
     def test_batch_provenance_replays_the_record(self, rng):
         # The recorded seed identity must re-create the exact record,
@@ -184,14 +186,12 @@ class TestDigitizerPackedEquivalence:
         n = 4096
         signals = rng.normal(0.0, 1.0, (2, n))
         reference = np.zeros(n)
-        first = digitizer.digitize_batch(
-            signals, reference, FS, rngs=None, packed=True
-        )
+        first = digitizer.digitize_batch(signals, reference, FS, rngs=None)
         replay_rngs = [
             np.random.default_rng(prov.entropy) for prov in first.provenance
         ]
         replay = digitizer.digitize_batch(
-            signals, reference, FS, rngs=replay_rngs, packed=True
+            signals, reference, FS, rngs=replay_rngs
         )
         assert np.array_equal(first.words, replay.words)
 
@@ -199,10 +199,11 @@ class TestDigitizerPackedEquivalence:
         from repro.errors import ConfigurationError
 
         comparator = Comparator()
+        signals = rng.normal(size=(2, 64))
+        with pytest.raises(TypeError):
+            comparator.compare_batch(signals, np.zeros(64))
         with pytest.raises(ConfigurationError):
-            comparator.compare_batch(
-                rng.normal(size=(2, 64)), np.zeros(64), packed=True
-            )
+            comparator.compare_batch(signals, np.zeros(64), sample_rate=0.0)
 
 
 class TestEngineBackendsEquivalence:
@@ -212,46 +213,40 @@ class TestEngineBackendsEquivalence:
 
     def test_serial_engine_packed_matches_float(self, sim):
         estimator = sim.make_estimator()
-        packed_engine = MeasurementEngine(packed=True)
-        float_engine = MeasurementEngine(packed=False)
         states = ["hot", "cold", "hot", "cold"]
         packed_records, rate = sim.acquire_bitstreams(
-            states, spawn_rngs(make_rng(31), 4), packed=True
-        )
-        float_records, _ = sim.acquire_bitstreams(
             states, spawn_rngs(make_rng(31), 4)
         )
+        float_records = serial_records(sim, states, 31)
         assert isinstance(packed_records, PackedRecordBatch)
         assert np.array_equal(packed_records.unpack(), float_records)
-        packed_psd = packed_engine.spectra_of(packed_records, rate, estimator)
-        float_psd = float_engine.spectra_of(float_records, rate, estimator)
+        engine = MeasurementEngine()
+        packed_psd = engine.spectra_of(packed_records, rate, estimator)
+        float_psd = engine.spectra_of(float_records, rate, estimator)
         assert rel_diff(packed_psd.psd, float_psd.psd) <= TOL
 
     def test_process_engine_packed_matches_float(self, sim):
         estimator = sim.make_estimator()
         states = ["hot", "cold", "hot", "cold"]
         packed_records, rate = sim.acquire_bitstreams(
-            states, spawn_rngs(make_rng(77), 4), packed=True
-        )
-        float_records, _ = sim.acquire_bitstreams(
             states, spawn_rngs(make_rng(77), 4)
         )
+        float_records = serial_records(sim, states, 77)
         with MeasurementEngine(backend="process", max_workers=2) as process_engine:
             process_psd = process_engine.spectra_of(
                 packed_records, rate, estimator
             )
-        float_psd = MeasurementEngine(packed=False).spectra_of(
+        float_psd = MeasurementEngine().spectra_of(
             float_records, rate, estimator
         )
         assert rel_diff(process_psd.psd, float_psd.psd) <= TOL
 
     def test_run_batch_identical_across_backends_and_packing(self, sim):
+        # The serial reference: one estimator.measure per repeat child.
         estimator = sim.make_estimator()
         reference = [
-            r.noise_figure_db
-            for r in MeasurementEngine(packed=False).run_batch(
-                sim, estimator, 3, rng=7
-            )
+            estimator.measure(sim.bitstream, rng=child).noise_figure_db
+            for child in spawn_rngs(make_rng(7), 3)
         ]
         runs = {}
         for backend in ("vectorized", "process"):
@@ -272,7 +267,7 @@ class TestEngineBackendsEquivalence:
 
         estimator = sim.make_estimator()
         records, rate = sim.acquire_bitstreams(
-            ["hot", "cold"], spawn_rngs(make_rng(5), 2), packed=True
+            ["hot", "cold"], spawn_rngs(make_rng(5), 2)
         )
         with MeasurementEngine(backend="process", max_workers=2) as engine:
             with pytest.raises(ConfigurationError):
@@ -280,11 +275,9 @@ class TestEngineBackendsEquivalence:
 
     def test_packed_records_are_64x_smaller(self, sim):
         packed_records, _ = sim.acquire_bitstreams(
-            ["hot", "cold"], spawn_rngs(make_rng(5), 2), packed=True
-        )
-        float_records, _ = sim.acquire_bitstreams(
             ["hot", "cold"], spawn_rngs(make_rng(5), 2)
         )
+        float_records = serial_records(sim, ["hot", "cold"], 5)
         assert float_records.nbytes / packed_records.nbytes == 64.0
 
 

@@ -261,13 +261,13 @@ class AcquireLoggingSim(MatlabSimulation):
         self.log_dir = log_dir
 
     def acquire_bitstreams(
-        self, states, rngs, digitizer=None, packed=False, rng_mode="compat"
+        self, states, rngs, digitizer=None, rng_mode="compat"
     ):
         path = os.path.join(self.log_dir, f"{os.getpid()}.records")
         with open(path, "a") as log:
             log.write(f"{len(states)}\n")
         return super().acquire_bitstreams(
-            states, rngs, digitizer, packed=packed, rng_mode=rng_mode
+            states, rngs, digitizer, rng_mode=rng_mode
         )
 
 

@@ -35,6 +35,7 @@ from repro.experiments.record_length import run_record_length
 from repro.experiments.robustness import run_robustness
 from repro.signals.random import spawn_rngs
 
+from tests.unit.test_engine import KwargsSim
 from tests.unit.test_store import assert_results_identical
 
 N_SAMPLES = 20_000
@@ -63,24 +64,14 @@ class CountingSim(MatlabSimulation):
     def acquired_records(self) -> int:
         return self._acquired
 
-    # Signatures mirror MatlabSimulation exactly: the engine sniffs
-    # them for the packed= / rng_mode= keywords, and a **kwargs
-    # catch-all would silently demote acquisition to the float path.
+    # Every acquisition — single measures and planned groups alike —
+    # enters here.  The engine forwards rng_mode= to a signature that
+    # names it or takes **kwargs (see KwargsSim).
     def acquire_bitstreams(
-        self, states, rngs, digitizer=None, packed=False, rng_mode="compat"
+        self, states, rngs, digitizer=None, rng_mode="compat"
     ):
         self._acquired += len(list(states))
         return super().acquire_bitstreams(
-            states, rngs, digitizer=digitizer, packed=packed, rng_mode=rng_mode
-        )
-
-    def acquire_analog_batch(
-        self, states, rngs, digitizer=None, rng_mode="compat"
-    ):
-        # The multi-device batch path (planned groups) enters here; the
-        # packed acquire_bitstreams path never does, so no double count.
-        self._acquired += len(list(states))
-        return super().acquire_analog_batch(
             states, rngs, digitizer=digitizer, rng_mode=rng_mode
         )
 
@@ -122,6 +113,16 @@ class TestEngineCache:
         assert sim.acquired_records == acquired_before
         assert_results_identical(replayed, cold)
         assert store.has_result(key)  # re-derived result was persisted
+
+    def test_kwargs_wrapper_records_are_stored(self, tmp_path):
+        sim = KwargsSim(MatlabSimConfig(n_samples=N_SAMPLES, nperseg=NPERSEG))
+        estimator = sim.make_estimator()
+        store = ResultStore(tmp_path / "s")
+        engine = MeasurementEngine(store=store, store_records=True)
+        engine.measure(sim, estimator, rng=7)
+        key = engine.task_key(sim, estimator, 7)
+        assert store.has_result(key)
+        assert store.has_records(key)
 
     def test_cache_read_mode_never_writes(self, tmp_path):
         sim = _sim()

@@ -9,7 +9,6 @@ from repro.signals.batch_rng import (
     BatchNoiseGenerator,
     bernoulli_thresholds_u32,
     gaussian_exceed_probability,
-    set_fill_cpus,
     validate_rng_mode,
     white_noise_matrix,
 )
@@ -221,72 +220,3 @@ class TestThresholdMath:
         )
         assert np.allclose(p, expected, rtol=1e-12, atol=1e-300)
 
-
-class TestThreadedNormalFill:
-    """The threaded standard_normal(out=) row fan-out.
-
-    numpy releases the GIL while filling a preallocated row, and every
-    row is written by its own stream — so the threaded fill must be
-    bit-identical to the serial loop for any worker count.
-    """
-
-    def _fill(self, threads, n=4, samples=70_000):
-        gen = BatchNoiseGenerator(spawn_rngs(42, n))
-        return gen.normal_matrix(
-            samples, mean=0.5, scale=2.0, threads=threads
-        )
-
-    def test_threaded_equals_serial(self):
-        serial = self._fill(threads=1)
-        for workers in (2, 3, 8):
-            assert np.array_equal(self._fill(threads=workers), serial)
-
-    def test_auto_equals_serial(self):
-        assert np.array_equal(self._fill(threads=None), self._fill(threads=1))
-
-    def test_white_noise_matrix_philox_unchanged(self):
-        # The auto fan-out must not change white_noise_matrix output.
-        rows = white_noise_matrix(
-            spawn_rngs(7, 4), 70_000, rng_mode="philox"
-        )
-        expected = BatchNoiseGenerator(spawn_rngs(7, 4)).normal_matrix(
-            70_000, threads=1
-        )
-        assert np.array_equal(rows, expected)
-
-    def test_threaded_fill_into_out_buffer(self):
-        out = np.empty((4, 70_000))
-        gen = BatchNoiseGenerator(spawn_rngs(42, 4))
-        result = gen.normal_matrix(
-            70_000, mean=0.5, scale=2.0, out=out, threads=4
-        )
-        assert result is out
-        assert np.array_equal(out, self._fill(threads=1))
-
-    def test_invalid_threads_rejected(self):
-        gen = BatchNoiseGenerator(spawn_rngs(42, 2))
-        with pytest.raises(ConfigurationError):
-            gen.normal_matrix(100, threads=0)
-
-    def test_auto_resolution_policy(self):
-        import os
-
-        resolve = BatchNoiseGenerator._resolve_fill_threads
-        # small rows and single rows stay serial
-        assert resolve(None, 8, 1000) == 1
-        assert resolve(None, 1, 1 << 20) == 1
-        # large multi-row fills scale with the host, capped by rows
-        expected = max(1, min(3, os.cpu_count() or 1))
-        assert resolve(None, 3, 1 << 20) == expected
-        # explicit counts are honored (capped by rows)
-        assert resolve(16, 4, 100) == 4
-        assert resolve(2, 4, 100) == 2
-        # a process-wide CPU cap (pool workers set 1) bounds auto sizing
-        set_fill_cpus(1)
-        try:
-            assert resolve(None, 3, 1 << 20) == 1
-            assert resolve(2, 4, 100) == 2
-        finally:
-            set_fill_cpus(None)
-        with pytest.raises(ConfigurationError):
-            set_fill_cpus(0)

@@ -19,6 +19,14 @@ def small_sim(n_samples=60_000, nperseg=3000):
     )
 
 
+class KwargsSim(MatlabSimulation):
+    """A simulation whose ``acquire_bitstreams`` is a ``**kwargs``
+    wrapper."""
+
+    def acquire_bitstreams(self, states, rngs, **kwargs):
+        return super().acquire_bitstreams(states, rngs, **kwargs)
+
+
 def square(task, rng):
     """Module-level worker so the process backend can pickle it."""
     return task * task
@@ -107,11 +115,15 @@ class TestRunBatch:
         comparator = Comparator(input_noise_rms=1e-6)
         with pytest.raises(ConfigurationError):
             comparator.compare_batch(
-                np.zeros((3, 50)), np.zeros(50), rngs=[make_rng(0)]
+                np.zeros((3, 50)), np.zeros(50), rngs=[make_rng(0)],
+                sample_rate=FS,
             )
         latch = SampledLatch(divider=2, jitter_rms_samples=0.5)
+        decisions = Comparator().compare_batch(
+            np.ones((3, 50)), np.zeros(50), sample_rate=FS
+        )
         with pytest.raises(ConfigurationError):
-            latch.sample_batch(np.ones((3, 50)), rngs=[make_rng(0)])
+            latch.sample_batch_packed(decisions, rngs=[make_rng(0)])
 
     def test_non_bitstream_rejected(self):
         class BadSource:
@@ -123,6 +135,39 @@ class TestRunBatch:
             MeasurementEngine().run_batch(
                 BadSource(), sim.make_estimator(), 1, rng=1
             )
+
+    def test_float_stack_rejected(self):
+        # A valid +/-1 float stack is still not a packed record batch.
+        sim = small_sim()
+
+        class FloatSource:
+            def acquire_bitstreams(self, states, rngs):
+                records = [
+                    sim.bitstream(state, rng).samples
+                    for state, rng in zip(states, rngs)
+                ]
+                return np.vstack(records), sim.config.sample_rate_hz
+
+        est = sim.make_estimator()
+        with pytest.raises(ConfigurationError, match="PackedRecordBatch"):
+            MeasurementEngine().measure(FloatSource(), est, rng=1)
+        with pytest.raises(ConfigurationError, match="PackedRecordBatch"):
+            MeasurementEngine().measure_devices([FloatSource()] * 2, est, rng=1)
+
+    def test_kwargs_wrapper_gets_rng_mode(self):
+        # A **kwargs wrapper must reach the philox synthesis it wraps,
+        # not silently measure compat records under a philox key.
+        sim = small_sim()
+        wrapped = KwargsSim(sim.config)
+        est = sim.make_estimator()
+        engine = MeasurementEngine(rng_mode="philox")
+        direct = engine.measure(sim, est, rng=7)
+        via_wrapper = engine.measure(wrapped, est, rng=7)
+        assert via_wrapper.noise_figure_db == direct.noise_figure_db
+        assert via_wrapper.y == direct.y
+        assert via_wrapper.noise_figure_db != (
+            MeasurementEngine().measure(sim, est, rng=7).noise_figure_db
+        )
 
 
 class TestMeasureBatchAveraging:

@@ -79,8 +79,7 @@ class TestPhiloxFallbackPaths:
     Hysteresis makes comparator decisions state-dependent and latch
     jitter randomizes the sampling instants, so direct Bernoulli
     synthesis must *fall back* to counter-based noise fills plus the
-    regular digitize path — deterministically, and bit-identical to the
-    float-path philox digitization of the same streams.
+    regular digitize path — deterministically.
     """
 
     def _sim(self):
@@ -103,14 +102,13 @@ class TestPhiloxFallbackPaths:
             )
         raise AssertionError(kind)
 
-    def _acquire(self, sim, dig, packed, seed=3):
+    def _acquire(self, sim, dig, seed=3):
         from repro.signals.random import spawn_rngs
 
         return sim.acquire_bitstreams(
             ["hot", "cold"],
             spawn_rngs(seed, 2),
             digitizer=dig,
-            packed=packed,
             rng_mode="philox",
         )
 
@@ -124,25 +122,14 @@ class TestPhiloxFallbackPaths:
     @pytest.mark.parametrize("kind", ["hysteresis", "jitter"])
     def test_fallback_is_deterministic(self, kind):
         sim = self._sim()
-        batch_a, rate_a = self._acquire(sim, self._digitizer(kind), True)
-        batch_b, rate_b = self._acquire(sim, self._digitizer(kind), True)
+        batch_a, rate_a = self._acquire(sim, self._digitizer(kind))
+        batch_b, rate_b = self._acquire(sim, self._digitizer(kind))
         assert rate_a == rate_b
         assert np.array_equal(batch_a.words, batch_b.words)
 
     @pytest.mark.parametrize("kind", ["hysteresis", "jitter"])
-    def test_fallback_matches_float_philox_path(self, kind):
-        # The packed fallback draws the same philox noise and runs the
-        # same digitizer as the float path, record by record — so the
-        # unpacked bits must match the float digitization exactly.
-        sim = self._sim()
-        packed, rate_packed = self._acquire(sim, self._digitizer(kind), True)
-        floats, rate_float = self._acquire(sim, self._digitizer(kind), False)
-        assert rate_packed == rate_float
-        assert np.array_equal(packed.unpack(), np.asarray(floats))
-
-    @pytest.mark.parametrize("kind", ["hysteresis", "jitter"])
     def test_fallback_records_carry_philox_provenance(self, kind):
-        batch, _ = self._acquire(self._sim(), self._digitizer(kind), True)
+        batch, _ = self._acquire(self._sim(), self._digitizer(kind))
         assert batch.provenance is not None
         assert all(p.rng_mode == "philox" for p in batch.provenance)
 
@@ -155,9 +142,9 @@ class TestPhiloxFallbackPaths:
         from repro.digitizer.digitizer import OneBitDigitizer
 
         sim = self._sim()
-        fast, _ = self._acquire(sim, OneBitDigitizer(), True)
+        fast, _ = self._acquire(sim, OneBitDigitizer())
         tiny = OneBitDigitizer(comparator=Comparator(hysteresis_v=1e-9))
-        slow, _ = self._acquire(sim, tiny, True)
+        slow, _ = self._acquire(sim, tiny)
         frac_fast = np.unpackbits(
             fast.words, axis=-1, count=fast.n_samples
         ).mean(axis=-1)

@@ -20,7 +20,6 @@ from repro.engine.scheduler import as_scheduler
 from repro.errors import ConfigurationError, ExecutionError, MeasurementError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.faults import FaultPlan, inject
-from repro.signals.batch_rng import BatchNoiseGenerator
 from repro.signals.random import make_rng, spawn_rngs
 
 
@@ -107,11 +106,6 @@ def reject_task(task, rng):
     raise MeasurementError(f"task {task} is out of range")
 
 
-def auto_fill_threads(_):
-    """Threads an auto-sized philox fill of 8 long rows would use here."""
-    return BatchNoiseGenerator._resolve_fill_threads(None, 8, 1 << 20)
-
-
 class TestWorkerPool:
     def test_bad_workers_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -128,10 +122,6 @@ class TestWorkerPool:
         assert pool.map(square, []) == []
         assert pool.spawn_count == 0
         assert not pool.active
-
-    def test_workers_fill_on_one_thread(self):
-        with WorkerPool(max_workers=2) as pool:
-            assert pool.map(auto_fill_threads, [0, 1]) == [1, 1]
 
     def test_reuse_across_calls(self):
         with WorkerPool(max_workers=1) as pool:
@@ -210,7 +200,7 @@ class TestSharedSweepPayloads:
     def records(self):
         sim = small_sim(n_samples=30_000)
         batch, _ = sim.acquire_bitstreams(
-            ["hot", "cold"], spawn_rngs(make_rng(9), 2), packed=True
+            ["hot", "cold"], spawn_rngs(make_rng(9), 2)
         )
         return batch
 
@@ -238,22 +228,22 @@ class TestSharedSweepPayloads:
         assert procs == serial
 
 
-class FloatOnlySource:
-    """A batch acquirer without the analog-batch protocol."""
+class BitstreamsOnlySource:
+    """A batch acquirer with ``acquire_bitstreams`` and nothing else."""
 
     def __init__(self, sim):
         self._sim = sim
 
-    def acquire_bitstreams(self, states, rngs, packed=False):
-        return self._sim.acquire_bitstreams(states, rngs, packed=packed)
+    def acquire_bitstreams(self, states, rngs):
+        return self._sim.acquire_bitstreams(states, rngs)
 
 
-class InterruptingSource(FloatOnlySource):
+class InterruptingSource(BitstreamsOnlySource):
     """A source whose acquisition is interrupted (Ctrl-C)."""
 
     calls = 0
 
-    def acquire_bitstreams(self, states, rngs, packed=False):
+    def acquire_bitstreams(self, states, rngs):
         self.calls += 1
         raise KeyboardInterrupt
 
@@ -299,9 +289,11 @@ class TestPlanner:
         assert [g.indices for g in singles] == [(2,)]
 
     def test_protocol_less_source_falls_back(self):
+        """A source with only ``acquire_bitstreams`` joins a batch, and
+        its planned results equal per-task ``measure``."""
         sim = small_sim()
         est = sim.make_estimator()
-        plain = FloatOnlySource(sim)
+        plain = BitstreamsOnlySource(sim)
         tasks = [
             MeasurementTask(plain, est, 1),
             MeasurementTask(plain, est, 2),
@@ -309,10 +301,17 @@ class TestPlanner:
             MeasurementTask(sim, est, 4),
         ]
         plan = plan_measurements(tasks)
-        assert [g.indices for g in plan.groups if g.batched] == [(2, 3)]
-        assert [g.indices for g in plan.groups if not g.batched] == [
-            (0,),
-            (1,),
+        assert [g.indices for g in plan.groups if g.batched] == [
+            (0, 1, 2, 3)
+        ]
+        assert not [g for g in plan.groups if not g.batched]
+        planned = MeasurementScheduler().run(tasks)
+        direct = [
+            MeasurementEngine().measure(t.source, t.estimator, rng=t.rng)
+            for t in tasks
+        ]
+        assert [(r.noise_figure_db, r.y) for r in planned] == [
+            (r.noise_figure_db, r.y) for r in direct
         ]
 
     def test_heterogeneous_run_bit_identical_to_per_task_measure(self):
@@ -400,8 +399,6 @@ class TestSchedulerFacade:
             MeasurementScheduler(engine=eng, backend="process")
         with pytest.raises(ConfigurationError):
             MeasurementScheduler(engine=eng, max_workers=2)
-        with pytest.raises(ConfigurationError):
-            MeasurementScheduler(engine=eng, packed=False)
 
     def test_as_scheduler_resolution(self):
         explicit = MeasurementScheduler()
@@ -421,7 +418,6 @@ class TestSchedulerFacade:
         records, rate = sim.acquire_bitstreams(
             ["hot", "cold", "hot", "cold"],
             spawn_rngs(make_rng(5), 4),
-            packed=True,
         )
         with MeasurementScheduler(backend="process", max_workers=2) as sched:
             sched.map_sweep(square, [1, 2], seed=0)
@@ -806,7 +802,7 @@ class TestEnginePoolLifetime:
     def test_spectra_and_single_measure_stay_in_process(self):
         sim = small_sim(n_samples=30_000)
         records, rate = sim.acquire_bitstreams(
-            ["hot", "cold"] * 3, spawn_rngs(make_rng(5), 6), packed=True
+            ["hot", "cold"] * 3, spawn_rngs(make_rng(5), 6)
         )
         with MeasurementEngine(backend="process", max_workers=2) as eng:
             eng.spectra_of(records, rate, sim.make_estimator())

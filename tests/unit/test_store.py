@@ -276,9 +276,7 @@ class TestRecordsSerialization:
     def _batch(self):
         sim = _sim()
         rngs = spawn_rngs(5, 4)
-        batch, _ = sim.acquire_bitstreams(
-            ["hot", "cold", "hot", "cold"], rngs, packed=True
-        )
+        batch, _ = sim.acquire_bitstreams(["hot", "cold", "hot", "cold"], rngs)
         return batch
 
     def test_round_trip_bit_identical(self):
@@ -315,9 +313,7 @@ class TestResultStore:
     def test_records_round_trip(self, tmp_path):
         store = ResultStore(tmp_path / "s")
         sim = _sim()
-        batch, _ = sim.acquire_bitstreams(
-            ["hot", "cold"], spawn_rngs(3, 2), packed=True
-        )
+        batch, _ = sim.acquire_bitstreams(["hot", "cold"], spawn_rngs(3, 2))
         key = "ef" * 32
         assert store.put_records(key, batch)
         back = store.get_records(key)
