@@ -205,123 +205,3 @@ def test_store(benchmark, emit):
         assert retest_speedup >= MIN_RETEST_SPEEDUP
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-
-
-# ---------------------------------------------------------------------------
-# Store at production scale: the persistent index, shard compaction.
-# ---------------------------------------------------------------------------
-
-#: Synthetic entry count for the enumeration benchmark (>= 10k per the
-#: acceptance bar; payload bytes are irrelevant to ls, only file count).
-N_INDEX_ENTRIES = 10_000
-
-#: Enumerating >= 10k entries through the persistent index must beat
-#: the tree walk by this factor (asserted on every host).
-MIN_INDEX_SPEEDUP = float(
-    os.environ.get("BENCH_STORE_MIN_INDEX_SPEEDUP", "10")
-)
-
-
-def test_store_scale(benchmark, emit):
-    workdir = pathlib.Path(tempfile.mkdtemp(prefix="bench_store_scale_"))
-    try:
-        # --- indexed enumeration vs tree walk at 10k entries ---------
-        big = ResultStore(workdir / "big")
-        rng = np.random.default_rng(SEED)
-        for raw in rng.integers(0, 256, size=(N_INDEX_ENTRIES, 32)):
-            key = bytes(raw.tolist()).hex()
-            path = big._path("results", key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(b"x" * 64)
-        run_once(benchmark, big.rebuild_index)
-        # Best-of-3 on both legs: single-shot timings at this scale are
-        # dominated by scheduler noise, not by the code under test.
-        walk_big, t_walk = min(
-            (_time(big.index) for _ in range(3)), key=lambda rt: rt[1]
-        )
-        fast_big, t_indexed = min(
-            (_time(big.load_index) for _ in range(3)), key=lambda rt: rt[1]
-        )
-        index_speedup = t_walk / t_indexed
-        assert len(walk_big) == N_INDEX_ENTRIES
-        assert {(e.kind, e.key, e.nbytes) for e in fast_big} == {
-            (e.kind, e.key, e.nbytes) for e in walk_big
-        }
-
-        # --- shard compaction: fewer files, identical bytes ----------
-        payloads = {
-            e.key: big.read_payload_bytes(e.kind, e.key) for e in walk_big
-        }
-        files_before = len(list(big.root.glob("results/*/*.npz")))
-        _, t_compact = _time(big.compact)
-        files_after = len(
-            list(big.root.glob("results/*/*.npz"))
-        ) + len(list(big.root.glob("results/*/pack-*.pk")))
-        assert files_after <= files_before // 2
-        assert all(
-            big.read_payload_bytes("results", k) == raw
-            for k, raw in payloads.items()
-        )
-
-        rows = [
-            [
-                "tree-walk enumeration",
-                t_walk,
-                f"{N_INDEX_ENTRIES} entries",
-                "-",
-            ],
-            [
-                "indexed enumeration",
-                t_indexed,
-                f"{N_INDEX_ENTRIES} entries",
-                f"{index_speedup:.1f}x",
-            ],
-            [
-                "shard compaction",
-                t_compact,
-                f"{files_before} -> {files_after} files",
-                "-",
-            ],
-        ]
-        emit(
-            "store_scale",
-            render_table(
-                ["stage", "seconds", "detail", "speedup"],
-                rows,
-                title=(
-                    f"Store at scale - {N_INDEX_ENTRIES}-entry index "
-                    f"({os.cpu_count()} CPUs)"
-                ),
-            ),
-        )
-
-        bench_path = REPO_ROOT / "BENCH_engine.json"
-        try:
-            payload = json.loads(bench_path.read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
-            payload = {}  # self-heal a missing or truncated file
-        payload["store_scale"] = {
-            "n_cpus": os.cpu_count(),
-            "env": envinfo(),
-            "workload": {"n_index_entries": N_INDEX_ENTRIES},
-            "indexed_ls": {
-                "walk_seconds": round(t_walk, 5),
-                "indexed_seconds": round(t_indexed, 5),
-                "speedup": round(index_speedup, 1),
-                "min_speedup": MIN_INDEX_SPEEDUP,
-                "asserted": True,
-            },
-            "compaction": {
-                "files_before": files_before,
-                "files_after": files_after,
-                "seconds": round(t_compact, 4),
-                "payloads_identical": True,
-            },
-        }
-        bench_path.write_text(json.dumps(payload, indent=2) + "\n")
-
-        # Acceptance bars: indexed enumeration and compaction bind
-        # everywhere.
-        assert index_speedup >= MIN_INDEX_SPEEDUP
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)

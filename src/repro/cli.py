@@ -12,9 +12,7 @@ Usage::
     python -m repro store ls ./nfstore
     python -m repro store info ./nfstore [KEY]
     python -m repro store gc ./nfstore
-    python -m repro store compact ./nfstore
     python -m repro store evict ./nfstore --budget 100000000
-    python -m repro store reindex ./nfstore
     python -m repro chaos --plan transient --seed 7 --backend process
     python -m repro serve --store ./nfstore --backend process
     python -m repro submit lot --param n_devices=24 --wait --json
@@ -34,10 +32,9 @@ computing only what the store is missing, and ``--json`` switches the
 scheduler-driven production/record_length/robustness outputs to
 machine-readable JSON.  ``--max-retries``/``--task-timeout`` configure
 the process backend's fault tolerance (task retry budget and hung-
-worker detection).  The ``store`` subcommand inspects, compacts
-(``compact``: merge small payloads into per-shard packs), size-bounds
-(``evict --budget``), reindexes (``reindex``: rebuild the persistent
-enumeration index) and garbage-collects a store directory;
+worker detection).  The ``store`` subcommand lists and inspects a
+store directory (``ls``, ``info``: a walk of its tree), size-bounds it
+(``evict --budget``) and garbage-collects it (``gc``);
 ``run --cache-budget`` applies the same eviction online while a sweep
 writes.  The ``chaos`` subcommand runs the
 production screen under a named fault-injection plan and verifies the
@@ -696,37 +693,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_retry_arguments(chaos)
     store = sub.add_parser(
-        "store", help="inspect, compact or garbage-collect a result store"
+        "store", help="inspect, evict or garbage-collect a result store"
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
-    ls = store_sub.add_parser(
-        "ls",
-        help="list stored entries (persistent-index fast path; index "
-        "stats go to stderr)",
-    )
+    ls = store_sub.add_parser("ls", help="list stored entries")
     info = store_sub.add_parser(
         "info", help="store summary, or one entry's metadata (JSON)"
     )
     gc = store_sub.add_parser(
         "gc", help="remove stale-schema entries and abandoned temp files"
     )
-    compact = store_sub.add_parser(
-        "compact",
-        help="merge each shard's small payload files into one pack "
-        "container (payload bytes are preserved exactly; reads "
-        "resolve packs transparently)",
-    )
     evict = store_sub.add_parser(
         "evict",
         help="evict oldest entries until the store fits a byte budget "
         "(production outcomes stay pinned unless --unpin-outcomes)",
     )
-    reindex = store_sub.add_parser(
-        "reindex",
-        help="(re)build the persistent index from a tree walk and "
-        "verify it (recovery path for legacy or damaged indexes)",
-    )
-    for sub_parser in (ls, info, gc, compact, evict, reindex):
+    for sub_parser in (ls, info, gc, evict):
         sub_parser.add_argument("dir", help="store directory")
     info.add_argument(
         "key",
@@ -739,14 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="gc_all",
         help="remove every entry, not just dead ones",
-    )
-    compact.add_argument(
-        "--kind",
-        action="append",
-        dest="kinds",
-        choices=("results", "records", "outcomes"),
-        default=None,
-        help="compact only this kind (repeatable; default: all kinds)",
     )
     evict.add_argument(
         "--budget",
@@ -981,54 +955,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _store_enumerate(store):
-    """``(index, via)`` — persistent-index fast path, tree walk fallback.
-
-    ``via`` is ``"index"`` (O(changed) segment replay, no walk) or
-    ``"walk"`` (ground-truth directory walk; a warning points the user
-    at ``store reindex`` so subsequent listings stay cheap).
-    """
-    fast = store.load_index()
-    if fast is not None:
-        return fast, "index"
-    _LOG.warning(
-        "store has no persistent index, enumerating via tree "
-        "walk (run `store reindex` to build one)"
-    )
-    return store.index(), "walk"
-
-
 def _store_main(args) -> int:
-    """The ``store`` subcommand: ls / info / gc / compact / evict /
-    reindex."""
+    """The ``store`` subcommand: ls / info / gc / evict."""
     from repro.store import ResultStore
 
     store = ResultStore(args.dir)
     if args.store_command == "ls":
-        index, via = _store_enumerate(store)
-        for entry in index:
+        for entry in store.index():
             print(f"{entry.key}  {entry.kind:8s}  {entry.nbytes:>10d} B")
-        stats = store.index_stats()
-        if stats is not None:
-            # Stats go to stderr so stdout stays one parseable entry
-            # per line.
-            print(
-                f"# index: {stats['n_entries']} entries, "
-                f"{stats['n_segments']} segment(s), "
-                f"{stats['index_bytes']} index B, "
-                f"{stats['payload_bytes']} payload B (via {via})",
-                file=sys.stderr,
-            )
         return 0
     if args.store_command == "info":
+        index = store.index()
         if args.key is None:
-            index, via = _store_enumerate(store)
-            summary = index.summary()
-            summary["enumerated_via"] = via
-            summary["index"] = store.index_stats()
-            print(_dump_json(summary))
+            print(_dump_json(index.summary()))
             return 0
-        index, _ = _store_enumerate(store)
         matches = index.find(args.key)
         # One key may carry several kinds (a measurement's result plus
         # its pooled records); ambiguity means several *keys* matched.
@@ -1055,20 +995,11 @@ def _store_main(args) -> int:
             )
         )
         return 0
-    if args.store_command == "compact":
-        stats = store.compact(kinds=args.kinds or None)
-        print(_dump_json(stats))
-        return 0
     if args.store_command == "evict":
         pin_kinds = () if args.unpin_outcomes else ("outcomes",)
         stats = store.evict(args.budget, pin_kinds=pin_kinds)
         print(_dump_json(stats))
         return 0
-    if args.store_command == "reindex":
-        stats = store.rebuild_index()
-        stats["verify"] = store.verify_index()
-        print(_dump_json(stats))
-        return 0 if stats["verify"]["consistent"] else 1
     removed = store.gc(all_entries=args.gc_all)
     print(_dump_json(removed))
     return 0

@@ -80,7 +80,7 @@ _BACKENDS = ("vectorized", "process")
 _CACHE_MODES = ("off", "read", "write", "readwrite")
 
 #: Single-measurement writes between engine-side budget checks;
-#: bounding the store costs an enumeration, so it is amortized.
+#: bounding the store costs a tree walk, so it is amortized.
 _BUDGET_CHECK_EVERY = 32
 
 
@@ -301,8 +301,7 @@ class MeasurementEngine:
         if not force and self._budget_writes < _BUDGET_CHECK_EVERY:
             return
         self._budget_writes = 0
-        if self.store.approx_total_bytes() > self.cache_budget_bytes:
-            self.store.evict(self.cache_budget_bytes)
+        self.store.evict(self.cache_budget_bytes)
 
     # ------------------------------------------------------------------
     # Pool lifetime

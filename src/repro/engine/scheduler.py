@@ -43,7 +43,7 @@ from repro.core.production import Verdict
 from repro.errors import ConfigurationError, ExecutionError, MeasurementError
 from repro.faults.injector import active_injector, faulted_call, task_fault
 from repro import obs
-from repro.obs.registry import MetricsRegistry, diff_snapshots
+from repro.obs.registry import diff_snapshots
 from repro.signals.batch_rng import validate_rng_mode
 from repro.signals.random import GeneratorLike
 
@@ -214,9 +214,7 @@ class MapOutcome:
     ``results`` keeps payload order (``None`` for dead-lettered tasks);
     ``attempts`` counts every dispatch, ``retries`` the re-dispatches,
     ``timeouts`` the hung-worker detections, ``respawns`` the pool
-    rebuilds this call consumed.  With observability on (:mod:`repro.obs`),
-    ``obs`` carries the merged worker-side metrics snapshot this call
-    produced (``None`` otherwise).
+    rebuilds this call consumed.
     """
 
     results: List
@@ -225,7 +223,6 @@ class MapOutcome:
     timeouts: int = 0
     respawns: int = 0
     dead: List[TaskFailure] = field(default_factory=list)
-    obs: Optional[dict] = None
 
     @property
     def ok(self) -> bool:
@@ -377,7 +374,6 @@ class WorkerPool:
         # Snapshot the switch once per call: every dispatch in this run
         # agrees on whether results come back (value, snapshot)-wrapped.
         obs_on = obs.enabled()
-        obs_acc = MetricsRegistry() if obs_on else None
         obs.trace_event("pool.dispatch", run=run_seq, tasks=len(payloads))
         dead: Dict[int, TaskFailure] = {}
         pending: List[Tuple[int, int]] = [(i, 1) for i in range(len(payloads))]
@@ -446,7 +442,6 @@ class WorkerPool:
                         value, worker_snap = value
                         if worker_snap:
                             obs.merge(worker_snap)
-                            obs_acc.merge(worker_snap)
                     outcome.results[i] = value
                 except FuturesTimeoutError as exc:
                     if not broken:
@@ -482,7 +477,6 @@ class WorkerPool:
             pending = next_pending
         outcome.dead = [dead[i] for i in sorted(dead)]
         if obs_on:
-            outcome.obs = obs_acc.snapshot()
             obs.inc("scheduler.dispatches", outcome.attempts)
             if outcome.retries:
                 obs.inc("scheduler.retries", outcome.retries)

@@ -45,7 +45,6 @@ __all__ = [
     "client_disconnect_fault",
     "faulted_call",
     "inject",
-    "index_torn_fault",
     "job_deadline_fault",
     "journal_torn_fault",
     "store_fault",
@@ -190,11 +189,6 @@ class FaultInjector:
         seq = self._sequence("store_lock")
         return self._draw("store_lock", (seq,), f"acquire={seq}")
 
-    def index_torn_directive(self) -> bool:
-        """Whether this index append should land cut mid-record."""
-        seq = self._sequence("index_torn_write")
-        return self._draw("index_torn_write", (seq,), f"append={seq}")
-
     def journal_torn_directive(self) -> bool:
         """Whether this service-journal append should land torn."""
         seq = self._sequence("journal_torn_write")
@@ -301,13 +295,6 @@ def store_lock_fault() -> bool:
     if _ACTIVE is None:
         return False
     return _ACTIVE.lock_directive()
-
-
-def index_torn_fault() -> bool:
-    """Whether the current index append should be torn mid-record."""
-    if _ACTIVE is None:
-        return False
-    return _ACTIVE.index_torn_directive()
 
 
 def journal_torn_fault() -> bool:

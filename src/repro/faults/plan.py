@@ -3,11 +3,12 @@
 A :class:`FaultPlan` names a *distribution* of failures over the
 injection sites the execution stack exposes — worker processes that
 die or hang, tasks that raise transiently, store payloads that land
-truncated or bit-flipped, lock races, torn appends, dropped clients
-and forced deadlines — with one probability per site and a single
-seed.  Every injection decision is a pure function of ``(seed, site,
-invocation coordinates)``, so a plan replays the same fault sequence
-run after run (see :class:`~repro.faults.injector.FaultInjector`).
+truncated or bit-flipped, journal lock races and torn journal appends,
+dropped clients and forced deadlines — with one probability per site
+and a single seed.  Every injection decision is a pure function of
+``(seed, site, invocation coordinates)``, so a plan replays the same
+fault sequence run after run (see
+:class:`~repro.faults.injector.FaultInjector`).
 
 :data:`FAULT_PLANS` registers the named plans the CLI ``chaos``
 subcommand and the CI chaos smoke accept.
@@ -25,8 +26,8 @@ __all__ = ["FaultPlan", "FAULT_PLANS", "SITES", "resolve_plan"]
 #: Injection sites, in the order the harness consults them, with their
 #: seed-stream keys.  The key is part of the deterministic contract: a
 #: new site takes the next unused key and a retired site's key is never
-#: reused (5 is retired), so a plan and seed keep drawing the same
-#: faults at the same places across versions.
+#: reused (5 and 7 are retired), so a plan and seed keep drawing the
+#: same faults at the same places across versions.
 SITE_IDS: Dict[str, int] = {
     "worker_crash": 0,      # a worker process dies mid-task (SIGKILL)
     "worker_hang": 1,       # a task blocks far beyond its deadline
@@ -34,11 +35,8 @@ SITE_IDS: Dict[str, int] = {
     "store_truncate": 3,    # a store payload lands cut short, as a crash
                             # mid-write (without the atomic rename) would
     "store_corrupt": 4,     # a store payload lands with flipped bits
-    "store_lock": 6,        # a shard/index lock attempt loses a race and
-                            # must back off and retry
-    "index_torn_write": 7,  # a store-index append is cut mid-record, as
-                            # a crash between write() and the record
-                            # boundary
+    "store_lock": 6,        # a file-lock attempt (the service journal's)
+                            # loses a race and must back off and retry
     "journal_torn_write": 8,  # a service-journal append is cut
                             # mid-record, as a daemon SIGKILLed between
                             # write() and the record boundary would leave it
@@ -70,7 +68,6 @@ class FaultPlan:
     store_truncate: float = 0.0
     store_corrupt: float = 0.0
     store_lock: float = 0.0
-    index_torn_write: float = 0.0
     journal_torn_write: float = 0.0
     client_disconnect: float = 0.0
     job_deadline: float = 0.0
@@ -127,7 +124,7 @@ FAULT_PLANS: Dict[str, FaultPlan] = {
     "crashes": FaultPlan(worker_crash=0.25),
     "hangs": FaultPlan(worker_hang=0.20, hang_seconds=20.0),
     "store": FaultPlan(store_truncate=0.4, store_corrupt=0.4),
-    "locks": FaultPlan(store_lock=0.5, index_torn_write=0.4),
+    "locks": FaultPlan(store_lock=0.5),
     "service": FaultPlan(
         journal_torn_write=0.30,
         client_disconnect=0.25,
@@ -140,7 +137,6 @@ FAULT_PLANS: Dict[str, FaultPlan] = {
         store_truncate=0.30,
         store_corrupt=0.30,
         store_lock=0.20,
-        index_torn_write=0.15,
         journal_torn_write=0.15,
         client_disconnect=0.10,
         hang_seconds=20.0,

@@ -20,8 +20,9 @@ threads an explicit flag through its worker initializer so pools
 spawned before ``enable()`` still pick it up.  Worker-side telemetry
 is accumulated in the worker's own process-global registry, snapshot
 via :func:`snapshot_and_reset` at task-return time, and merged into
-the parent registry with each ``MapOutcome`` — observability composes
-with the process backend without any shared-memory coordination.
+the parent registry as each task result arrives — observability
+composes with the process backend without any shared-memory
+coordination.
 
 Exposition lives in :mod:`repro.obs.export` (Prometheus text) and the
 JSON-ready :func:`snapshot`; the daemon's ``metrics`` op returns both.

@@ -17,16 +17,13 @@ persistence layer:
     through ``.npz`` archives losslessly, so a cache hit *equals* a
     recompute.
 :mod:`repro.store.store`
-    :class:`ResultStore` — the atomic, shardable on-disk layout, the
-    enumeration :class:`StoreIndex`, shard-pack compaction, byte-budget
-    eviction and garbage collection.
-:mod:`repro.store.index`
-    :class:`PersistentIndex` — the append-only, memory-mapped index
-    that makes enumeration on a large store O(changed) instead of a
-    tree walk.
+    :class:`ResultStore` — the atomic, shardable on-disk layout of
+    sealed ``.npz`` files, the tree-walk enumeration
+    :class:`StoreIndex`, byte-budget eviction and garbage collection.
+    No store operation takes a lock.
 :mod:`repro.store.locks`
-    Per-shard / index advisory file locks (compaction and index
-    appends; plain writes stay lock-free).
+    The advisory file lock the service journal takes whenever it
+    creates, appends to or rotates its segments.
 
 Wiring: ``MeasurementEngine(store=..., cache="readwrite")`` consults
 the store in :meth:`~repro.engine.engine.MeasurementEngine.measure`,
@@ -35,7 +32,6 @@ and :func:`~repro.engine.scheduler.plan_retest` plans only the
 failed / guard-band devices of a prior production outcome.
 """
 
-from repro.store.index import PersistentIndex
 from repro.store.keys import (
     KINDS,
     SCHEMA_VERSION,
@@ -49,7 +45,6 @@ from repro.store.store import ResultStore, StoreEntry, StoreIndex
 
 __all__ = [
     "KINDS",
-    "PersistentIndex",
     "SCHEMA_VERSION",
     "ResultStore",
     "StoreEntry",

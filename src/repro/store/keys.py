@@ -57,9 +57,7 @@ __all__ = [
 #: Schema 2: philox testbench records are drawn by spectral synthesis.
 SCHEMA_VERSION = 2
 
-#: Entry kinds, in layout order.  The position of a kind doubles as its
-#: id in the persistent index's on-disk records, so the order is part
-#: of the format — append, never reorder.
+#: Entry kinds, in layout order: one top-level directory each.
 KINDS = ("results", "records", "outcomes")
 
 #: Object-graph recursion limit — benches are a few levels deep

@@ -1,20 +1,18 @@
-"""Advisory file locks for multi-writer store coordination.
+"""Advisory file locks for multi-writer coordination.
 
-The store's 256-way key fan-out gives natural shard boundaries; any
-operation that must be exclusive *within* a shard (compaction, pack
-rewrites) or over the index (appends, rotation) takes an ``flock`` on a
-small lock file next to the data.  Plain content-addressed writes need
-no lock — ``os.replace`` publishes them atomically and identical keys
-imply identical bytes — so the warm write path stays lock-free.
+The service journal (:mod:`repro.service.journal`) takes an ``flock``
+on a small lock file whenever it creates, appends to or rotates its
+segments.  Result-store
+payloads need no lock — ``os.replace`` publishes them atomically and
+identical keys imply identical bytes — so no store operation takes one.
 
 Locks are acquired non-blocking in a poll loop so a timeout can be
 enforced, and the ``store_lock`` fault site can deterministically
 simulate losing the first race (the caller backs off and retries,
 exercising the contention path without a second process).
 
-On platforms without ``fcntl`` the locks degrade to no-ops; the store
-stays single-writer-safe there (atomic publishes), only concurrent
-compaction of one shard is unprotected.
+On platforms without ``fcntl`` the locks degrade to no-ops; only
+concurrent journal writers are unprotected there.
 """
 
 from __future__ import annotations
@@ -37,10 +35,10 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 __all__ = ["LockTimeout", "file_lock"]
 
-#: How long an acquire may poll before giving up.  Shard/index critical
-#: sections are tiny (one pack rewrite, one record append), so a healthy
-#: peer releases within milliseconds; a 30 s timeout only fires when a
-#: lock holder is truly wedged.
+#: How long an acquire may poll before giving up.  Critical sections
+#: are tiny (one record append, one rotation), so a healthy peer
+#: releases within milliseconds; a 30 s timeout only fires when a lock
+#: holder is truly wedged.
 DEFAULT_TIMEOUT_S = 30.0
 
 _POLL_S = 0.005

@@ -234,94 +234,3 @@ class TestMultiWriterSafety:
         for entry in walk:
             assert store.read_meta(entry.kind, entry.key) is not None
         assert store.quarantine_log == []
-
-        # The multi-process append fan-out kept the persistent index
-        # exactly equal to the tree.
-        assert store.verify_index()["consistent"]
-        fast = store.load_index()
-        assert {(e.kind, e.key, e.nbytes) for e in fast} == {
-            (e.kind, e.key, e.nbytes) for e in walk
-        }
-
-
-COMPACT_SCRIPT = """\
-import sys
-import time
-from repro.store import ResultStore
-
-store = ResultStore(sys.argv[1])
-shards = sorted({entry.key[:2] for entry in store.index()})
-for shard in shards:
-    store.compact(shards=[shard])
-    print(shard, flush=True)
-    time.sleep(0.05)
-"""
-
-
-class TestCompactionCrashSafety:
-    """SIGKILL mid-compaction leaves every payload readable."""
-
-    def test_sigkill_mid_compaction_preserves_store(self, tmp_path):
-        from tests.unit.test_store import (
-            _result,
-            assert_results_identical,
-        )
-
-        store_dir = tmp_path / "packing"
-        store = ResultStore(store_dir)
-        result = _result()
-        # Two entries per shard across several shards, so compaction
-        # has real per-shard work to be killed in the middle of.
-        keys = [
-            f"{shard:02d}" + format(suffix, "062x")
-            for shard in range(6)
-            for suffix in (1, 2)
-        ]
-        for key in keys:
-            store.put_result(key, result)
-        before = {
-            key: store.read_payload_bytes("results", key) for key in keys
-        }
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ("src", env.get("PYTHONPATH", "")) if p
-        )
-        child = subprocess.Popen(
-            [sys.executable, "-c", COMPACT_SCRIPT, str(store_dir)],
-            env=env,
-            cwd=Path(__file__).resolve().parents[2],
-            stdout=subprocess.PIPE,
-        )
-        try:
-            # Kill the child the moment the first shard lands.
-            line = child.stdout.readline()
-            assert line.strip(), "compactor produced no progress"
-            child.send_signal(signal.SIGKILL)
-            child.wait(timeout=30.0)
-        finally:
-            child.stdout.close()
-            if child.poll() is None:  # pragma: no cover - cleanup path
-                child.kill()
-                child.wait()
-        assert child.returncode == -signal.SIGKILL
-
-        # Some shards packed, some loose, possibly a published pack
-        # whose loose originals were not yet unlinked — every payload must
-        # still read back bit for bit.
-        survivor = ResultStore(store_dir)
-        packs = list(store_dir.glob("results/*/pack-*.pk"))
-        assert packs, "the killed compactor never published a pack"
-        for key in keys:
-            assert survivor.read_payload_bytes("results", key) == before[key]
-            assert_results_identical(survivor.get_result(key), result)
-        assert survivor.quarantine_log == []
-
-        # gc reclaims any orphaned tmp file and a rebuild restores a
-        # consistent index; finishing the compaction converges.
-        survivor.gc(tmp_grace_s=0.0)
-        survivor.rebuild_index()
-        assert survivor.verify_index()["consistent"]
-        survivor.compact()
-        for key in keys:
-            assert survivor.read_payload_bytes("results", key) == before[key]

@@ -320,70 +320,48 @@ class TestBenchCommand:
 
 
 class TestStoreScaleSubcommands:
-    """PR 8: indexed ls/info, compact, evict, reindex, --cache-budget."""
+    """ls/info on the tree walk, evict, --cache-budget."""
 
     def _populate(self, store_dir):
         assert (
             main(["run", "production", "--fast", "--store", store_dir]) == 0
         )
 
-    def test_ls_uses_index_and_prints_stats_on_stderr(
-        self, tmp_path, capsys
-    ):
+    def test_ls_lists_the_walk_on_stdout_only(self, tmp_path, capsys):
+        from repro.store import ResultStore
+
         store_dir = str(tmp_path / "s")
         self._populate(store_dir)
         capsys.readouterr()
         assert main(["store", "ls", store_dir]) == 0
         captured = capsys.readouterr()
-        # stdout stays one parseable entry per line...
-        assert all(
-            len(line.split()) >= 3
-            for line in captured.out.strip().splitlines()
-        )
-        # ...and the index stats ride on stderr.
-        assert "# index:" in captured.err
-        assert "via index" in captured.err
-        assert "segment" in captured.err
+        # One "key kind nbytes B" line per walked entry, nothing else.
+        walk = ResultStore(store_dir).index()
+        assert captured.out.splitlines() == [
+            f"{e.key}  {e.kind:8s}  {e.nbytes:>10d} B" for e in walk
+        ]
+        assert captured.err == ""
 
-    def test_ls_without_index_warns_and_walks(self, tmp_path, capsys):
-        import shutil
-
-        store_dir = str(tmp_path / "s")
-        self._populate(store_dir)
-        shutil.rmtree(tmp_path / "s" / "index")
-        capsys.readouterr()
-        assert main(["store", "ls", store_dir]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.strip()  # the walk still lists everything
-        assert "no persistent index" in captured.err
-        assert "store reindex" in captured.err
-
-    def test_info_embeds_index_stats(self, tmp_path, capsys):
+    def test_info_summarizes_the_walk(self, tmp_path, capsys):
         import json
+
+        from repro.store import ResultStore
 
         store_dir = str(tmp_path / "s")
         self._populate(store_dir)
         capsys.readouterr()
         assert main(["store", "info", store_dir]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["enumerated_via"] == "index"
-        assert summary["index"]["n_entries"] == summary["n_entries"]
-        assert summary["index"]["n_segments"] >= 1
-        assert summary["index"]["payload_bytes"] == summary["total_bytes"]
+        assert summary == ResultStore(store_dir).index().summary()
+        assert summary["kinds"]["outcomes"]["n_entries"] == 1
+        assert summary["n_entries"] == summary["kinds"]["results"][
+            "n_entries"
+        ] + 1
 
-    def test_compact_then_reads_unchanged(self, tmp_path, capsys):
-        import json
-
-        store_dir = str(tmp_path / "s")
-        self._populate(store_dir)
-        capsys.readouterr()
-        assert main(["store", "ls", store_dir]) == 0
-        before = capsys.readouterr().out
-        assert main(["store", "compact", store_dir]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["n_files_after"] <= stats["n_files_before"]
-        assert main(["store", "ls", store_dir]) == 0
-        assert capsys.readouterr().out == before
+    def test_removed_subcommands_rejected(self, tmp_path):
+        for command in ("compact", "reindex"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["store", command, str(tmp_path)])
 
     def test_evict_respects_budget_and_pins(self, tmp_path, capsys):
         import json
@@ -425,19 +403,6 @@ class TestStoreScaleSubcommands:
     def test_evict_requires_budget(self, tmp_path):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["store", "evict", str(tmp_path)])
-
-    def test_reindex_rebuilds_and_verifies(self, tmp_path, capsys):
-        import json
-        import shutil
-
-        store_dir = str(tmp_path / "s")
-        self._populate(store_dir)
-        shutil.rmtree(tmp_path / "s" / "index")
-        capsys.readouterr()
-        assert main(["store", "reindex", store_dir]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["n_entries"] > 0
-        assert stats["verify"]["consistent"] is True
 
     def test_cache_budget_parsed(self):
         args = build_parser().parse_args(

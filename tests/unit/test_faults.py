@@ -71,6 +71,7 @@ class TestInjectorDeterminism:
     def test_site_stream_keys_are_pinned(self):
         # A site's key seeds its decision stream: retiring a site must
         # not shift the others, or chaos runs would draw new faults.
+        # Keys 5 and 7 belong to retired sites and are never reused.
         assert SITE_IDS == {
             "worker_crash": 0,
             "worker_hang": 1,
@@ -78,7 +79,6 @@ class TestInjectorDeterminism:
             "store_truncate": 3,
             "store_corrupt": 4,
             "store_lock": 6,
-            "index_torn_write": 7,
             "journal_torn_write": 8,
             "client_disconnect": 9,
             "job_deadline": 10,
@@ -223,36 +223,30 @@ class TestFaultedCall:
 
 
 class TestStoreLockSites:
-    """The PR 8 fault sites: shard/index locks and torn index appends."""
+    """The file-lock site (the service journal's lock)."""
 
     def test_sites_registered(self):
         assert "store_lock" in SITES
-        assert "index_torn_write" in SITES
+        assert "index_torn_write" not in SITES
 
     def test_hooks_inert_without_injector(self):
-        from repro.faults.injector import index_torn_fault, store_lock_fault
+        from repro.faults.injector import store_lock_fault
 
         assert active_injector() is None
         assert store_lock_fault() is False
-        assert index_torn_fault() is False
 
     def test_locks_plan_registered(self):
         plan = resolve_plan("locks", seed=3)
-        assert plan.store_lock > 0
-        assert plan.index_torn_write > 0
+        assert plan.active_sites == ("store_lock",)
 
     def test_storm_covers_lock_sites(self):
         plan = FAULT_PLANS["storm"]
         assert plan.store_lock > 0
-        assert plan.index_torn_write > 0
 
     def test_lock_directives_deterministic_per_seed(self):
         def draws(seed):
-            with inject(FaultPlan(seed=seed, store_lock=0.5,
-                                  index_torn_write=0.5)) as injector:
-                lock = [injector.lock_directive() for _ in range(16)]
-                torn = [injector.index_torn_directive() for _ in range(16)]
-            return lock, torn
+            with inject(FaultPlan(seed=seed, store_lock=0.5)) as injector:
+                return [injector.lock_directive() for _ in range(16)]
 
         assert draws(7) == draws(7)
         assert draws(7) != draws(8)

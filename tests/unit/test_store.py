@@ -21,6 +21,7 @@ from repro.store import (
     measurement_key,
     seed_fingerprint,
 )
+from repro.store.locks import LockTimeout, file_lock
 from repro.store.serialize import (
     payload_from_records,
     payload_from_result,
@@ -532,6 +533,7 @@ class TestIntegrity:
         path.write_bytes(bytes(raw))
         assert store.get_result("ab" * 32) is None
         assert not path.exists()
+        assert len(store.index()) == 0  # the walk no longer lists it
         [record] = store.quarantine_log
         assert record["reason"] == "integrity digest mismatch"
         assert record["key"] == "ab" * 32
@@ -616,83 +618,6 @@ class TestIntegrity:
         assert len(store.quarantine_log) > 0
 
 
-class TestPersistentIndexIntegration:
-    """The store keeps its persistent index in lock-step with the tree."""
-
-    def test_new_store_has_index(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        assert store.has_persistent_index
-        assert store.index_stats()["n_entries"] == 0
-
-    def test_load_index_matches_walk(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        store.put_result("11" * 32, _result())
-        store.put_result("22" * 32, _result())
-        store.put_outcome(store.outcome_key({"lot": 1}), {"x": 1})
-        walk = {(e.kind, e.key, e.nbytes) for e in store.index()}
-        fast = {(e.kind, e.key, e.nbytes) for e in store.load_index()}
-        assert fast == walk
-        assert store.verify_index()["consistent"]
-
-    def test_quarantine_updates_index(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        key = "ab" * 32
-        store.put_result(key, _result())
-        path = store._path("results", key)
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 3] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        assert store.get_result(key) is None  # quarantined
-        assert ("results", key) not in {
-            (e.kind, e.key) for e in store.load_index()
-        }
-        assert store.verify_index()["consistent"]
-
-    def test_gc_updates_index(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        store.put_result("11" * 32, _result())
-        store.put_result("22" * 32, _result())
-        store.gc(all_entries=True)
-        assert len(store.load_index()) == 0
-        assert store.verify_index()["consistent"]
-
-    def test_legacy_store_without_index(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        store.put_result("11" * 32, _result())
-        import shutil
-
-        shutil.rmtree(store.root / "index")
-        legacy = ResultStore(tmp_path / "s")
-        assert not legacy.has_persistent_index
-        assert legacy.load_index() is None
-        assert legacy.index_stats() is None
-        verdict = legacy.verify_index()
-        assert not verdict["consistent"]
-        assert verdict["reason"] == "no persistent index"
-        # Writes still work (index append is a silent no-op)...
-        legacy.put_result("22" * 32, _result())
-        assert len(legacy.index()) == 2
-        # ...and reindex restores the fast path.
-        legacy.rebuild_index()
-        assert legacy.has_persistent_index
-        assert legacy.verify_index()["consistent"]
-        assert len(legacy.load_index()) == 2
-
-    def test_rotate_preserves_enumeration(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        for i in range(4):
-            store.put_result(f"{i:02d}" * 32, _result())
-        before = {(e.kind, e.key) for e in store.load_index()}
-        store.rotate_index()
-        assert {(e.kind, e.key) for e in store.load_index()} == before
-        assert store.index_stats()["n_segments"] == 1
-
-    def test_approx_total_bytes_tracks_walk(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        store.put_result("11" * 32, _result())
-        assert store.approx_total_bytes() == store.index().total_bytes
-
-
 class TestEnumerationRaceSafety:
     """index() surfaces only fully published entries, race-free."""
 
@@ -726,92 +651,6 @@ class TestEnumerationRaceSafety:
         assert {e.key for e in index} == {"ab" * 32}
 
 
-class TestCompaction:
-    """Shard packs: fewer files, identical bytes."""
-
-    def _populate(self, tmp_path, n=6):
-        store = ResultStore(tmp_path / "s")
-        result = _result()
-        # One shard ("ab") holds every key: compaction packs per shard.
-        keys = ["ab" + format(i, "062x") for i in range(n)]
-        for key in keys:
-            store.put_result(key, result)
-        return store, keys
-
-    def test_compaction_preserves_every_payload_bit(self, tmp_path):
-        store, keys = self._populate(tmp_path)
-        before = {
-            k: store.read_payload_bytes("results", k) for k in keys
-        }
-        n_files_before = len(list(store.root.glob("results/*/*.npz")))
-        stats = store.compact()
-        assert stats["n_members"] == len(keys)
-        assert len(list(store.root.glob("results/*/*.npz"))) == 0
-        packs = list(store.root.glob("results/*/pack-*.pk"))
-        assert 0 < len(packs) < n_files_before
-        for key in keys:
-            assert store.read_payload_bytes("results", key) == before[key]
-            assert store.has_result(key)
-            assert_results_identical(store.get_result(key), _result())
-        assert store.verify_index()["consistent"]
-
-    def test_walk_and_fast_index_agree_after_compaction(self, tmp_path):
-        store, _ = self._populate(tmp_path)
-        store.compact()
-        walk = {(e.kind, e.key, e.nbytes) for e in store.index()}
-        fast = {(e.kind, e.key, e.nbytes) for e in store.load_index()}
-        assert fast == walk and walk
-
-    def test_compaction_is_idempotent(self, tmp_path):
-        store, keys = self._populate(tmp_path)
-        store.compact()
-        packs = sorted(store.root.glob("results/*/pack-*.pk"))
-        again = store.compact()
-        assert again["n_shards_compacted"] == 0
-        assert sorted(store.root.glob("results/*/pack-*.pk")) == packs
-        assert store.has_result(keys[0])
-
-    def test_loose_rewrite_shadows_pack(self, tmp_path):
-        store, keys = self._populate(tmp_path)
-        key = keys[0]
-        sealed = store.read_payload_bytes("results", key)
-        store.compact()
-        # A peer re-publishes the same key loose while the pack still
-        # holds it: enumeration and reads must prefer the loose file,
-        # never double-count.
-        store._write_atomic(store._path("results", key), sealed)
-        entry = [e for e in store.index() if e.key == key]
-        assert len(entry) == 1 and entry[0].pack is None
-        assert_results_identical(store.get_result(key), _result())
-
-    def test_packed_corruption_quarantines_member(self, tmp_path):
-        store, keys = self._populate(tmp_path)
-        store.compact()
-        [pack] = {
-            e.pack for e in store.index() if e.key == keys[0]
-        }
-        raw = bytearray(pack.read_bytes())
-        raw[-10] ^= 0xFF  # damage the last member's payload bytes
-        pack.write_bytes(bytes(raw))
-        damaged = [k for k in keys if store.get_result(k) is None]
-        assert len(damaged) == 1
-        assert store.quarantine_log[-1]["key"] == damaged[0]
-        # The slot is free again; a recompute re-publishes loose.
-        assert store.put_result(damaged[0], _result())
-        assert store.get_result(damaged[0]) is not None
-
-    def test_compact_selected_kind_only(self, tmp_path):
-        store, _ = self._populate(tmp_path)
-        store.put_outcome(store.outcome_key({"lot": 9}), {"x": 1})
-        store.compact(kinds=["results"])
-        assert list(store.root.glob("outcomes/*/pack-*.pk")) == []
-
-    def test_compact_bad_kind_rejected(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        with pytest.raises(ConfigurationError):
-            store.compact(kinds=["junk"])
-
-
 class TestEviction:
     """Byte-budget eviction: oldest first, pins honored."""
 
@@ -839,7 +678,6 @@ class TestEviction:
         assert not store.has_result(keys[1])
         assert store.has_result(keys[3])
         assert store.has_result(keys[4])
-        assert store.verify_index()["consistent"]
 
     def test_outcomes_pinned_by_default(self, tmp_path):
         store, keys = self._populate(tmp_path, n=2)
@@ -855,15 +693,6 @@ class TestEviction:
         stats = store.evict(0, pin_kinds=(), pin_keys=[keys[0]])
         assert store.has_result(keys[0])
         assert stats["n_evicted"] == len(keys) - 1
-
-    def test_evicts_packed_members(self, tmp_path):
-        store, keys = self._populate(tmp_path)
-        store.compact()
-        stats = store.evict(0, pin_kinds=())
-        assert stats["n_evicted"] == len(keys)
-        assert store.approx_total_bytes() == 0
-        assert all(not store.has_result(k) for k in keys)
-        assert store.verify_index()["consistent"]
 
     def test_within_budget_is_noop(self, tmp_path):
         store, keys = self._populate(tmp_path)
@@ -885,3 +714,114 @@ class TestEviction:
         store.evict(int(1.5 * per_entry), pin_kinds=())
         assert store.has_result(keys[0])  # oldest by write, hottest by read
         assert not store.has_result(keys[1])
+
+
+class TestLockFree:
+    """No store operation takes a lock."""
+
+    def test_store_operations_fire_no_lock_site(self, tmp_path):
+        from repro.faults import FaultPlan, inject
+
+        store = ResultStore(tmp_path / "s")
+        key = "ab" * 32
+        with inject(FaultPlan(seed=1, store_lock=1.0)) as injector:
+            assert store.put_result(key, _result())
+            assert store.get_result(key) is not None
+            assert len(store.index()) == 1
+            store.evict(0, pin_kinds=())
+            store.gc(all_entries=True)
+            assert injector.counts().get("store_lock", 0) == 0
+            # The site is live: a real lock acquisition still fires it.
+            with file_lock(tmp_path / "lock"):
+                pass
+        assert injector.counts()["store_lock"] == 1
+
+
+def _legacy_pack(members) -> bytes:
+    """A shard pack as older versions wrote it: magic, u64 TOC length,
+    JSON TOC, then the sealed payloads verbatim."""
+    toc = {}
+    blobs = []
+    offset = 0
+    for key, raw in sorted(members.items()):
+        toc[key] = [offset, len(raw), 1_000_000.0]
+        blobs.append(raw)
+        offset += len(raw)
+    body = json.dumps({"version": 1, "entries": toc}, sort_keys=True)
+    body = body.encode("utf-8")
+    return b"REPROPK1" + len(body).to_bytes(8, "little") + body + b"".join(
+        blobs
+    )
+
+
+class TestLegacyLayout:
+    """A store with an old persistent index and a shard pack still
+    opens and works; neither leftover is read, written or removed."""
+
+    def test_index_dir_and_pack_are_ignored(self, tmp_path):
+        root = tmp_path / "s"
+        packed_key = "ab" + "0" * 62
+        loose_key = "ab" + "1" * 62
+        store = ResultStore(root)
+        store.put_result(packed_key, _result())
+        sealed = store.read_payload_bytes("results", packed_key)
+        store._path("results", packed_key).unlink()
+        pack = root / "results" / "ab" / "pack-0123456789abcdef.pk"
+        pack.write_bytes(_legacy_pack({packed_key: sealed}))
+        index_dir = root / "index"
+        index_dir.mkdir()
+        (index_dir / "seg-00000000.idx").write_bytes(b"REPROIDX" + bytes(72))
+        (index_dir / "lock").write_bytes(b"")
+        leftovers = {
+            path: path.read_bytes()
+            for path in (pack, *index_dir.iterdir())
+        }
+
+        store = ResultStore(root)
+        # The packed member reads as a miss everywhere.
+        assert not store.has_result(packed_key)
+        assert store.get_result(packed_key) is None
+        assert store.read_payload_bytes("results", packed_key) is None
+        assert len(store.index()) == 0
+        # Put, get, walk, evict and gc work as on a fresh store.
+        assert store.put_result(loose_key, _result())
+        assert_results_identical(store.get_result(loose_key), _result())
+        assert [e.key for e in store.index()] == [loose_key]
+        assert store.evict(0, pin_kinds=())["n_evicted"] == 1
+        assert store.put_result(loose_key, _result())
+        assert store.gc()["n_removed"] == 0
+        assert store.gc(all_entries=True)["n_removed"] == 1
+        assert len(store.index()) == 0
+        assert store.quarantine_log == []
+        # The leftovers are untouched, byte for byte.
+        assert {
+            path: path.read_bytes() for path in (pack, *index_dir.iterdir())
+        } == leftovers
+
+
+class TestFileLock:
+    def test_lock_excludes_within_process(self, tmp_path):
+        path = tmp_path / "lock"
+        with file_lock(path):
+            with pytest.raises(LockTimeout):
+                with file_lock(path, timeout_s=0.05, poll_s=0.01):
+                    pass  # pragma: no cover - must not be reached
+
+    def test_lock_releases_on_exit(self, tmp_path):
+        path = tmp_path / "lock"
+        with file_lock(path):
+            pass
+        with file_lock(path, timeout_s=0.05):
+            pass
+
+    def test_store_lock_fault_delays_not_breaks(self, tmp_path):
+        from repro.faults import FaultPlan, inject
+
+        path = tmp_path / "lock"
+        acquired = 0
+        with inject(FaultPlan(seed=1, store_lock=1.0)) as injector:
+            for _ in range(3):
+                with file_lock(path):
+                    acquired += 1
+        assert acquired == 3  # lost the first race, won the retry
+        assert sum(1 for r in injector.log if r.site == "store_lock") == 3
