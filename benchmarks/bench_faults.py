@@ -27,7 +27,7 @@ import time
 
 from conftest import envinfo, run_once
 
-from repro.engine import MeasurementScheduler, ResultStore, RetryPolicy
+from repro.engine import MeasurementEngine, ResultStore, RetryPolicy
 from repro.experiments.production import run_production
 from repro.faults import inject, resolve_plan
 from repro.reporting.tables import render_table
@@ -72,8 +72,8 @@ def test_faults(benchmark, emit):
         )
 
         def hardened():
-            with MeasurementScheduler(retry=RetryPolicy()) as sched:
-                return run_production(**LOT, scheduler=sched, report=True)
+            with MeasurementEngine(retry=RetryPolicy()) as engine:
+                return run_production(**LOT, engine=engine, report=True)
 
         guarded = run_once(benchmark, hardened)
         guarded, t_guarded = _best_of(hardened)
@@ -86,12 +86,12 @@ def test_faults(benchmark, emit):
         plan = resolve_plan("transient", seed=3)
         store = ResultStore(workdir / "chaos")
         with inject(plan) as injector:
-            with MeasurementScheduler(store=store) as sched:
+            with MeasurementEngine(store=store) as engine:
                 faulted = run_production(
-                    **LOT, scheduler=sched, report=True
+                    **LOT, engine=engine, report=True
                 )
                 resumed = run_production(
-                    **LOT, scheduler=sched, report=True, resume=True
+                    **LOT, engine=engine, report=True, resume=True
                 )
         chaos_identical = (
             faulted.measured_nf_db == plain.measured_nf_db

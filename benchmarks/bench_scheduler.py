@@ -5,15 +5,16 @@ Two measurements, merged into ``BENCH_engine.json`` under the
 
 * **Pool reuse.**  A multi-sweep session (several ``map_sweep`` calls
   of small analysis tasks — the production-screening shape: many quick
-  fan-outs, not one monolith) run twice: once with a fresh
-  :class:`~repro.engine.WorkerPool` opened and closed per call, and
-  once on a persistent pool spawned exactly once.  The
+  fan-outs, not one monolith) run twice: once with a fresh process
+  :class:`~repro.engine.MeasurementEngine` (and so a fresh pool) opened
+  and closed per call, and once on one engine whose pool is spawned
+  exactly once.  The
   acceptance bar is >= 2x for the persistent session — per-call pool
   spawn is pure overhead once the pool outlives the call.
 * **Planned heterogeneous screen.**  A mixed-configuration device lot
   (two record lengths) measured per device versus one
-  ``MeasurementScheduler.run`` that plans the lot into two compatible
-  sub-batches.  Results must be bit-identical; the planned run shares
+  ``plan_measurements(tasks).run(engine)`` that plans the lot into two
+  compatible sub-batches.  Results must be bit-identical; the planned run shares
   one digitize + batched Welch pass per sub-batch.
 """
 
@@ -27,9 +28,9 @@ from conftest import envinfo, run_once
 from repro.dsp.psd import welch
 from repro.engine import (
     MeasurementEngine,
-    MeasurementScheduler,
     MeasurementTask,
     WorkerPool,
+    plan_measurements,
 )
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.reporting.tables import render_table
@@ -63,8 +64,7 @@ def session_per_call_pools(seed):
     gen = make_rng(seed)
     for _ in range(N_SWEEPS):
         rngs = spawn_rngs(gen, TASKS_PER_SWEEP)
-        with WorkerPool() as pool:
-            engine = MeasurementEngine(backend="process", pool=pool)
+        with MeasurementEngine(backend="process") as engine:
             out.append(
                 engine.map_sweep(
                     analyze_record,
@@ -114,7 +114,9 @@ def screen_per_device(seed):
 def screen_planned(seed):
     return [
         r.noise_figure_db
-        for r in MeasurementScheduler().run(_mixed_tasks(seed))
+        for r in plan_measurements(_mixed_tasks(seed)).run(
+            MeasurementEngine()
+        )
     ]
 
 
@@ -158,7 +160,7 @@ def test_scheduler(benchmark, emit):
     planned, t_planned = _best_of(2, screen_planned, seed)
     nf_diff = max(abs(a - b) for a, b in zip(per_device, planned))
     assert nf_diff == 0.0  # planner contract: bit-identical
-    plan = MeasurementScheduler().plan(_mixed_tasks(seed))
+    plan = plan_measurements(_mixed_tasks(seed))
     screen_speedup = t_per_device / t_planned
 
     rows = [

@@ -4,7 +4,7 @@ Three measurements, merged into ``BENCH_engine.json`` under the
 ``"service"`` key:
 
 * **Service-path overhead.**  The same production lot run directly
-  (``run_production`` with a scheduler + store) and through the full
+  (``run_production`` with an engine + store) and through the full
   daemon path — socket round trip, admission control, write-ahead
   journal append, executor hand-off.  Fresh seeds per round keep the
   store cache out of the ratio; the daemon path must cost within
@@ -32,7 +32,7 @@ import time
 
 from conftest import envinfo, run_once
 
-from repro.engine import MeasurementScheduler, ResultStore
+from repro.engine import MeasurementEngine, ResultStore
 from repro.experiments.production import run_production
 from repro.reporting.tables import render_table
 from repro.service import (
@@ -123,10 +123,10 @@ def test_service(benchmark, emit):
         for round_i in range(BEST_OF):
             store = ResultStore(workdir / f"direct-{round_i}")
             start = time.perf_counter()
-            with MeasurementScheduler(store=store) as sched:
+            with MeasurementEngine(store=store) as engine:
                 result = run_production(
                     **_lot_params(SEED + round_i),
-                    scheduler=sched,
+                    engine=engine,
                     resume=True,
                     report=True,
                     max_group_devices=8,

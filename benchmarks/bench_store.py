@@ -29,7 +29,7 @@ import numpy as np
 
 from conftest import envinfo, run_once
 
-from repro.engine import MeasurementEngine, MeasurementScheduler, ResultStore
+from repro.engine import MeasurementEngine, ResultStore
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.experiments.production import run_production, run_production_retest
 from repro.reporting.tables import render_table
@@ -78,22 +78,22 @@ def test_store(benchmark, emit):
         store = ResultStore(workdir / "nfstore")
 
         # --- cold vs warm planned sweep ------------------------------
-        with MeasurementScheduler(store=store) as sched:
+        with MeasurementEngine(store=store) as engine:
             cold = run_once(
-                benchmark, run_production, **LOT, scheduler=sched,
+                benchmark, run_production, **LOT, engine=engine,
                 resume=True,
             )
             _, t_cold = _time(
                 lambda: run_production(
                     **LOT,
-                    scheduler=MeasurementScheduler(store=ResultStore(
+                    engine=MeasurementEngine(store=ResultStore(
                         workdir / "nfstore_cold2"
                     )),
                     resume=True,
                 )
             )
             warm, t_warm = _time(
-                run_production, **LOT, scheduler=sched, resume=True
+                run_production, **LOT, engine=engine, resume=True
             )
         warm_speedup = t_cold / t_warm
         warm_identical = warm.measured_nf_db == cold.measured_nf_db
@@ -116,12 +116,12 @@ def test_store(benchmark, emit):
         assert first.noise_figure_db == bare.noise_figure_db
 
         # --- retest replan vs full re-screen -------------------------
-        with MeasurementScheduler(store=store) as sched:
+        with MeasurementEngine(store=store) as engine:
             retest, t_retest = _time(
                 run_production_retest,
                 **LOT,
                 retest_guardband_sigmas=1.0,
-                scheduler=sched,
+                engine=engine,
             )
         _, t_full = _time(run_production, **LOT)
         retest_speedup = t_full / t_retest

@@ -50,16 +50,16 @@ MIN_CONCURRENT_SPEEDUP = float(
 
 WRITER_SCRIPT = """\
 import sys
-from repro.engine import MeasurementScheduler, ResultStore
+from repro.engine import MeasurementEngine, ResultStore
 from repro.experiments.production import run_production
 
-with MeasurementScheduler(store=ResultStore(sys.argv[1])) as sched:
+with MeasurementEngine(store=ResultStore(sys.argv[1])) as engine:
     run_production(
         n_devices={n_devices},
         n_samples={n_samples},
         nperseg={nperseg},
         seed=int(sys.argv[2]),
-        scheduler=sched,
+        engine=engine,
     )
 """.format(n_devices=N_DEVICES, n_samples=N_SAMPLES, nperseg=NPERSEG)
 

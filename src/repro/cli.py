@@ -24,12 +24,12 @@ Usage::
 the benchmark suite (paper scale).  ``--backend``/``--workers`` pick
 the execution backend for the sweep/production experiments: every
 experiment of a ``run`` invocation shares one
-:class:`~repro.engine.MeasurementScheduler` (and, on the process
-backend, one persistent worker pool).  ``--store`` attaches a
+:class:`~repro.engine.MeasurementEngine` (and, on the process backend,
+its one persistent worker pool).  ``--store`` attaches a
 persistent :class:`~repro.store.ResultStore` (measurements cache and
 survive the process), ``--resume`` replays an interrupted sweep
 computing only what the store is missing, and ``--json`` switches the
-scheduler-driven production/record_length/robustness outputs to
+planned production/record_length/robustness outputs to
 machine-readable JSON.  ``--max-retries``/``--task-timeout`` configure
 the process backend's fault tolerance (task retry budget and hung-
 worker detection).  The ``store`` subcommand lists and inspects a
@@ -76,7 +76,7 @@ from repro.reporting.series import render_series
 from repro.reporting.tables import render_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.scheduler import MeasurementScheduler
+    from repro.engine import MeasurementEngine
 
 _LOG = logging.getLogger("repro.cli")
 
@@ -90,11 +90,11 @@ class RunOptions:
     as_json: bool = False
 
 
-#: An experiment runner: (options, scheduler) -> rendered output.
-ExperimentRunner = Callable[[RunOptions, "MeasurementScheduler"], str]
+#: An experiment runner: (options, engine) -> rendered output.
+ExperimentRunner = Callable[[RunOptions, "MeasurementEngine"], str]
 
 #: Experiments whose runners honor ``--json`` / ``--resume`` (the
-#: scheduler-driven, store-aware ones).
+#: planned, store-aware ones).
 JSON_EXPERIMENTS = frozenset(
     {"production", "production_retest", "record_length", "robustness"}
 )
@@ -105,7 +105,7 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _run_table1(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_table1(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.table1 import run_table1
 
     result = run_table1()
@@ -116,7 +116,7 @@ def _run_table1(opts: RunOptions, sched: MeasurementScheduler) -> str:
     )
 
 
-def _run_table2(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_table2(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.matlab_sim import MatlabSimConfig
     from repro.experiments.table2 import run_table2
 
@@ -132,7 +132,7 @@ def _run_table2(opts: RunOptions, sched: MeasurementScheduler) -> str:
     )
 
 
-def _run_table3(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_table3(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.table3 import run_table3
 
     result = run_table3(
@@ -148,7 +148,7 @@ def _run_table3(opts: RunOptions, sched: MeasurementScheduler) -> str:
     )
 
 
-def _run_fig7(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_fig7(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.fig7 import run_fig7
     from repro.experiments.matlab_sim import MatlabSimConfig
 
@@ -164,7 +164,7 @@ def _run_fig7(opts: RunOptions, sched: MeasurementScheduler) -> str:
     )
 
 
-def _run_fig8(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_fig8(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.fig8 import run_fig8
     from repro.experiments.matlab_sim import MatlabSimConfig
 
@@ -180,7 +180,7 @@ def _run_fig8(opts: RunOptions, sched: MeasurementScheduler) -> str:
     )
 
 
-def _run_fig9(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_fig9(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.fig9 import run_fig9
     from repro.experiments.matlab_sim import MatlabSimConfig
 
@@ -197,10 +197,10 @@ def _run_fig9(opts: RunOptions, sched: MeasurementScheduler) -> str:
     )
 
 
-def _run_fig10(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_fig10(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.fig10 import run_fig10
 
-    result = run_fig10(n_average=2 if opts.fast else 4, seed=2005, scheduler=sched)
+    result = run_fig10(n_average=2 if opts.fast else 4, seed=2005, engine=engine)
     ok = [p for p in result.points if not p.failed]
     return render_series(
         [100 * p.reference_ratio for p in ok],
@@ -211,7 +211,7 @@ def _run_fig10(opts: RunOptions, sched: MeasurementScheduler) -> str:
     )
 
 
-def _run_fig13(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_fig13(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.fig13 import run_fig13
 
     result = run_fig13(n_samples=2**17 if opts.fast else 2**20, seed=2005)
@@ -226,12 +226,12 @@ def _run_fig13(opts: RunOptions, sched: MeasurementScheduler) -> str:
     )
 
 
-def _run_uncertainty(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_uncertainty(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.uncertainty import run_uncertainty
 
     result = run_uncertainty(
         end_to_end_n_samples=2**16 if opts.fast else 2**18, seed=2005,
-        scheduler=sched,
+        engine=engine,
     )
     return render_table(
         ["NF (dB)", "sigma analytic (dB)", "MC std (dB)", "within 0.3 dB"],
@@ -243,7 +243,7 @@ def _run_uncertainty(opts: RunOptions, sched: MeasurementScheduler) -> str:
     )
 
 
-def _run_spot_nf(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_spot_nf(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.spot_nf import run_spot_nf
 
     result = run_spot_nf(n_samples=2**17 if opts.fast else 2**19, seed=2005)
@@ -262,7 +262,7 @@ def _run_spot_nf(opts: RunOptions, sched: MeasurementScheduler) -> str:
     )
 
 
-def _run_resources(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_resources(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.resources import run_resources
 
     result = run_resources(n_samples=2**16 if opts.fast else 2**20, seed=2005)
@@ -321,14 +321,14 @@ def _guardband_table_rows(rows) -> List[list]:
     ]
 
 
-def _run_production(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_production(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.production import run_production
 
     result = run_production(
         n_devices=8 if opts.fast else 24,
         n_samples=2**15 if opts.fast else 2**17,
         seed=2005,
-        scheduler=sched,
+        engine=engine,
         resume=opts.resume,
     )
     if opts.as_json:
@@ -354,14 +354,14 @@ def _run_production(opts: RunOptions, sched: MeasurementScheduler) -> str:
     )
 
 
-def _run_production_retest(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_production_retest(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.production import run_production_retest
 
     result = run_production_retest(
         n_devices=8 if opts.fast else 24,
         n_samples=2**15 if opts.fast else 2**17,
         seed=2005,
-        scheduler=sched,
+        engine=engine,
         resume=opts.resume,
     )
     if opts.as_json:
@@ -393,13 +393,13 @@ def _run_production_retest(opts: RunOptions, sched: MeasurementScheduler) -> str
     )
 
 
-def _run_record_length(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_record_length(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.record_length import run_record_length
 
     lengths = (2**14, 2**15, 2**16) if opts.fast else None
     kwargs = {} if lengths is None else {"lengths": lengths, "n_trials": 3}
     result = run_record_length(
-        seed=2005, scheduler=sched, resume=opts.resume, **kwargs
+        seed=2005, engine=engine, resume=opts.resume, **kwargs
     )
     if opts.as_json:
         return _dump_json(
@@ -431,11 +431,11 @@ def _run_record_length(opts: RunOptions, sched: MeasurementScheduler) -> str:
     )
 
 
-def _run_robustness(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_robustness(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.robustness import run_robustness
 
     result = run_robustness(
-        n_samples=2**15 if opts.fast else 2**18, seed=2005, scheduler=sched,
+        n_samples=2**15 if opts.fast else 2**18, seed=2005, engine=engine,
         resume=opts.resume,
     )
     if opts.as_json:
@@ -473,11 +473,11 @@ def _run_robustness(opts: RunOptions, sched: MeasurementScheduler) -> str:
     )
 
 
-def _run_gain_sensitivity(opts: RunOptions, sched: MeasurementScheduler) -> str:
+def _run_gain_sensitivity(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.gain_sensitivity import run_gain_sensitivity
 
     result = run_gain_sensitivity(
-        n_samples=2**15 if opts.fast else 2**17, seed=2005, scheduler=sched
+        n_samples=2**15 if opts.fast else 2**17, seed=2005, engine=engine
     )
     return render_table(
         ["drift", "direct analytic (dB)", "direct sim (dB)", "Y-factor (dB)"],
@@ -585,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("serial", "process"),
         default="serial",
-        help="execution backend for the scheduler-driven experiments "
+        help="execution backend for the engine-driven experiments "
         "(production, record_length, robustness, gain_sensitivity, "
         "fig10, uncertainty); process = persistent worker pool; "
         "other experiments always run serial",
@@ -601,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rng-mode",
         choices=("compat", "philox"),
         default="compat",
-        help="noise-synthesis mode for the scheduler-driven experiments: "
+        help="noise-synthesis mode for the engine-driven experiments: "
         "compat replays per-record generator streams bit for bit; "
         "philox is the fast counter-based mode (deterministic per "
         "seed, statistically equivalent, not bit-identical): white-"
@@ -613,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="attach a persistent result store: measurements of the "
-        "scheduler-driven experiments are cached under provenance "
+        "engine-driven experiments are cached under provenance "
         "keys (cache hits are bit-identical to recomputes) and "
         "survive the process",
     )
@@ -771,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("serial", "process"),
         default="process",
-        help="execution backend for the shared scheduler (default: "
+        help="execution backend for the shared engine (default: "
         "process)",
     )
     serve.add_argument(
@@ -1016,7 +1016,7 @@ def _chaos_main(args) -> int:
     non-zero unless every faulted outcome matches the reference
     exactly.
     """
-    from repro.engine.scheduler import MeasurementScheduler
+    from repro.engine import MeasurementEngine
     from repro.experiments.production import run_production
     from repro.faults import inject, resolve_plan
 
@@ -1028,10 +1028,10 @@ def _chaos_main(args) -> int:
         seed=2005,
         report=True,
     )
-    with MeasurementScheduler(
+    with MeasurementEngine(
         backend=args.backend, max_workers=args.workers, retry=policy
-    ) as sched:
-        reference = run_production(scheduler=sched, **kwargs)
+    ) as engine:
+        reference = run_production(engine=engine, **kwargs)
 
     store = None
     if args.store is not None:
@@ -1040,20 +1040,20 @@ def _chaos_main(args) -> int:
         store = ResultStore(args.store)
     runs = []
     with inject(plan) as injector:
-        with MeasurementScheduler(
+        with MeasurementEngine(
             backend=args.backend,
             max_workers=args.workers,
             store=store,
             retry=policy,
-        ) as sched:
-            runs.append(("faulted", run_production(scheduler=sched, **kwargs)))
+        ) as engine:
+            runs.append(("faulted", run_production(engine=engine, **kwargs)))
             if store is not None:
                 # Second pass over the damaged store: corrupted entries
                 # quarantine on read and recompute.
                 runs.append(
                     (
                         "faulted_resume",
-                        run_production(scheduler=sched, resume=True, **kwargs),
+                        run_production(engine=engine, resume=True, **kwargs),
                     )
                 )
 
@@ -1311,7 +1311,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code.
 
     ``run`` and ``chaos`` are interrupt-safe: SIGINT/SIGTERM raise
-    through the scheduler context (persisting whatever each
+    through the engine context (persisting whatever each
     experiment already committed), the worker pool is drained with a
     kill-after-grace fallback for hung workers, and the process exits
     with the distinct code ``EXIT_INTERRUPTED`` (130).  ``serve``
@@ -1373,7 +1373,7 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         for name in sorted(EXPERIMENTS):
             print(name)
         return 0
-    from repro.engine.scheduler import MeasurementScheduler
+    from repro.engine import MeasurementEngine
 
     store = None
     if args.store is not None:
@@ -1383,30 +1383,30 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     opts = RunOptions(
         fast=args.fast, resume=args.resume, as_json=args.as_json
     )
-    # One scheduler per invocation: `run all --backend process` reuses a
+    # One engine per invocation: `run all --backend process` reuses a
     # single worker pool (and one store) across every experiment.
-    with MeasurementScheduler(
+    with MeasurementEngine(
         backend=args.backend,
         max_workers=args.workers,
         rng_mode=args.rng_mode,
         store=store,
         retry=_retry_policy(args),
         cache_budget_bytes=getattr(args, "cache_budget", None),
-    ) as sched:
+    ) as engine:
         try:
             if args.experiment == "all":
                 for name in sorted(EXPERIMENTS):
-                    print(EXPERIMENTS[name](opts, sched))
+                    print(EXPERIMENTS[name](opts, engine))
                     print()
                 return 0
-            print(EXPERIMENTS[args.experiment](opts, sched))
+            print(EXPERIMENTS[args.experiment](opts, engine))
         except BaseException:
             # Interrupt (or any raise) mid-experiment: drain the pool
             # with a kill-after-grace fallback so hung workers cannot
             # block the exit, then let the signal/exception surface.
-            from repro.service.lifecycle import drain_scheduler
+            from repro.service.lifecycle import drain_engine
 
-            drain_scheduler(sched, kill_after_s=10.0, force_close=True)
+            drain_engine(engine, kill_after_s=10.0)
             raise
     return 0
 

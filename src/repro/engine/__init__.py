@@ -9,39 +9,38 @@ and drives the whole hot path — noise rendering, amplifier processing,
 :mod:`repro.dsp.psd`, while preserving bit-exact per-record
 reproducibility (each record draws from its own ``spawn_rngs`` child).
 
-``MeasurementEngine.run_batch`` replaces serial repeat loops,
-``MeasurementEngine.measure`` a single two-state acquisition, and
-``MeasurementEngine.map_sweep`` fans independent sweep tasks out either
-in-process or over a persistent worker pool with per-task child seeds.
+:class:`MeasurementEngine` is the one measurement object: it owns its
+worker pool and its result store.  ``run_batch`` replaces serial
+repeat loops, ``measure`` a single two-state acquisition, and
+``map_sweep`` fans independent sweep tasks out either in-process
+(``backend="serial"``) or over the engine's persistent worker pool
+(``backend="process"``) with per-task child seeds.
 
-:mod:`repro.engine.scheduler` sits on top: :class:`WorkerPool` keeps
-one process pool alive across a whole session, and is the only way
-work reaches another process — whole measurements (chunks of
-``run_batch`` repeats or ``measure_devices`` devices) and sweep tasks,
-never parts of one.  :class:`MeasurementScheduler` plans arbitrary
-mixed-configuration screens into compatible sub-batches
-(:func:`plan_measurements`) with results bit-identical to per-device
-measurement.
+:mod:`repro.engine.scheduler` holds the pool and the planner:
+:class:`WorkerPool` is the only way work reaches another process —
+whole measurements (chunks of ``run_batch`` repeats or
+``measure_devices`` devices) and sweep tasks, never parts of one — and
+:func:`plan_measurements` groups arbitrary mixed-configuration screens
+into compatible sub-batches, run as
+``plan_measurements(tasks).run(engine)`` with results bit-identical to
+per-device measurement.
 """
 
 from repro.buffers import ArrayPool, default_pool
 from repro.engine.engine import (
     BatchAcquirer,
-    Engine,
     MeasurementEngine,
 )
 from repro.engine.scheduler import (
     GroupReport,
     MapOutcome,
     MeasurementPlan,
-    MeasurementScheduler,
     MeasurementTask,
     PlanGroup,
     RetryPolicy,
     RunReport,
     TaskFailure,
     WorkerPool,
-    as_scheduler,
     plan_measurements,
     plan_retest,
 )
@@ -50,12 +49,10 @@ from repro.store import ResultStore
 __all__ = [
     "ArrayPool",
     "BatchAcquirer",
-    "Engine",
     "GroupReport",
     "MapOutcome",
     "MeasurementEngine",
     "MeasurementPlan",
-    "MeasurementScheduler",
     "MeasurementTask",
     "PlanGroup",
     "ResultStore",
@@ -63,7 +60,6 @@ __all__ = [
     "RunReport",
     "TaskFailure",
     "WorkerPool",
-    "as_scheduler",
     "default_pool",
     "plan_measurements",
     "plan_retest",

@@ -17,6 +17,11 @@ seed implementation into stacked-array batch runs:
 * parameter sweeps (:meth:`MeasurementEngine.map_sweep`) fan out over
   tasks with per-task child seeds.
 
+``MeasurementEngine`` is the one measurement object: it owns its worker
+pool (process backend) and its result store.  Planned screens run as
+``plan_measurements(tasks).run(engine)`` (see
+:mod:`repro.engine.scheduler`).
+
 The process backend has one rule: whole measurements and sweep tasks
 go to the pool, nothing smaller.  ``run_batch`` and
 ``measure_devices`` split their repeats / devices into one contiguous
@@ -73,7 +78,7 @@ from repro.store.store import ResultStore
 
 from repro.engine.scheduler import RetryPolicy, WorkerPool
 
-_BACKENDS = ("vectorized", "process")
+_BACKENDS = ("serial", "process")
 
 #: Store interaction modes: whether cached results are consulted
 #: (``read``) and whether fresh results are persisted (``write``).
@@ -125,20 +130,16 @@ class MeasurementEngine:
     Parameters
     ----------
     backend:
-        ``"vectorized"`` keeps everything in-process (stacked-array
+        ``"serial"`` keeps everything in-process (stacked-array
         batches); ``"process"`` additionally fans :meth:`map_sweep`
         tasks and the chunks of :meth:`run_batch` and
         :meth:`measure_devices` over a persistent worker pool (a
-        single :meth:`measure` stays in-process).
+        single :meth:`measure` stays in-process).  A process engine
+        lazily creates — and owns — its pool on first fan-out; call
+        :meth:`close` (or use the engine as a context manager) to
+        release its worker processes.
     max_workers:
         Worker cap for the process backend (default: CPU count).
-    pool:
-        An existing :class:`~repro.engine.scheduler.WorkerPool` to
-        share (e.g. one pool across several engines of a session).
-        Without one, a ``"process"`` engine lazily creates — and owns —
-        its own persistent pool on first fan-out; call :meth:`close`
-        (or use the engine as a context manager) to release its worker
-        processes.
     rng_mode:
         Noise-synthesis mode threaded to every acquirer that accepts
         it (see :mod:`repro.signals.batch_rng`): ``"compat"``
@@ -158,8 +159,9 @@ class MeasurementEngine:
         one attached, :meth:`measure` computes each measurement's
         provenance key (:meth:`task_key`) and returns the stored
         result on a hit — bit-identical to a recompute by the store's
-        serialization contract — and planned scheduler runs persist
-        and resume through the same keys.  Uncacheable tasks
+        serialization contract — and planned runs
+        (:class:`~repro.engine.scheduler.MeasurementPlan`) persist and
+        resume through the same keys.  Uncacheable tasks
         (``rng=None``, unfingerprintable sources) transparently bypass
         the store.
     cache:
@@ -167,17 +169,11 @@ class MeasurementEngine:
         (hit but never write — e.g. frozen golden stores), ``"write"``
         (record but never trust — cache-warming / validation runs) or
         ``"off"``.  Ignored without a ``store``.
-    store_records:
-        Also persist the pooled packed records behind each
-        :meth:`measure` acquisition (under the measurement's own key),
-        so later runs can re-analyze without re-acquiring — the
-        provenance-allowing record reuse the retest planner exploits.
     retry:
         A :class:`~repro.engine.scheduler.RetryPolicy` the engine's
-        own worker pool runs under (task retries with backoff, hung-
-        worker timeouts, pool respawn budget).  ``None`` uses the
-        pool's defaults; ignored when an external ``pool`` is shared
-        in (that pool keeps its own policy).
+        worker pool runs under (task retries with backoff, hung-worker
+        timeouts, pool respawn budget).  ``None`` uses the pool's
+        defaults.
     cache_budget_bytes:
         Bound the attached store to a byte budget: after writes the
         engine evicts oldest entries (lot manifests stay pinned) until
@@ -189,13 +185,11 @@ class MeasurementEngine:
 
     def __init__(
         self,
-        backend: str = "vectorized",
+        backend: str = "serial",
         max_workers: Optional[int] = None,
-        pool: Optional[WorkerPool] = None,
         rng_mode: str = "compat",
         store: Optional[ResultStore] = None,
         cache: str = "readwrite",
-        store_records: bool = False,
         retry: Optional[RetryPolicy] = None,
         cache_budget_bytes: Optional[int] = None,
     ):
@@ -224,13 +218,11 @@ class MeasurementEngine:
         self.rng_mode = validate_rng_mode(rng_mode)
         self.store = store
         self.cache = cache
-        self.store_records = bool(store_records)
         self.retry = retry
         self.cache_budget_bytes = (
             int(cache_budget_bytes) if cache_budget_bytes is not None else None
         )
-        self._pool = pool
-        self._owns_pool = pool is None
+        self._pool: Optional[WorkerPool] = None
         # Writes since the last budget check — bounding the store is
         # O(entries), so it runs every _BUDGET_CHECK_EVERY single
         # writes (and after every group persist), not per write.
@@ -326,11 +318,9 @@ class MeasurementEngine:
     def close(self) -> None:
         """Release the engine's worker processes (idempotent).
 
-        Only a pool the engine created itself is shut down; a pool
-        passed in by the caller stays the caller's responsibility.  The
-        engine remains usable — the next fan-out respawns.
+        The engine remains usable — the next fan-out respawns.
         """
-        if self._owns_pool and self._pool is not None:
+        if self._pool is not None:
             self._pool.close()
         self._maybe_enforce_budget(force=True)
 
@@ -388,10 +378,8 @@ class MeasurementEngine:
         With a :class:`~repro.store.ResultStore` attached (``store=`` /
         ``cache=``), the measurement's provenance key is consulted
         first: a stored result is returned as-is (bit-identical to a
-        recompute), stored pooled records short-circuit the acquisition
-        and only re-run the analysis, and a full miss measures normally
-        and persists.  Uncacheable tasks (``rng=None``) bypass the
-        store entirely.
+        recompute), and a miss measures normally and persists.
+        Uncacheable tasks (``rng=None``) bypass the store entirely.
         """
         # Key on the caller's seed, not the resolved generator — an
         # OS-entropy run (rng=None) must stay uncacheable even though
@@ -409,31 +397,15 @@ class MeasurementEngine:
                 obs.inc("engine.store_hits")
                 return cached
             obs.inc("engine.store_misses")
-            pooled = self.store.get_records(key)
-            if pooled is not None:
-                obs.inc("engine.record_hits")
-                # Provenance-matched pooled records: the acquisition
-                # already happened in some earlier run — re-analyze
-                # only (same batched Welch pass as a live measure).
-                spawn_rngs(gen, 2)
-                batch = self.spectra_of(
-                    pooled, pooled.sample_rate, estimator
-                )
-                result = self._estimate_pairs(batch, [estimator], False)[0]
-                if self.cache_writes:
-                    self.store.put_result(key, result)
-                return result
         rng_hot, rng_cold = spawn_rngs(gen, 2)
-        results, records = self._measure_pairs(
+        result = self._measure_pairs(
             source, estimator, [(rng_hot, rng_cold)], allow_failures=False
-        )
+        )[0]
         if key is not None and self.cache_writes:
-            self.store.put_result(key, results[0])
-            if self.store_records:
-                self.store.put_records(key, records)
+            self.store.put_result(key, result)
             self._budget_writes += 1
             self._maybe_enforce_budget()
-        return results[0]
+        return result
 
     def run_batch(
         self,
@@ -474,7 +446,7 @@ class MeasurementEngine:
         if self.worker_pool is None:
             return self._measure_pairs(
                 source, estimator, pairs, allow_failures
-            )[0]
+            )
         return self._fan_out(
             _measure_repeat_chunk,
             len(pairs),
@@ -522,7 +494,7 @@ class MeasurementEngine:
         estimator: OneBitNoiseFigureBIST,
         pairs: Sequence[Tuple[np.random.Generator, np.random.Generator]],
         allow_failures: bool,
-    ) -> Tuple[List[Optional[BISTResult]], PackedRecordBatch]:
+    ) -> List[Optional[BISTResult]]:
         states: List[str] = []
         rngs: List[np.random.Generator] = []
         for rng_hot, rng_cold in pairs:
@@ -536,10 +508,9 @@ class MeasurementEngine:
             )
         check_bitstream_samples(records, "batched")
         batch = self.spectra_of(records, sample_rate, estimator)
-        results = self._estimate_pairs(
+        return self._estimate_pairs(
             batch, [estimator] * len(pairs), allow_failures
         )
-        return results, records
 
     def _estimate_pairs(
         self,
@@ -584,7 +555,7 @@ class MeasurementEngine:
         device ``i``'s result is bit-exact equal to
         ``measure(sources[i], estimators[i], rng=rngs[i])``.
 
-        On the ``"vectorized"`` backend the whole screen is one batch in
+        On the ``"serial"`` backend the whole screen is one batch in
         this process.  On the ``"process"`` backend the devices are
         split into ``min(max_workers, n_devices)`` contiguous chunks,
         one per pool worker, and each worker runs the whole chain for
@@ -784,8 +755,4 @@ def _measure_repeat_chunk(payload) -> List[Optional[BISTResult]]:
     settings, source, estimator, pairs, allow_failures = payload
     return MeasurementEngine(**settings)._measure_pairs(
         source, estimator, pairs, allow_failures
-    )[0]
-
-
-#: The ISSUE-facing short alias.
-Engine = MeasurementEngine
+    )

@@ -20,10 +20,11 @@
   bit-identical to running ``engine.measure`` once per task, in task
   order.  :meth:`MeasurementPlan.run_report` is the one execution
   loop; :meth:`MeasurementPlan.run` is the same loop raising the first
-  failed group's exception at the end.
-* :class:`MeasurementScheduler` is the facade the experiments layer
-  uses: ``run()`` for planned heterogeneous screens, ``map_sweep()``
-  for free-form sweeps, one pool underneath.
+  failed group's exception at the end.  A screen runs as
+  ``plan_measurements(tasks).run(engine)``, a retest as
+  ``plan_retest(tasks, verdicts).run(engine)``: the
+  :class:`~repro.engine.engine.MeasurementEngine` owns the pool and
+  the store, the plan only groups and loops.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from repro.errors import ConfigurationError, ExecutionError, MeasurementError
 from repro.faults.injector import active_injector, faulted_call, task_fault
 from repro import obs
 from repro.obs.registry import diff_snapshots
-from repro.signals.batch_rng import validate_rng_mode
 from repro.signals.random import GeneratorLike
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "plan_measurements",
     "plan_retest",
     "MeasurementScheduler",
-    "as_scheduler",
 ]
 
 #: How long to wait for leftover futures to settle after the pool has
@@ -740,7 +739,7 @@ class MeasurementPlan:
         its spawn count, so keying after the group ran would address a
         different (consumed) stream.
         """
-        if getattr(engine, "store", None) is None:
+        if engine.store is None:
             return None
         return [
             engine.task_key(t.source, t.estimator, t.rng)
@@ -753,23 +752,12 @@ class MeasurementPlan:
         every group that completed).  The parent writes every result
         (:meth:`~repro.engine.engine.MeasurementEngine.persist_results`).
         """
-        items = []
         for index, result in zip(group.indices, out):
             results[index] = result
-            if (
-                keys is not None
-                and keys[index] is not None
-                and result is not None
-            ):
-                items.append((keys[index], result))
-        if not items or not getattr(engine, "cache_writes", False):
-            return
-        persist = getattr(engine, "persist_results", None)
-        if persist is not None:
-            persist(items)
-        else:  # pragma: no cover - engine-like stub without the method
-            for key, result in items:
-                engine.store.put_result(key, result)
+        if keys is not None:
+            engine.persist_results(
+                [(keys[index], results[index]) for index in group.indices]
+            )
 
     def run(
         self,
@@ -847,7 +835,7 @@ class MeasurementPlan:
         """
         started_wall = time.time()
         start = time.monotonic()
-        pool = getattr(engine, "worker_pool", None)
+        pool = engine.worker_pool
         before = _pool_snapshot(pool)
         injector = active_injector()
         injected_before = len(injector.log) if injector is not None else 0
@@ -931,7 +919,7 @@ class MeasurementPlan:
     ) -> RunReport:
         """Resume path of :meth:`run_report`: serve stored tasks, run a
         sub-report over the missing ones, merge."""
-        if getattr(engine, "store", None) is None or not engine.cache_reads:
+        if not engine.cache_reads:
             raise ConfigurationError(
                 "resume=True needs an engine with a store in a "
                 "read-capable cache mode"
@@ -1119,233 +1107,10 @@ def plan_retest(
     return MeasurementPlan(tasks=tuple(coerced), groups=groups)
 
 
-# ----------------------------------------------------------------------
-# Scheduler facade
-# ----------------------------------------------------------------------
-#: Accepted backend spellings (the CLI exposes "serial").
-_BACKEND_ALIASES = {
-    "serial": "vectorized",
-    "vectorized": "vectorized",
-    "process": "process",
-}
+def MeasurementScheduler(**settings):
+    """``MeasurementEngine(**settings)``: the name perfbench builds its
+    lot engine with.  Other code constructs
+    :class:`~repro.engine.engine.MeasurementEngine` directly."""
+    from repro.engine.engine import MeasurementEngine
 
-
-class MeasurementScheduler:
-    """Planner + persistent pool behind one experiment-facing object.
-
-    Either wraps an existing :class:`~repro.engine.engine.
-    MeasurementEngine` (sharing its worker pool) or builds its own from
-    ``backend`` / ``max_workers``.  ``run`` executes a heterogeneous
-    screen through the sub-batch planner; ``map_sweep`` fans free-form
-    tasks out on the shared pool.  Closing the scheduler releases the
-    pool of an engine it built; an engine passed in by the caller stays
-    the caller's responsibility.
-    """
-
-    def __init__(
-        self,
-        engine=None,
-        backend: str = "serial",
-        max_workers: Optional[int] = None,
-        rng_mode: str = "compat",
-        store=None,
-        cache: str = "readwrite",
-        store_records: bool = False,
-        retry: Optional[RetryPolicy] = None,
-        cache_budget_bytes: Optional[int] = None,
-    ):
-        from repro.engine.engine import MeasurementEngine
-
-        if engine is not None:
-            if (
-                backend != "serial"
-                or max_workers is not None
-                or rng_mode != "compat"
-                or store is not None
-                or cache != "readwrite"
-                or store_records
-                or retry is not None
-                or cache_budget_bytes is not None
-            ):
-                raise ConfigurationError(
-                    "pass either an engine or backend/max_workers/"
-                    "rng_mode/store/cache/store_records — an explicit "
-                    "engine already carries its own configuration"
-                )
-            self.engine = engine
-            self._owns_engine = False
-        else:
-            try:
-                resolved = _BACKEND_ALIASES[backend]
-            except KeyError:
-                raise ConfigurationError(
-                    f"backend must be one of "
-                    f"{sorted(set(_BACKEND_ALIASES))}, got {backend!r}"
-                ) from None
-            self.engine = MeasurementEngine(
-                backend=resolved,
-                max_workers=max_workers,
-                rng_mode=validate_rng_mode(rng_mode),
-                store=store,
-                cache=cache,
-                store_records=store_records,
-                retry=retry,
-                cache_budget_bytes=cache_budget_bytes,
-            )
-            self._owns_engine = True
-
-    @property
-    def backend(self) -> str:
-        return self.engine.backend
-
-    @property
-    def store(self):
-        """The engine's result store (``None`` when persistence is off)."""
-        return self.engine.store
-
-    @property
-    def pool(self) -> Optional[WorkerPool]:
-        """The engine's persistent pool (``None`` on the serial backend)."""
-        return self.engine.worker_pool
-
-    # ------------------------------------------------------------------
-    def _release_on_error(self) -> None:
-        """Error-path cleanup: never strand worker processes.
-
-        A raise anywhere between planning and execution (a malformed
-        task in ``plan_measurements``, a domain error mid-run, a
-        KeyboardInterrupt) used to leave an owned engine's spawned pool
-        alive with no one responsible for it unless the caller used the
-        context-manager form.  Closing here is safe and cheap: the
-        engine stays usable — its next fan-out respawns transparently.
-        """
-        if self._owns_engine:
-            self.engine.close()
-
-    def plan(
-        self, tasks: Sequence, max_group_size: Optional[int] = None
-    ) -> MeasurementPlan:
-        """Group tasks into compatible sub-batches (introspectable).
-
-        ``max_group_size`` caps tasks per sub-batch — extra group
-        boundaries mean finer persistence/checkpoint granularity, same
-        results (see :func:`plan_measurements`).
-        """
-        return plan_measurements(tasks, max_group_size=max_group_size)
-
-    def run(
-        self,
-        tasks: Sequence,
-        allow_failures: bool = False,
-        resume: bool = False,
-        max_group_size: Optional[int] = None,
-        on_group_end: Optional[Callable[[int, int], None]] = None,
-    ) -> List:
-        """Plan and execute a heterogeneous screen, results in task order.
-
-        Bit-identical to per-task ``engine.measure`` calls; compatible
-        tasks share one multi-device batch (on the process backend,
-        one chunk of whole devices per pool worker).  Every group runs;
-        a failed group's exception is raised after the last one (see
-        :meth:`MeasurementPlan.run`).
-        ``resume=True`` (store-backed engines) loads already-persisted
-        tasks and recomputes only the missing ones.
-        ``max_group_size`` / ``on_group_end`` add checkpoint boundaries
-        and a per-boundary hook (see :func:`plan_measurements`).
-        """
-        try:
-            return self.plan(tasks, max_group_size=max_group_size).run(
-                self.engine,
-                allow_failures=allow_failures,
-                resume=resume,
-                on_group_end=on_group_end,
-            )
-        except BaseException:
-            self._release_on_error()
-            raise
-
-    def run_report(
-        self,
-        tasks: Sequence,
-        allow_failures: bool = False,
-        resume: bool = False,
-        max_group_size: Optional[int] = None,
-        on_group_end: Optional[Callable[[int, int], None]] = None,
-    ) -> RunReport:
-        """Plan and execute a screen with graceful degradation.
-
-        Like :meth:`run`, but a terminally failed sub-batch is recorded
-        in the returned :class:`RunReport` instead of aborting the lot
-        — see :meth:`MeasurementPlan.run_report`.
-        """
-        try:
-            return self.plan(
-                tasks, max_group_size=max_group_size
-            ).run_report(
-                self.engine,
-                allow_failures=allow_failures,
-                resume=resume,
-                on_group_end=on_group_end,
-            )
-        except BaseException:
-            self._release_on_error()
-            raise
-
-    def run_retest(
-        self,
-        tasks: Sequence,
-        verdicts: Sequence,
-        retest_rngs: Optional[Sequence[GeneratorLike]] = None,
-        allow_failures: bool = False,
-    ) -> List:
-        """Re-measure only the failed / guard-band devices of a lot.
-
-        Results come back in task order with ``None`` for devices whose
-        prior verdict stands (the caller merges prior measurements over
-        them) — see :func:`plan_retest`.
-        """
-        try:
-            return plan_retest(tasks, verdicts, retest_rngs=retest_rngs).run(
-                self.engine, allow_failures=allow_failures
-            )
-        except BaseException:
-            self._release_on_error()
-            raise
-
-    def map_sweep(
-        self,
-        fn: Callable,
-        tasks: Sequence,
-        seed: GeneratorLike = None,
-        rngs: Optional[Sequence[GeneratorLike]] = None,
-    ) -> List:
-        """Free-form sweep on the engine (persistent pool underneath)."""
-        try:
-            return self.engine.map_sweep(fn, tasks, seed=seed, rngs=rngs)
-        except BaseException:
-            self._release_on_error()
-            raise
-
-    def close(self) -> None:
-        """Release the pool of an engine this scheduler created."""
-        if self._owns_engine:
-            self.engine.close()
-
-    def __enter__(self) -> "MeasurementScheduler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def as_scheduler(engine=None, scheduler=None) -> MeasurementScheduler:
-    """Resolve the experiments-layer ``engine=`` / ``scheduler=`` pair.
-
-    An explicit scheduler wins; an explicit engine is wrapped (sharing
-    its pool); with neither, a default in-process scheduler is built.
-    The caller keeps ownership either way — experiments never close a
-    pool they were handed.
-    """
-    if scheduler is not None:
-        return scheduler
-    return MeasurementScheduler(engine=engine)
+    return MeasurementEngine(**settings)

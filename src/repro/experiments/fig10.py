@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.engine import MeasurementEngine, MeasurementTask
-from repro.engine.scheduler import MeasurementScheduler, as_scheduler
+from repro.engine.scheduler import plan_measurements
 from repro.errors import MeasurementError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
@@ -65,7 +65,6 @@ def run_fig10(
     n_average: int = 4,
     seed: GeneratorLike = 2005,
     engine: Optional[MeasurementEngine] = None,
-    scheduler: Optional[MeasurementScheduler] = None,
 ) -> Fig10Result:
     """Sweep the reference amplitude and record power-ratio errors.
 
@@ -75,7 +74,7 @@ def run_fig10(
     Table 2's default keeps the sweep fast; pass a custom ``config`` to
     reproduce at full length.  Every ratio shares one analysis
     configuration (the reference amplitude does not enter it), so the
-    scheduler plans the *entire sweep* — all ratios, all averages — as
+    planner groups the *entire sweep* — all ratios, all averages — as
     a single multi-device batch, with the same per-trial generators as
     the per-ratio batches it replaces.
     """
@@ -87,7 +86,7 @@ def run_fig10(
     )
     if n_average < 1:
         raise ValueError(f"n_average must be >= 1, got {n_average}")
-    sched = as_scheduler(engine=engine, scheduler=scheduler)
+    engine = engine if engine is not None else MeasurementEngine()
     ratios = tuple(ratios)
     gen = make_rng(seed)
     rngs = spawn_rngs(gen, len(ratios))
@@ -101,7 +100,7 @@ def run_fig10(
             MeasurementTask(sim, estimator, child)
             for child in spawn_rngs(make_rng(rng), n_average)
         ]
-    results = sched.run(tasks, allow_failures=True)
+    results = plan_measurements(tasks).run(engine, allow_failures=True)
 
     points = []
     true_ratio = MatlabSimulation(base).true_power_ratio

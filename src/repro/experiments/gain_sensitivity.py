@@ -19,7 +19,6 @@ from repro.core.direct import DirectMethod, direct_method_gain_error_db
 from repro.core.yfactor import YFactorMethod
 from repro.dsp.psd import welch
 from repro.engine import MeasurementEngine
-from repro.engine.scheduler import MeasurementScheduler, as_scheduler
 from repro.errors import ConfigurationError
 from repro.instruments.testbench import build_prototype_testbench
 from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
@@ -124,13 +123,12 @@ def run_gain_sensitivity(
     noise_band_hz: Tuple[float, float] = (500.0, 1500.0),
     seed: GeneratorLike = 2005,
     engine: Optional[MeasurementEngine] = None,
-    scheduler: Optional[MeasurementScheduler] = None,
 ) -> GainSensitivityResult:
     """Sweep post-amplifier gain drift; estimate NF both ways.
 
     Both methods see the *same* drifted analog chain; the estimators are
     configured with the nominal (assumed) gain, as a production tester
-    would be.  The drift points fan out through the scheduler's
+    would be.  The drift points fan out through the engine's
     ``map_sweep`` (in-process by default; a ``backend="process"``
     engine distributes them over its persistent worker pool) with one
     child generator per point, so results are identical across
@@ -139,7 +137,7 @@ def run_gain_sensitivity(
     drifts = tuple(drifts)
     if not drifts:
         raise ConfigurationError("need at least one drift value")
-    sched = as_scheduler(engine=engine, scheduler=scheduler)
+    engine = engine if engine is not None else MeasurementEngine()
     gen = make_rng(seed)
     rngs = spawn_rngs(gen, len(drifts))
 
@@ -174,5 +172,5 @@ def run_gain_sensitivity(
         )
         for drift in drifts
     ]
-    points = sched.map_sweep(measure_drift_point, tasks, rngs=rngs)
+    points = engine.map_sweep(measure_drift_point, tasks, rngs=rngs)
     return GainSensitivityResult(points=points, expected_nf_db=expected_nf)

@@ -6,11 +6,12 @@ with the 1-bit BIST and screens with several guard-band settings.  The
 tradeoff the guard band buys — fewer escapes for more retests/overkill —
 is the production-economics argument behind BIST NF measurement.
 
-The lot runs through the measurement scheduler
-(:class:`~repro.engine.MeasurementScheduler`): devices are planned into
-compatible sub-batches, so a *mixed-configuration* lot (per-device
-record lengths and/or FFT sizes) still executes as one planned run with
-results bit-identical to measuring every device on its own.
+The lot runs on one :class:`~repro.engine.MeasurementEngine` through
+the planner (:func:`~repro.engine.scheduler.plan_measurements`):
+devices are planned into compatible sub-batches, so a
+*mixed-configuration* lot (per-device record lengths and/or FFT sizes)
+still executes as one planned run with results bit-identical to
+measuring every device on its own.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from repro.core.production import (
 )
 from repro.engine import MeasurementEngine, MeasurementTask
 from repro.engine.scheduler import (
-    MeasurementScheduler,
     RunReport,
-    as_scheduler,
+    plan_measurements,
+    plan_retest,
 )
 from repro.errors import ConfigurationError, ExecutionError, MeasurementError
 from repro.instruments.testbench import build_prototype_testbench
@@ -74,6 +75,18 @@ def _draw_lot(
         limit_db - nf_spread_db, limit_db + nf_spread_db, size=n_devices
     )
     return true_values, device_rngs
+
+
+def _resolve_engine(engine, scheduler) -> MeasurementEngine:
+    """The lot's engine: ``scheduler=`` is a second spelling of
+    ``engine=`` (perfbench passes it); with neither, an in-process
+    engine."""
+    if engine is not None and scheduler is not None:
+        raise ConfigurationError(
+            "pass engine= or scheduler= (the same engine), not both"
+        )
+    engine = engine if engine is not None else scheduler
+    return engine if engine is not None else MeasurementEngine()
 
 
 def _lot_tasks(true_values, samples_by_device, nperseg_by_device, device_rngs):
@@ -168,7 +181,7 @@ def run_production(
     seed: GeneratorLike = 2005,
     engine: Optional[MeasurementEngine] = None,
     nperseg: Union[int, Sequence[int]] = 8192,
-    scheduler: Optional[MeasurementScheduler] = None,
+    scheduler: Optional[MeasurementEngine] = None,
     resume: bool = False,
     report: bool = False,
     max_group_devices: Optional[int] = None,
@@ -179,7 +192,7 @@ def run_production(
     Each device's true NF is drawn uniformly from
     ``limit +/- nf_spread`` (a worst-case lot straddling the limit), its
     opamp is synthesized to that NF, and one BIST measurement is taken.
-    Every lot runs through the scheduler's planner.  ``n_samples`` and
+    Every lot runs through the planner.  ``n_samples`` and
     ``nperseg`` may be per-device sequences — a mixed-configuration
     lot — in which case compatible devices are grouped into
     sub-batches, each run as one multi-device engine batch, with
@@ -190,7 +203,7 @@ def run_production(
     MeasurementEngine.measure_devices`); the per-device generators make
     the result identical to measuring every device on its own.
 
-    A store-backed scheduler persists every device's measurement plus
+    A store-backed engine persists every device's measurement plus
     the lot's outcome manifest (keyed by :func:`production_lot_key`) as
     the screen advances; ``resume=True`` replays an interrupted screen
     measuring only the devices the store is missing (results identical
@@ -213,13 +226,15 @@ def run_production(
     a later ``resume=True`` pass measures only what is missing.  Results
     stay bit-identical to an unchunked screen (each device carries its
     own generator).
+
+    ``scheduler=`` is a second spelling of ``engine=``; passing both is
+    a :class:`~repro.errors.ConfigurationError`.
     """
     if n_devices < 4:
         raise ConfigurationError(f"need >= 4 devices, got {n_devices}")
     if nf_spread_db <= 0:
         raise ConfigurationError(f"spread must be > 0, got {nf_spread_db}")
-    sched = as_scheduler(engine=engine, scheduler=scheduler)
-    eng = sched.engine
+    eng = _resolve_engine(engine, scheduler)
     samples_by_device = _per_device(n_samples, n_devices, "n_samples")
     nperseg_by_device = _per_device(nperseg, n_devices, "nperseg")
     # Key the lot before drawing it: drawing spawns children off a
@@ -241,7 +256,7 @@ def run_production(
     tasks = _lot_tasks(
         true_values, samples_by_device, nperseg_by_device, device_rngs
     )
-    plan = sched.plan(tasks, max_group_size=max_group_devices)
+    plan = plan_measurements(tasks, max_group_size=max_group_devices)
     if report:
         screen_report = plan.run_report(
             eng, resume=resume, on_group_end=checkpoint
@@ -259,7 +274,7 @@ def run_production(
     measured_values = [r.noise_figure_db for r in results]
 
     if lot_key is not None:
-        sched.store.put_outcome(
+        eng.store.put_outcome(
             lot_key,
             {
                 "kind": "production_lot",
@@ -352,7 +367,7 @@ def run_production_retest(
     retest_seed: Optional[GeneratorLike] = None,
     nperseg: Union[int, Sequence[int]] = 8192,
     engine: Optional[MeasurementEngine] = None,
-    scheduler: Optional[MeasurementScheduler] = None,
+    scheduler: Optional[MeasurementEngine] = None,
     resume: bool = False,
 ) -> RetestResult:
     """Screen a lot, persist it, and re-measure only its failures.
@@ -360,7 +375,7 @@ def run_production_retest(
     The production loop the store exists for:
 
     1. *Screen.*  The lot's prior outcome is looked up in the
-       scheduler's store under :func:`production_lot_key`; on a miss
+       engine's store under :func:`production_lot_key`; on a miss
        the initial screen runs now (persisting per-device results and
        the outcome manifest as it goes).
     2. *Replan.*  Devices whose measurement lands above the
@@ -381,6 +396,9 @@ def run_production_retest(
     lot twice (once to address the store, once inside the screen), so
     a stateful generator — whose lineage the first draw would consume
     — cannot reproduce the same lot and is rejected outright.
+
+    ``scheduler=`` is a second spelling of ``engine=``, as for
+    :func:`run_production`.
     """
     if not isinstance(seed, (int, np.integer)):
         raise ConfigurationError(
@@ -388,8 +406,7 @@ def run_production_retest(
             f"(got {type(seed).__name__}); generators are consumed by "
             "the first lot draw and cannot re-address the same lot"
         )
-    sched = as_scheduler(engine=engine, scheduler=scheduler)
-    eng = sched.engine
+    eng = _resolve_engine(engine, scheduler)
     samples_by_device = _per_device(n_samples, n_devices, "n_samples")
     nperseg_by_device = _per_device(nperseg, n_devices, "nperseg")
     # Trusting a stored outcome is a cache *read*; a write-only engine
@@ -399,11 +416,11 @@ def run_production_retest(
             limit_db, nf_spread_db, n_devices, samples_by_device,
             nperseg_by_device, measurement_sigma_db, seed, eng.rng_mode,
         )
-        if sched.store is not None
+        if eng.store is not None
         else None
     )
     prior = (
-        sched.store.get_outcome(lot_key)
+        eng.store.get_outcome(lot_key)
         if lot_key is not None and eng.cache_reads
         else None
     )
@@ -429,7 +446,7 @@ def run_production_retest(
             measurement_sigma_db=measurement_sigma_db,
             seed=seed,
             nperseg=nperseg,
-            scheduler=sched,
+            engine=eng,
             resume=resume,
         )
         initial_values = list(initial.measured_nf_db)
@@ -453,7 +470,7 @@ def run_production_retest(
         retest_rngs = spawn_rngs(make_rng(retest_seed), n_devices)
     else:
         retest_rngs = retest_rngs_for(seed, n_devices)
-    retested = sched.run_retest(tasks, verdicts, retest_rngs=retest_rngs)
+    retested = plan_retest(tasks, verdicts, retest_rngs=retest_rngs).run(eng)
 
     merged = [
         float(initial_values[i])

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.analog.opamp import OpAmpNoiseModel
 from repro.engine import MeasurementEngine, MeasurementTask
-from repro.engine.scheduler import MeasurementScheduler, as_scheduler
+from repro.engine.scheduler import plan_measurements
 from repro.errors import ConfigurationError
 from repro.instruments.testbench import build_prototype_testbench
 from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
@@ -56,18 +56,17 @@ def run_record_length(
     target_nf_db: float = 6.0,
     seed: GeneratorLike = 2005,
     engine: Optional[MeasurementEngine] = None,
-    scheduler: Optional[MeasurementScheduler] = None,
     resume: bool = False,
 ) -> RecordLengthResult:
     """Sweep the record length; repeat each point ``n_trials`` times.
 
     The whole ablation — every length, every trial — is one planned
-    scheduler run: the planner groups the trials of each record length
+    run: the planner groups the trials of each record length
     into their own compatible sub-batch (lengths differ, so they cannot
     share one), with the same per-trial generators as the serial loop,
     so the statistics are unchanged.
 
-    On a store-backed scheduler every trial persists as its sub-batch
+    On a store-backed engine every trial persists as its sub-batch
     completes, and ``resume=True`` replays an interrupted sweep
     measuring only the missing trials (statistics identical to a cold
     run — the store round-trip is bit-exact).
@@ -77,7 +76,7 @@ def run_record_length(
         raise ConfigurationError("need at least one record length")
     if n_trials < 2:
         raise ConfigurationError(f"n_trials must be >= 2, got {n_trials}")
-    sched = as_scheduler(engine=engine, scheduler=scheduler)
+    engine = engine if engine is not None else MeasurementEngine()
 
     model = OpAmpNoiseModel.from_expected_nf(
         target_nf_db, 600.0, feedback_parallel_ohm=99.0, gbw_hz=8e6,
@@ -98,7 +97,7 @@ def run_record_length(
             MeasurementTask(bench, estimator, child)
             for child in spawn_rngs(make_rng(rng), n_trials)
         ]
-    results = sched.run(tasks, resume=resume)
+    results = plan_measurements(tasks).run(engine, resume=resume)
 
     points = []
     for k, n_samples in enumerate(lengths):

@@ -19,7 +19,7 @@ from repro.digitizer.comparator import Comparator
 from repro.digitizer.digitizer import OneBitDigitizer
 from repro.digitizer.sampler import SampledLatch
 from repro.engine import MeasurementEngine, MeasurementTask
-from repro.engine.scheduler import MeasurementScheduler, as_scheduler
+from repro.engine.scheduler import plan_measurements
 from repro.errors import ConfigurationError, MeasurementError
 from repro.instruments.testbench import build_prototype_testbench
 from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
@@ -80,7 +80,6 @@ def run_robustness(
     n_samples: int = 2**18,
     seed: GeneratorLike = 2005,
     engine: Optional[MeasurementEngine] = None,
-    scheduler: Optional[MeasurementScheduler] = None,
     resume: bool = False,
 ) -> RobustnessResult:
     """Sweep comparator non-idealities; share the seed across settings so
@@ -88,8 +87,7 @@ def run_robustness(
 
     Every setting's bench differs only in its digitizer, so all of them
     (baseline included) share one analysis configuration and the
-    scheduler runs the whole ablation as a single planned multi-device
-    batch — each device digitizing with its own non-ideal comparator,
+    whole ablation runs as a single planned multi-device batch — each device digitizing with its own non-ideal comparator,
     all records sharing one batched Welch pass.  The shared integer
     seed reproduces the identical noise realization per setting, as the
     serial loop did.
@@ -98,7 +96,7 @@ def run_robustness(
         target_nf_db, 600.0, feedback_parallel_ohm=99.0, gbw_hz=8e6,
         name=f"robustness_nf{target_nf_db:g}",
     )
-    sched = as_scheduler(engine=engine, scheduler=scheduler)
+    engine = engine if engine is not None else MeasurementEngine()
     shared_seed = int(make_rng(seed).integers(2**63))
 
     def bench_with(digitizer: Optional[OneBitDigitizer]):
@@ -121,14 +119,12 @@ def run_robustness(
         bench_with(_digitizer_for(kind, level, cold_rms))
         for kind, level in settings
     ]
-    results = sched.run(
+    results = plan_measurements(
         [
             MeasurementTask(bench, bench.make_estimator(), shared_seed)
             for bench in benches
-        ],
-        allow_failures=True,
-        resume=resume,
-    )
+        ]
+    ).run(engine, allow_failures=True, resume=resume)
     if results[0] is None:
         raise MeasurementError("baseline measurement lost its reference line")
     baseline = results[0].noise_figure_db

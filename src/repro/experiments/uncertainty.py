@@ -23,7 +23,7 @@ from repro.core.uncertainty import (
     nf_uncertainty_budget,
 )
 from repro.engine import MeasurementEngine, MeasurementTask
-from repro.engine.scheduler import MeasurementScheduler, as_scheduler
+from repro.engine.scheduler import plan_measurements
 from repro.instruments.testbench import build_prototype_testbench
 from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
 
@@ -67,10 +67,9 @@ def run_uncertainty(
     end_to_end_n_samples: int = 2**18,
     seed: GeneratorLike = 2005,
     engine: Optional[MeasurementEngine] = None,
-    scheduler: Optional[MeasurementScheduler] = None,
 ) -> UncertaintyResult:
     """Regenerate the +/-0.3 dB uncertainty claim."""
-    sched = as_scheduler(engine=engine, scheduler=scheduler)
+    engine = engine if engine is not None else MeasurementEngine()
     gen = make_rng(seed)
     mc_rng, e2e_rng = spawn_rngs(gen, 2)
 
@@ -128,7 +127,7 @@ def run_uncertainty(
                 bench_biased, bench_biased.make_estimator(), shared_seed
             ),
         ]
-    measured = sched.run(tasks)
+    measured = plan_measurements(tasks).run(engine)
 
     end_to_end = []
     for i, nf in enumerate(nf_values_db):

@@ -21,7 +21,7 @@ from repro.service.lifecycle import (
     EXIT_INTERRUPTED,
     EXIT_JOBS_DROPPED,
     ServiceInterrupt,
-    drain_scheduler,
+    drain_engine,
     trap_signals,
 )
 from repro.service.protocol import JobSpec, ProtocolError
@@ -52,7 +52,7 @@ __all__ = [
     "ServiceDrain",
     "ServiceInterrupt",
     "ServiceReport",
-    "drain_scheduler",
+    "drain_engine",
     "trap_signals",
     "wait_for_server",
 ]

@@ -27,7 +27,7 @@ __all__ = [
     "EXIT_INTERRUPTED",
     "EXIT_JOBS_DROPPED",
     "ServiceInterrupt",
-    "drain_scheduler",
+    "drain_engine",
     "trap_signals",
 ]
 
@@ -79,25 +79,17 @@ def trap_signals(signums=(signal.SIGINT, signal.SIGTERM)):
             signal.signal(signum, handler)
 
 
-def drain_scheduler(
-    scheduler,
-    kill_after_s: Optional[float] = 10.0,
-    force_close: bool = False,
-) -> bool:
-    """Gracefully release a scheduler's pool, killing hung workers.
+def drain_engine(engine, kill_after_s: Optional[float] = 10.0) -> bool:
+    """Gracefully release an engine's pool, killing hung workers.
 
-    ``scheduler.close()`` shuts the worker pool down and enforces the
+    ``engine.close()`` shuts the worker pool down and enforces the
     store budget — but ``shutdown(wait=True)`` blocks forever behind a
     genuinely hung worker, which is exactly the state an interrupt
     often finds.  A timer thread kills the worker processes after
     ``kill_after_s`` so the drain always terminates.  Returns ``True``
     for a clean drain, ``False`` if workers had to be killed.
-
-    ``force_close`` closes the underlying engine even when the
-    scheduler merely wraps a caller-owned one — the interrupt path
-    wants no worker left behind regardless of ownership.
     """
-    pool = scheduler.pool
+    pool = engine.worker_pool
     killed = threading.Event()
     timer = None
     if pool is not None and kill_after_s is not None:
@@ -110,9 +102,7 @@ def drain_scheduler(
         timer.daemon = True
         timer.start()
     try:
-        if force_close:
-            scheduler.engine.close()
-        scheduler.close()
+        engine.close()
     finally:
         if timer is not None:
             timer.cancel()

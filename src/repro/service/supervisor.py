@@ -1,15 +1,15 @@
 """The supervised measurement daemon: accept, journal, execute, survive.
 
 :class:`MeasurementService` multiplexes measure/lot/retest jobs from
-many clients onto one shared :class:`~repro.engine.scheduler.
-MeasurementScheduler` (one worker pool, one result store).  Three
+many clients onto one shared :class:`~repro.engine.engine.
+MeasurementEngine` (one worker pool, one result store).  Three
 threads of control cooperate:
 
 * the **asyncio front-end** (main thread) owns the Unix/TCP listener,
   parses requests, journals accepted jobs *before* acknowledging them
   and resolves waiting clients when jobs finish;
 * the **executor thread** claims jobs off the admission queue in
-  priority order and runs them on the scheduler.  Bulk lots run
+  priority order and runs them on the engine.  Bulk lots run
   chunked (``max_group_devices`` + a checkpoint callback), so every
   sub-batch boundary is a drain point, a deadline check, and a
   preemption point where queued interactive jobs run inline;
@@ -44,10 +44,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro import obs
+from repro.engine.engine import MeasurementEngine
 from repro.engine.scheduler import (
-    MeasurementScheduler,
     MeasurementTask,
     RetryPolicy,
+    plan_measurements,
 )
 from repro.errors import ConfigurationError
 from repro.obs.export import render_prometheus
@@ -55,7 +56,7 @@ from repro.faults.injector import client_disconnect_fault, job_deadline_fault
 from repro.service.journal import JobJournal
 from repro.service.lifecycle import (
     EXIT_JOBS_DROPPED,
-    drain_scheduler,
+    drain_engine,
 )
 from repro.service.protocol import (
     MAX_LINE_BYTES,
@@ -210,7 +211,7 @@ class MeasurementService:
         self.clock = clock
         root = pathlib.Path(config.store_root)
         self.store = ResultStore(root)
-        self.sched = MeasurementScheduler(
+        self.engine = MeasurementEngine(
             backend=config.backend,
             max_workers=config.max_workers,
             store=self.store,
@@ -294,7 +295,7 @@ class MeasurementService:
     def report(self) -> ServiceReport:
         queue_stats = self.queue.stats()
         obs.gauge("service.queue_depth", queue_stats["depth"])
-        pool = self.sched.pool
+        pool = self.engine.worker_pool
         pool_counters: Dict[str, int] = {}
         if pool is not None:
             t = pool.telemetry
@@ -371,7 +372,7 @@ class MeasurementService:
         from repro.experiments.production import run_production
 
         result = run_production(
-            scheduler=self.sched,
+            engine=self.engine,
             resume=True,
             report=True,
             max_group_devices=self.config.max_group_devices,
@@ -406,7 +407,7 @@ class MeasurementService:
         from repro.experiments.production import run_production_retest
 
         result = run_production_retest(
-            scheduler=self.sched, **job.spec.params
+            engine=self.engine, **job.spec.params
         )
         return {
             "kind": "retest",
@@ -431,7 +432,7 @@ class MeasurementService:
             estimator=bench.make_estimator(nperseg=nperseg),
             rng=make_rng(int(seed)),
         )
-        results = self.sched.run([task], resume=True)
+        results = plan_measurements([task]).run(self.engine, resume=True)
         return {
             "kind": "measure",
             "true_nf_db": true_nf_db,
@@ -548,7 +549,7 @@ class MeasurementService:
     # Watchdog thread
     # ------------------------------------------------------------------
     def _pool_progress(self) -> int:
-        pool = self.sched.pool
+        pool = self.engine.worker_pool
         return 0 if pool is None else int(pool.telemetry.attempts)
 
     def _watchdog_loop(self) -> None:
@@ -569,7 +570,7 @@ class MeasurementService:
                 < self.config.watchdog_stall_s
             ):
                 continue
-            pool = self.sched.pool
+            pool = self.engine.worker_pool
             if pool is not None and pool.active:
                 _LOG.warning(
                     "watchdog: no progress for %.1fs — killing workers",
@@ -870,7 +871,7 @@ class MeasurementService:
         # A daemon always observes itself: the metrics op, the stats
         # op's embedded snapshot and the span timelines all hang off
         # the process-global registry this turns on.  Worker pools
-        # spawned later inherit it via the scheduler's initializer.
+        # spawned later inherit it via the pool's initializer.
         obs.enable()
         obs.trace_event("service.start")
         self.journal.initialize()
@@ -938,14 +939,14 @@ class MeasurementService:
             # The in-flight job blew the drain budget: kill the workers
             # so its pool call settles, and count it dropped.
             _LOG.warning("drain grace exceeded; killing workers")
-            pool = self.sched.pool
+            pool = self.engine.worker_pool
             if pool is not None:
                 pool._kill_workers()
             self._stop.set()
             self._executor_thread.join(timeout=5.0)
         self._stop.set()
         self._watchdog_thread.join(timeout=5.0)
-        drain_scheduler(self.sched, kill_after_s=10.0)
+        drain_engine(self.engine, kill_after_s=10.0)
         # Compact the journal: completed records drop out, incomplete
         # jobs are checkpointed for the next daemon to resume.
         try:

@@ -13,9 +13,8 @@ persistence layer:
     measurement's value is in its key; execution knobs that are
     result-invariant (backend, workers) are not.
 :mod:`repro.store.serialize`
-    Bit-exact payloads: results and packed record batches round-trip
-    through ``.npz`` archives losslessly, so a cache hit *equals* a
-    recompute.
+    Bit-exact payloads: results round-trip through ``.npz`` archives
+    losslessly, so a cache hit *equals* a recompute.
 :mod:`repro.store.store`
     :class:`ResultStore` — the atomic, shardable on-disk layout of
     sealed ``.npz`` files, the tree-walk enumeration

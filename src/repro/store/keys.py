@@ -58,7 +58,7 @@ __all__ = [
 SCHEMA_VERSION = 2
 
 #: Entry kinds, in layout order: one top-level directory each.
-KINDS = ("results", "records", "outcomes")
+KINDS = ("results", "outcomes")
 
 #: Object-graph recursion limit — benches are a few levels deep
 #: (testbench -> source -> opamp); anything deeper is a cycle or a

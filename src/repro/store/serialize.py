@@ -1,11 +1,10 @@
-"""Bit-exact (de)serialization of measurement results and record batches.
+"""Bit-exact (de)serialization of measurement results.
 
 The store's contract is that a cache hit equals a recompute *bit for
 bit*, so the serialized form must round-trip every value exactly:
 
-* arrays (the normalized hot/cold spectra, packed record words) travel
-  as raw ``.npy`` members of an ``.npz`` archive — lossless by
-  construction;
+* arrays (the normalized hot/cold spectra) travel as raw ``.npy``
+  members of an ``.npz`` archive — lossless by construction;
 * scalars travel in a JSON header embedded in the same archive —
   Python's JSON encoder emits the shortest repr that round-trips a
   double, so finite float scalars are lossless too;
@@ -20,11 +19,10 @@ self-describing and can be copied between stores byte for byte.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.bitstream import PackedRecordBatch, RecordProvenance
 from repro.core.bist import BISTResult
 from repro.core.normalization import NormalizationResult
 from repro.dsp.spectrum import Spectrum
@@ -34,18 +32,15 @@ from repro.store.keys import SCHEMA_VERSION
 
 __all__ = [
     "META_MEMBER",
-    "payload_from_records",
     "payload_from_result",
-    "records_from_payload",
     "result_from_payload",
 ]
 
 #: Archive member holding the JSON header (a 0-d unicode array).
 META_MEMBER = "__meta__"
 
-#: Payload kinds the store recognizes.
+#: Payload kind of a serialized result.
 RESULT_KIND = "bist_result"
-RECORDS_KIND = "packed_records"
 
 
 def _check_kind(meta: dict, expected: str) -> None:
@@ -140,52 +135,6 @@ def result_from_payload(
         normalization=norm,
         t_hot_k=meta["t_hot_k"],
         t_cold_k=meta["t_cold_k"],
-    )
-
-
-# ----------------------------------------------------------------------
-# PackedRecordBatch
-# ----------------------------------------------------------------------
-def payload_from_records(
-    batch: PackedRecordBatch,
-) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Split a packed record batch into JSON metadata plus the words."""
-    if not isinstance(batch, PackedRecordBatch):
-        raise ConfigurationError(
-            "can only serialize PackedRecordBatch, got "
-            f"{type(batch).__name__}"
-        )
-    provenance: Optional[list] = None
-    if batch.provenance is not None:
-        provenance = [
-            None if p is None else p.to_dict() for p in batch.provenance
-        ]
-    meta = {
-        "kind": RECORDS_KIND,
-        "schema": SCHEMA_VERSION,
-        "n_samples": batch.n_samples,
-        "sample_rate": batch.sample_rate,
-        "provenance": provenance,
-    }
-    return meta, {"words": batch.words}
-
-
-def records_from_payload(
-    meta: dict, arrays: Dict[str, np.ndarray]
-) -> PackedRecordBatch:
-    """Rebuild the exact packed batch a payload was made from."""
-    _check_kind(meta, RECORDS_KIND)
-    provenance = meta.get("provenance")
-    if provenance is not None:
-        provenance = [
-            None if p is None else RecordProvenance.from_dict(p)
-            for p in provenance
-        ]
-    return PackedRecordBatch(
-        arrays["words"],
-        meta["n_samples"],
-        meta["sample_rate"],
-        provenance=provenance,
     )
 
 

@@ -4,7 +4,6 @@ Layout (all paths relative to the store root)::
 
     store.json                      # {"schema": N} — created with the store
     results/<k2>/<key>.npz          # serialized BISTResults
-    records/<k2>/<key>.npz          # serialized PackedRecordBatches
     outcomes/<k2>/<key>.npz         # experiment-level JSON outcomes
 
 where ``<key>`` is the 64-hex-digit content address
@@ -58,7 +57,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.bitstream import PackedRecordBatch
 from repro.core.bist import BISTResult
 from repro.errors import ConfigurationError
 from repro.faults.injector import store_fault
@@ -219,8 +217,9 @@ class ResultStore:
         store of the current or an older schema (older entries can
         never be hit and are gc-able); a directory holding anything
         else, or a store from a *newer* schema, is refused.  Stores
-        written by older versions may hold an ``index/`` directory and
-        ``<kind>/<k2>/pack-*.pk`` files; neither is read, written or
+        written by older versions may hold an ``index/`` directory,
+        ``<kind>/<k2>/pack-*.pk`` files and a ``records/`` tree of
+        pooled record batches; none of them is read, written or
         removed, so an entry that lives only inside a pack is a miss.
     """
 
@@ -446,25 +445,6 @@ class ResultStore:
     def has_result(self, key: str) -> bool:
         """Whether a result is stored under a key (no deserialization)."""
         return self._exists("results", key)
-
-    # ------------------------------------------------------------------
-    # Packed record batches
-    # ------------------------------------------------------------------
-    def put_records(self, key: str, batch: PackedRecordBatch) -> bool:
-        """Persist the pooled packed records behind a measurement."""
-        meta, arrays = serialize.payload_from_records(batch)
-        return self._put_payload("records", key, meta, arrays)
-
-    def get_records(self, key: str) -> Optional[PackedRecordBatch]:
-        """The stored packed batch for a key, or ``None`` on a miss."""
-        payload = self._get_payload("records", key)
-        if payload is None:
-            return None
-        return serialize.records_from_payload(*payload)
-
-    def has_records(self, key: str) -> bool:
-        """Whether pooled records are stored under a key."""
-        return self._exists("records", key)
 
     # ------------------------------------------------------------------
     # Experiment-level outcomes (JSON documents)

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import (
-    MeasurementScheduler,
+    MeasurementEngine,
     ResultStore,
     RetryPolicy,
 )
@@ -38,26 +38,26 @@ class TestChaosIdentity:
     KW = dict(n_devices=8, n_samples=2**14, seed=2005, report=True)
 
     def test_screen_under_transient_faults_is_bit_identical(self, tmp_path):
-        with MeasurementScheduler(
+        with MeasurementEngine(
             backend="process", max_workers=4, retry=FAST_RETRY
-        ) as sched:
-            reference = run_production(scheduler=sched, **self.KW)
+        ) as engine:
+            reference = run_production(engine=engine, **self.KW)
         assert reference.run_report.ok
 
         plan = resolve_plan("transient", seed=3)
         store = ResultStore(tmp_path / "chaos")
         with inject(plan) as injector:
-            with MeasurementScheduler(
+            with MeasurementEngine(
                 backend="process",
                 max_workers=4,
                 store=store,
                 retry=FAST_RETRY,
-            ) as sched:
-                faulted = run_production(scheduler=sched, **self.KW)
+            ) as engine:
+                faulted = run_production(engine=engine, **self.KW)
                 # Second pass over the damaged store: corrupted entries
                 # quarantine on read and recompute.
                 resumed = run_production(
-                    scheduler=sched, resume=True, **self.KW
+                    engine=engine, resume=True, **self.KW
                 )
 
         # The flagship guarantee: same lot, bit for bit.
@@ -93,16 +93,16 @@ class TestChaosIdentity:
 
 CHILD_SCRIPT = """\
 import sys
-from repro.engine import MeasurementScheduler, ResultStore
+from repro.engine import MeasurementEngine, ResultStore
 from repro.experiments.production import run_production
 
-with MeasurementScheduler(store=ResultStore(sys.argv[1])) as sched:
+with MeasurementEngine(store=ResultStore(sys.argv[1])) as engine:
     run_production(
         n_devices=9,
         n_samples=2**18,
         nperseg=[8192, 4096, 2048] * 3,
         seed=2005,
-        scheduler=sched,
+        engine=engine,
         resume=True,
     )
 """
@@ -169,9 +169,9 @@ class TestCrashConsistentResume:
         assert len(self._stored_results(store_dir)) == stored
 
         # Resume measures only the missing devices...
-        with MeasurementScheduler(store=ResultStore(store_dir)) as sched:
+        with MeasurementEngine(store=ResultStore(store_dir)) as engine:
             resumed = run_production(
-                scheduler=sched, resume=True, report=True, **self.KW
+                engine=engine, resume=True, report=True, **self.KW
             )
         assert resumed.run_report.cached_tasks == stored
         assert resumed.run_report.ok
@@ -185,16 +185,16 @@ class TestCrashConsistentResume:
 
 WRITER_SCRIPT = """\
 import sys
-from repro.engine import MeasurementScheduler, ResultStore
+from repro.engine import MeasurementEngine, ResultStore
 from repro.experiments.production import run_production
 
-with MeasurementScheduler(store=ResultStore(sys.argv[1])) as sched:
+with MeasurementEngine(store=ResultStore(sys.argv[1])) as engine:
     run_production(
         n_devices=6,
         n_samples=2**14,
         nperseg=2048,
         seed=2005,
-        scheduler=sched,
+        engine=engine,
     )
 """
 

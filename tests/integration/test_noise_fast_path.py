@@ -22,8 +22,8 @@ from repro.digitizer.sampler import SampledLatch
 from repro.dsp.psd import welch
 from repro.engine import (
     MeasurementEngine,
-    MeasurementScheduler,
     MeasurementTask,
+    plan_measurements,
 )
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.instruments.testbench import build_prototype_testbench
@@ -86,9 +86,11 @@ class TestCompatBitIdentity:
 
     def test_scheduler_compat_default_unchanged(self):
         sims = [MatlabSimulation(SMALL) for _ in range(3)]
-        default = MeasurementScheduler().run(_mixed_tasks(11, sims))
-        compat = MeasurementScheduler(rng_mode="compat").run(
-            _mixed_tasks(11, sims)
+        default = plan_measurements(_mixed_tasks(11, sims)).run(
+            MeasurementEngine()
+        )
+        compat = plan_measurements(_mixed_tasks(11, sims)).run(
+            MeasurementEngine(rng_mode="compat")
         )
         assert [r.noise_figure_db for r in default] == [
             r.noise_figure_db for r in compat

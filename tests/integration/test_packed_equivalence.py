@@ -249,7 +249,7 @@ class TestEngineBackendsEquivalence:
             for child in spawn_rngs(make_rng(7), 3)
         ]
         runs = {}
-        for backend in ("vectorized", "process"):
+        for backend in ("serial", "process"):
             with MeasurementEngine(backend=backend, max_workers=2) as engine:
                 runs[backend] = [
                     r.noise_figure_db
@@ -260,7 +260,7 @@ class TestEngineBackendsEquivalence:
             ) <= 1e-9
         # Two workers measure the repeats in chunks of 2 and 1, bit for
         # bit like one in-process batch.
-        assert runs["process"] == runs["vectorized"]
+        assert runs["process"] == runs["serial"]
 
     def test_process_spectra_rate_mismatch_rejected(self, sim):
         from repro.errors import ConfigurationError

@@ -18,9 +18,9 @@ import pytest
 
 from repro.engine import (
     MeasurementEngine,
-    MeasurementScheduler,
     MeasurementTask,
     ResultStore,
+    plan_measurements,
 )
 from repro.errors import MeasurementError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
@@ -90,18 +90,18 @@ class TestHeterogeneousScreenAcrossBackends:
         ]
 
     def test_process_backend_matches_serial(self):
-        serial = MeasurementScheduler().run(self._tasks(31))
-        with MeasurementScheduler(backend="process", max_workers=2) as sched:
-            procs = sched.run(self._tasks(31))
+        serial = plan_measurements(self._tasks(31)).run(MeasurementEngine())
+        with MeasurementEngine(backend="process", max_workers=2) as engine:
+            procs = plan_measurements(self._tasks(31)).run(engine)
         assert [r.noise_figure_db for r in procs] == [
             r.noise_figure_db for r in serial
         ]
 
     def test_pool_reused_across_planned_runs(self):
-        with MeasurementScheduler(backend="process", max_workers=2) as sched:
-            first = sched.run(self._tasks(31))
-            second = sched.run(self._tasks(31))
-            assert sched.pool.spawn_count == 1
+        with MeasurementEngine(backend="process", max_workers=2) as engine:
+            first = plan_measurements(self._tasks(31)).run(engine)
+            second = plan_measurements(self._tasks(31)).run(engine)
+            assert engine.worker_pool.spawn_count == 1
         assert [r.noise_figure_db for r in first] == [
             r.noise_figure_db for r in second
         ]
@@ -140,14 +140,14 @@ class TestLotFanOut:
         runs = {}
         for backend in ("serial", "process"):
             store = ResultStore(tmp_path / backend)
-            with MeasurementScheduler(
+            with MeasurementEngine(
                 backend=backend,
                 max_workers=2,
                 rng_mode=rng_mode,
                 store=store,
-            ) as sched:
-                lot = run_production(scheduler=sched, **ODD_LOT)
-                retest = run_production_retest(scheduler=sched, **ODD_LOT)
+            ) as engine:
+                lot = run_production(engine=engine, **ODD_LOT)
+                retest = run_production_retest(engine=engine, **ODD_LOT)
             runs[backend] = (lot, retest, _store_bytes(store))
         lot_s, retest_s, bytes_s = runs["serial"]
         lot_p, retest_p, bytes_p = runs["process"]
@@ -166,12 +166,12 @@ class TestLotFanOut:
         # Regression: a storeless process lot once took a per-device
         # sweep that dropped the engine's rng_mode and measured compat.
         kw = dict(n_devices=4, n_samples=2**15, nperseg=4096, seed=2005)
-        with MeasurementScheduler(
+        with MeasurementEngine(
             backend="process", max_workers=2, rng_mode="philox"
-        ) as sched:
-            procs = run_production(scheduler=sched, **kw)
-        with MeasurementScheduler(rng_mode="philox") as sched:
-            serial = run_production(scheduler=sched, **kw)
+        ) as engine:
+            procs = run_production(engine=engine, **kw)
+        with MeasurementEngine(rng_mode="philox") as engine:
+            serial = run_production(engine=engine, **kw)
         assert procs.measured_nf_db == serial.measured_nf_db
         assert procs.measured_nf_db != run_production(**kw).measured_nf_db
 
@@ -206,7 +206,7 @@ class TestLotFanOut:
         sims = _small_sims(0.2, 0.2, 0.2)
         estimators = [sim.make_estimator() for sim in sims]
         runs = {}
-        for backend in ("vectorized", "process"):
+        for backend in ("serial", "process"):
             gen = make_rng(5)
             device_rngs = spawn_rngs(make_rng(9), 3)
             with MeasurementEngine(backend=backend, max_workers=2) as eng:
@@ -217,16 +217,16 @@ class TestLotFanOut:
                 _spawned(gen),
                 [_spawned(g) for g in device_rngs],
             )
-        assert runs["process"] == runs["vectorized"]
+        assert runs["process"] == runs["serial"]
         assert runs["process"][1:] == (3, [2, 2, 2])
 
     def test_generator_seeded_lot_consumes_seed_like_serial(self):
         seeds = {}
         for backend in ("serial", "process"):
             gen = np.random.default_rng(17)
-            with MeasurementScheduler(backend=backend, max_workers=2) as sched:
+            with MeasurementEngine(backend=backend, max_workers=2) as engine:
                 lot = run_production(
-                    scheduler=sched, **{**ODD_LOT, "seed": gen}
+                    engine=engine, **{**ODD_LOT, "seed": gen}
                 )
             seeds[backend] = (lot.measured_nf_db, _spawned(gen))
         assert seeds["process"] == seeds["serial"]
@@ -284,7 +284,7 @@ class TestRepeatFanOut:
         else:
             source, estimator = _device_bench()
         runs = {}
-        for backend in ("vectorized", "process"):
+        for backend in ("serial", "process"):
             with MeasurementEngine(
                 backend=backend, max_workers=2, rng_mode=rng_mode
             ) as eng:
@@ -293,7 +293,7 @@ class TestRepeatFanOut:
                 if backend == "process":
                     assert eng.worker_pool.telemetry.attempts == 2
             runs[backend] = [_result_fields(r) for r in results]
-        assert runs["process"] == runs["vectorized"]
+        assert runs["process"] == runs["serial"]
 
     def test_workers_acquire_whole_repeats(self, tmp_path):
         sim = AcquireLoggingSim(
@@ -339,7 +339,7 @@ class TestRepeatFanOut:
         [sim] = _small_sims(0.2)
         estimator = sim.make_estimator()
         runs = {}
-        for backend in ("vectorized", "process"):
+        for backend in ("serial", "process"):
             gen = make_rng(5)
             with MeasurementEngine(backend=backend, max_workers=2) as eng:
                 first = eng.run_batch(sim, estimator, 3, rng=gen)
@@ -348,5 +348,5 @@ class TestRepeatFanOut:
                 [r.noise_figure_db for r in first + second],
                 _spawned(gen),
             )
-        assert runs["process"] == runs["vectorized"]
+        assert runs["process"] == runs["serial"]
         assert runs["process"][1] == 5

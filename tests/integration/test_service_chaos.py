@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import MeasurementScheduler, MeasurementTask
+from repro.engine import MeasurementEngine, MeasurementTask, plan_measurements
 from repro.experiments.production import _build_device_bench, run_production
 from repro.service import (
     EXIT_JOBS_DROPPED,
@@ -66,7 +66,7 @@ def reference_measure():
         rng=make_rng(MEASURE_PARAMS["seed"]),
     )
     return float(
-        MeasurementScheduler().run([task])[0].noise_figure_db
+        plan_measurements([task]).run(MeasurementEngine())[0].noise_figure_db
     )
 
 

@@ -3,8 +3,6 @@
 The acceptance bars of the store subsystem:
 
 * a cache hit returns exactly what a recompute would (``measure``);
-* stored pooled records short-circuit the acquisition but not the
-  answer;
 * a resumed plan recomputes *only* the missing tasks;
 * a production retest replan measures only the failed / guard-band
   devices and its merged outcome equals a full re-screen.
@@ -15,7 +13,6 @@ import pytest
 
 from repro.engine import (
     MeasurementEngine,
-    MeasurementScheduler,
     MeasurementTask,
     ResultStore,
     plan_measurements,
@@ -97,32 +94,14 @@ class TestEngineCache:
         engine.measure(sim, estimator, rng=7)
         assert sim.acquired_records == 2  # warm: nothing acquired
 
-    def test_pooled_records_reused_without_acquisition(self, tmp_path):
-        sim = CountingSim(MatlabSimConfig(n_samples=N_SAMPLES, nperseg=NPERSEG))
-        estimator = sim.make_estimator()
-        store = ResultStore(tmp_path / "s")
-        engine = MeasurementEngine(store=store, store_records=True)
-        cold = engine.measure(sim, estimator, rng=7)
-        key = engine.task_key(sim, estimator, 7)
-        assert store.has_records(key)
-        # Drop the result; the records alone must reproduce it without
-        # touching the bench.
-        store._path("results", key).unlink()
-        acquired_before = sim.acquired_records
-        replayed = engine.measure(sim, estimator, rng=7)
-        assert sim.acquired_records == acquired_before
-        assert_results_identical(replayed, cold)
-        assert store.has_result(key)  # re-derived result was persisted
-
     def test_kwargs_wrapper_records_are_stored(self, tmp_path):
         sim = KwargsSim(MatlabSimConfig(n_samples=N_SAMPLES, nperseg=NPERSEG))
         estimator = sim.make_estimator()
         store = ResultStore(tmp_path / "s")
-        engine = MeasurementEngine(store=store, store_records=True)
+        engine = MeasurementEngine(store=store)
         engine.measure(sim, estimator, rng=7)
         key = engine.task_key(sim, estimator, 7)
         assert store.has_result(key)
-        assert store.has_records(key)
 
     def test_cache_read_mode_never_writes(self, tmp_path):
         sim = _sim()
@@ -213,10 +192,10 @@ class TestPlanResume:
 
     def test_scheduler_run_resume_passthrough(self, tmp_path):
         store = ResultStore(tmp_path / "s")
-        with MeasurementScheduler(store=store) as sched:
+        with MeasurementEngine(store=store) as engine:
             tasks = self._tasks([_sim() for _ in range(4)], 4)
-            cold = sched.run(tasks)
-            warm = sched.run(tasks, resume=True)
+            cold = plan_measurements(tasks).run(engine)
+            warm = plan_measurements(tasks).run(engine, resume=True)
             for a, b in zip(cold, warm):
                 assert_results_identical(a, b)
 
@@ -259,9 +238,9 @@ class TestRetest:
 
     def test_merged_outcome_equals_full_rescreen(self, tmp_path):
         store = ResultStore(tmp_path / "s")
-        with MeasurementScheduler(store=store) as sched:
+        with MeasurementEngine(store=store) as engine:
             retest = run_production_retest(
-                **self.KW, retest_guardband_sigmas=1.0, scheduler=sched
+                **self.KW, retest_guardband_sigmas=1.0, engine=engine
             )
         assert 0 < retest.n_retested < self.KW["n_devices"]
         # The reference: a cold full re-screen where retested devices
@@ -291,14 +270,14 @@ class TestRetest:
 
     def test_second_retest_reads_outcome_from_store(self, tmp_path):
         store = ResultStore(tmp_path / "s")
-        with MeasurementScheduler(store=store) as sched:
+        with MeasurementEngine(store=store) as engine:
             first = run_production_retest(
-                **self.KW, retest_guardband_sigmas=1.0, scheduler=sched
+                **self.KW, retest_guardband_sigmas=1.0, engine=engine
             )
             assert not first.initial_from_store
-        with MeasurementScheduler(store=ResultStore(tmp_path / "s")) as sched:
+        with MeasurementEngine(store=ResultStore(tmp_path / "s")) as engine:
             second = run_production_retest(
-                **self.KW, retest_guardband_sigmas=1.0, scheduler=sched
+                **self.KW, retest_guardband_sigmas=1.0, engine=engine
             )
         assert second.initial_from_store
         assert second.merged_nf_db == first.merged_nf_db
@@ -316,20 +295,20 @@ class TestExperimentResume:
         kw = dict(
             n_devices=6, n_samples=2**14, nperseg=2048, seed=2005
         )
-        with MeasurementScheduler(store=ResultStore(tmp_path / "s")) as sched:
-            cold = run_production(**kw, scheduler=sched, resume=True)
-        with MeasurementScheduler(store=ResultStore(tmp_path / "s")) as sched:
-            warm = run_production(**kw, scheduler=sched, resume=True)
+        with MeasurementEngine(store=ResultStore(tmp_path / "s")) as engine:
+            cold = run_production(**kw, engine=engine, resume=True)
+        with MeasurementEngine(store=ResultStore(tmp_path / "s")) as engine:
+            warm = run_production(**kw, engine=engine, resume=True)
         assert warm.measured_nf_db == cold.measured_nf_db
         baseline = run_production(**kw)
         assert baseline.measured_nf_db == cold.measured_nf_db
 
     def test_record_length_resume_identical(self, tmp_path):
         kw = dict(lengths=(2**13, 2**14), n_trials=2, seed=2005)
-        with MeasurementScheduler(store=ResultStore(tmp_path / "s")) as sched:
-            cold = run_record_length(**kw, scheduler=sched)
-        with MeasurementScheduler(store=ResultStore(tmp_path / "s")) as sched:
-            warm = run_record_length(**kw, scheduler=sched, resume=True)
+        with MeasurementEngine(store=ResultStore(tmp_path / "s")) as engine:
+            cold = run_record_length(**kw, engine=engine)
+        with MeasurementEngine(store=ResultStore(tmp_path / "s")) as engine:
+            warm = run_record_length(**kw, engine=engine, resume=True)
         assert [p.nf_mean_db for p in warm.points] == [
             p.nf_mean_db for p in cold.points
         ]
@@ -343,10 +322,10 @@ class TestExperimentResume:
             hysteresis_levels=(0.05,),
             jitter_levels=(0.5,),
         )
-        with MeasurementScheduler(store=ResultStore(tmp_path / "s")) as sched:
-            cold = run_robustness(**kw, scheduler=sched)
-        with MeasurementScheduler(store=ResultStore(tmp_path / "s")) as sched:
-            warm = run_robustness(**kw, scheduler=sched, resume=True)
+        with MeasurementEngine(store=ResultStore(tmp_path / "s")) as engine:
+            cold = run_robustness(**kw, engine=engine)
+        with MeasurementEngine(store=ResultStore(tmp_path / "s")) as engine:
+            warm = run_robustness(**kw, engine=engine, resume=True)
         assert warm.baseline_nf_db == cold.baseline_nf_db
         assert [p.nf_db for p in warm.points] == [
             p.nf_db for p in cold.points
@@ -386,16 +365,16 @@ class TestReviewRegressions:
         kw = dict(n_devices=4, n_samples=2**13, nperseg=1024, seed=2005)
         # read-only engine: a "frozen" store is never written
         store = ResultStore(tmp_path / "frozen")
-        with MeasurementScheduler(store=store, cache="read") as sched:
-            run_production(**kw, scheduler=sched)
+        with MeasurementEngine(store=store, cache="read") as engine:
+            run_production(**kw, engine=engine)
         assert len(store.index()) == 0
         # write-only engine: outcomes are recorded but never trusted
         store = ResultStore(tmp_path / "w")
-        with MeasurementScheduler(store=store, cache="write") as sched:
-            run_production(**kw, scheduler=sched)
+        with MeasurementEngine(store=store, cache="write") as engine:
+            run_production(**kw, engine=engine)
             before = len(store.index().by_kind("outcomes"))
             retest = run_production_retest(
-                **kw, retest_guardband_sigmas=1.0, scheduler=sched
+                **kw, retest_guardband_sigmas=1.0, engine=engine
             )
         assert before == 1
         assert not retest.initial_from_store
@@ -421,15 +400,15 @@ class TestWorkerDirectWrites:
         from repro.experiments.production import run_production
 
         store = ResultStore(tmp_path / "lot")
-        with MeasurementScheduler(
+        with MeasurementEngine(
             backend="process", max_workers=2, store=store
-        ) as sched:
+        ) as engine:
             run_production(
                 n_devices=4,
                 n_samples=2**14,
                 nperseg=2048,
                 seed=99,
-                scheduler=sched,
+                engine=engine,
             )
         walk = store.index()
         assert len(walk.by_kind("results")) == 4
@@ -442,19 +421,13 @@ class TestWorkerDirectWrites:
         plan_measurements(tasks[:1]).run(MeasurementEngine(store=one))
         per_entry = one.index().entries[0].nbytes
         budget = int(2.5 * per_entry)
-        with MeasurementScheduler(
+        with MeasurementEngine(
             store=store, cache_budget_bytes=budget
-        ) as sched:
-            sched.run(self._tasks())
+        ) as engine:
+            plan_measurements(self._tasks()).run(engine)
         walk = store.index()
         assert walk.total_bytes <= budget
         assert 0 < len(walk) < self.N
-
-    def test_scheduler_rejects_engine_plus_budget(self):
-        with pytest.raises(ConfigurationError):
-            MeasurementScheduler(
-                engine=MeasurementEngine(), cache_budget_bytes=10
-            )
 
     def test_bad_budget_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.averaging import RepeatedMeasurement
 from repro.dsp.psd import welch, welch_batch
-from repro.engine import Engine, MeasurementEngine
+from repro.engine import MeasurementEngine
 from repro.errors import ConfigurationError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.signals.random import make_rng, spawn_rngs
@@ -38,9 +38,6 @@ def draw(task, rng):
 
 
 class TestEngineConstruction:
-    def test_engine_alias(self):
-        assert Engine is MeasurementEngine
-
     def test_bad_backend_rejected(self):
         with pytest.raises(ConfigurationError):
             MeasurementEngine(backend="threads")

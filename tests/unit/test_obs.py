@@ -17,7 +17,7 @@ import tracemalloc
 import pytest
 
 from repro import obs
-from repro.engine import MeasurementScheduler, MeasurementTask
+from repro.engine import MeasurementEngine, MeasurementTask, plan_measurements
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.obs.export import render_prometheus
 from repro.obs.logs import JsonLogFormatter, setup_logging
@@ -285,14 +285,14 @@ class TestInertness:
     """Obs on/off must not change measurement results."""
 
     def test_bit_identity_obs_on_off(self):
-        with MeasurementScheduler(backend="serial") as sched:
+        with MeasurementEngine(backend="serial") as engine:
             baseline = [
-                r.noise_figure_db for r in sched.run(_tasks())
+                r.noise_figure_db for r in plan_measurements(_tasks()).run(engine)
             ]
         obs.enable()
-        with MeasurementScheduler(backend="serial") as sched:
+        with MeasurementEngine(backend="serial") as engine:
             observed = [
-                r.noise_figure_db for r in sched.run(_tasks())
+                r.noise_figure_db for r in plan_measurements(_tasks()).run(engine)
             ]
         assert observed == baseline  # bit-identical, not approx
         # ...and the run actually produced telemetry (the planner
@@ -338,13 +338,13 @@ class TestWorkerMerge:
 
     def test_process_run_merges_worker_registries(self):
         obs.enable()
-        with MeasurementScheduler(backend="serial") as sched:
-            serial_results = sched.run(_tasks())
+        with MeasurementEngine(backend="serial") as engine:
+            serial_results = plan_measurements(_tasks()).run(engine)
         obs.reset()
-        with MeasurementScheduler(
+        with MeasurementEngine(
             backend="process", max_workers=2
-        ) as sched:
-            proc_results = sched.run(_tasks())
+        ) as engine:
+            proc_results = plan_measurements(_tasks()).run(engine)
         proc_snap = obs.snapshot_and_reset()
         assert [r.noise_figure_db for r in proc_results] == [
             r.noise_figure_db for r in serial_results
@@ -364,8 +364,8 @@ class TestWorkerMerge:
 
     def test_run_report_embeds_obs_delta(self):
         obs.enable()
-        with MeasurementScheduler(backend="serial") as sched:
-            report = sched.run_report(_tasks())
+        with MeasurementEngine(backend="serial") as engine:
+            report = plan_measurements(_tasks()).run_report(engine)
         described = report.describe()
         assert described["obs"] is not None
         assert (

@@ -1,4 +1,5 @@
-"""Tests for repro.engine.scheduler (WorkerPool, planner, facade)."""
+"""Tests for repro.engine.scheduler (WorkerPool, planner) and the
+engine's ownership of its pool."""
 
 import os
 import time
@@ -9,14 +10,12 @@ import pytest
 
 from repro.engine import (
     MeasurementEngine,
-    MeasurementScheduler,
     MeasurementTask,
     ResultStore,
     RetryPolicy,
     WorkerPool,
     plan_measurements,
 )
-from repro.engine.scheduler import as_scheduler
 from repro.errors import ConfigurationError, ExecutionError, MeasurementError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.faults import FaultPlan, inject
@@ -181,16 +180,14 @@ class TestRunWithProcesses:
             assert eng.worker_pool.spawn_count == 0
 
     def test_pool_routing_matches_fresh_executor(self):
-        with WorkerPool(max_workers=2) as pool:
-            shared = MeasurementEngine(backend="process", pool=pool)
-            pooled = shared.map_sweep(
-                square, [1, 2, 3], rngs=spawn_rngs(make_rng(3), 3)
-            )
         with MeasurementEngine(backend="process", max_workers=2) as eng:
-            owned = eng.map_sweep(
+            pooled = eng.map_sweep(
                 square, [1, 2, 3], rngs=spawn_rngs(make_rng(3), 3)
             )
-        assert pooled == owned == [1, 4, 9]
+        serial = MeasurementEngine().map_sweep(
+            square, [1, 2, 3], rngs=spawn_rngs(make_rng(3), 3)
+        )
+        assert pooled == serial == [1, 4, 9]
 
 
 class TestSharedSweepPayloads:
@@ -305,7 +302,7 @@ class TestPlanner:
             (0, 1, 2, 3)
         ]
         assert not [g for g in plan.groups if not g.batched]
-        planned = MeasurementScheduler().run(tasks)
+        planned = plan_measurements(tasks).run(MeasurementEngine())
         direct = [
             MeasurementEngine().measure(t.source, t.estimator, rng=t.rng)
             for t in tasks
@@ -326,8 +323,7 @@ class TestPlanner:
             MeasurementTask(sim, sim.make_estimator(), rng)
             for sim, rng in zip(sims, rngs)
         ]
-        sched = MeasurementScheduler()
-        planned = sched.run(tasks)
+        planned = plan_measurements(tasks).run(MeasurementEngine())
         eng = MeasurementEngine()
         reference_rngs = spawn_rngs(make_rng(21), len(sims))
         for sim, rng, result in zip(sims, reference_rngs, planned):
@@ -343,7 +339,7 @@ class TestPlanner:
             MeasurementTask(sim_b, sim_b.make_estimator(), 2),
             MeasurementTask(sim_a, sim_a.make_estimator(), 3),
         ]
-        results = MeasurementScheduler().run(tasks)
+        results = plan_measurements(tasks).run(MeasurementEngine())
         eng = MeasurementEngine()
         for task, result in zip(tasks, results):
             expected = eng.measure(task.source, task.estimator, rng=task.rng)
@@ -361,7 +357,9 @@ class TestPlanner:
             MeasurementTask(ok, ok.make_estimator(), 1),
             MeasurementTask(bad, bad.make_estimator(), 2),
         ]
-        results = MeasurementScheduler().run(tasks, allow_failures=True)
+        results = plan_measurements(tasks).run(
+            MeasurementEngine(), allow_failures=True
+        )
         assert results[0] is not None
         assert results[1] is None  # swamped line -> Y < 1 -> failure
 
@@ -375,40 +373,19 @@ class TestPlanner:
         )
         tasks = [MeasurementTask(bad, bad.make_estimator(), 2)]
         with pytest.raises(MeasurementError):
-            MeasurementScheduler().run(tasks)
+            plan_measurements(tasks).run(MeasurementEngine())
 
 
 class TestSchedulerFacade:
+    """What the removed scheduler facade promised, now the engine's own:
+    one backend vocabulary, sweeps, and one pool per engine."""
+
     def test_bad_backend_rejected(self):
         with pytest.raises(ConfigurationError):
-            MeasurementScheduler(backend="threads")
-
-    def test_serial_alias(self):
-        sched = MeasurementScheduler(backend="serial")
-        assert sched.backend == "vectorized"
-        assert sched.pool is None
-
-    def test_wraps_existing_engine(self):
-        eng = MeasurementEngine()
-        sched = MeasurementScheduler(engine=eng)
-        assert sched.engine is eng
-
-    def test_engine_plus_config_rejected(self):
-        eng = MeasurementEngine()
-        with pytest.raises(ConfigurationError):
-            MeasurementScheduler(engine=eng, backend="process")
-        with pytest.raises(ConfigurationError):
-            MeasurementScheduler(engine=eng, max_workers=2)
-
-    def test_as_scheduler_resolution(self):
-        explicit = MeasurementScheduler()
-        assert as_scheduler(scheduler=explicit) is explicit
-        eng = MeasurementEngine()
-        assert as_scheduler(engine=eng).engine is eng
-        assert as_scheduler().backend == "vectorized"
+            MeasurementEngine(backend="threads")
 
     def test_map_sweep_delegates(self):
-        assert MeasurementScheduler().map_sweep(square, [2, 3], seed=0) == [
+        assert MeasurementEngine().map_sweep(square, [2, 3], seed=0) == [
             4,
             9,
         ]
@@ -419,25 +396,18 @@ class TestSchedulerFacade:
             ["hot", "cold", "hot", "cold"],
             spawn_rngs(make_rng(5), 4),
         )
-        with MeasurementScheduler(backend="process", max_workers=2) as sched:
-            sched.map_sweep(square, [1, 2], seed=0)
-            sched.map_sweep(square, [3], seed=0)
-            sched.engine.spectra_of(records, rate, sim.make_estimator())
-            assert sched.pool.spawn_count == 1
+        with MeasurementEngine(backend="process", max_workers=2) as eng:
+            eng.map_sweep(square, [1, 2], seed=0)
+            eng.map_sweep(square, [3], seed=0)
+            eng.spectra_of(records, rate, sim.make_estimator())
+            assert eng.worker_pool.spawn_count == 1
 
     def test_close_releases_own_engine_pool(self):
-        sched = MeasurementScheduler(backend="process", max_workers=1)
-        sched.map_sweep(square, [1], seed=0)
-        assert sched.pool.active
-        sched.close()
-        assert not sched.pool.active
-
-    def test_close_leaves_callers_engine_alone(self):
-        with MeasurementEngine(backend="process", max_workers=1) as eng:
-            eng.map_sweep(square, [1], seed=0)
-            sched = MeasurementScheduler(engine=eng)
-            sched.close()
-            assert eng.worker_pool.active  # caller still owns it
+        eng = MeasurementEngine(backend="process", max_workers=1)
+        eng.map_sweep(square, [1], seed=0)
+        assert eng.worker_pool.active
+        eng.close()
+        assert not eng.worker_pool.active
 
 
 class TestRetryPolicy:
@@ -647,7 +617,7 @@ class TestRunReport:
 
     def test_clean_run_reports_ok(self):
         tasks = self._mixed_tasks()[:2]
-        report = MeasurementScheduler().run_report(tasks)
+        report = plan_measurements(tasks).run_report(MeasurementEngine())
         assert report.ok
         assert all(r is not None for r in report.results)
         assert [g.status for g in report.groups] == ["ok"]
@@ -657,7 +627,9 @@ class TestRunReport:
     def test_failed_group_degrades_gracefully(self):
         # The bad singleton group fails terminally; the batched good
         # group must still complete and scatter its results.
-        report = MeasurementScheduler().run_report(self._mixed_tasks())
+        report = plan_measurements(self._mixed_tasks()).run_report(
+            MeasurementEngine()
+        )
         assert not report.ok
         assert report.n_failed_groups == 1
         assert report.results[0] is not None
@@ -669,28 +641,32 @@ class TestRunReport:
     def test_describe_is_json_ready(self):
         import json
 
-        report = MeasurementScheduler().run_report(self._mixed_tasks())
+        report = plan_measurements(self._mixed_tasks()).run_report(
+            MeasurementEngine()
+        )
         doc = json.loads(json.dumps(report.describe()))
         assert doc["n_measured"] == 2
         assert doc["ok"] is False
 
     def test_results_match_plain_run(self):
         tasks = self._mixed_tasks()[:2]
-        report = MeasurementScheduler().run_report(tasks)
-        plain = MeasurementScheduler().run(tasks)
+        report = plan_measurements(tasks).run_report(MeasurementEngine())
+        plain = plan_measurements(tasks).run(MeasurementEngine())
         for a, b in zip(report.results, plain):
             assert a.noise_figure_db == b.noise_figure_db
 
     def test_resume_without_store_rejected(self):
         with pytest.raises(ConfigurationError):
-            MeasurementScheduler().run_report(
-                self._mixed_tasks()[:1], resume=True
+            plan_measurements(self._mixed_tasks()[:1]).run_report(
+                MeasurementEngine(), resume=True
             )
 
     def test_failed_group_keeps_its_exception_out_of_equality(self):
         from dataclasses import replace
 
-        report = MeasurementScheduler().run_report(self._mixed_tasks())
+        report = plan_measurements(self._mixed_tasks()).run_report(
+            MeasurementEngine()
+        )
         [failed] = [g for g in report.groups if g.status == "failed"]
         assert isinstance(failed.exception, MeasurementError)
         assert failed == replace(failed, exception=None)
@@ -710,20 +686,20 @@ class TestRunReport:
             MeasurementTask(good, good.make_estimator(), 1),
             MeasurementTask(good, good.make_estimator(), 2),
         ]
-        sched = MeasurementScheduler(store=ResultStore(tmp_path / "store"))
-        plan = sched.plan(tasks)
+        engine = MeasurementEngine(store=ResultStore(tmp_path / "store"))
+        plan = plan_measurements(tasks)
         assert [g.indices for g in plan.groups] == [(0, 1), (2, 3)]
-        return sched, plan
+        return engine, plan
 
     def test_run_persists_completed_groups_then_raises(self, tmp_path):
         # The failing group runs first; run still measures and persists
         # the group after it, then raises the original domain error.
-        sched, plan = self._failing_first_plan(tmp_path)
+        engine, plan = self._failing_first_plan(tmp_path)
         with pytest.raises(MeasurementError):
-            plan.run(sched.engine)
+            plan.run(engine)
         stored = [
-            sched.store.get_result(
-                sched.engine.task_key(t.source, t.estimator, t.rng)
+            engine.store.get_result(
+                engine.task_key(t.source, t.estimator, t.rng)
             )
             for t in plan.tasks
         ]
@@ -735,12 +711,10 @@ class TestRunReport:
         assert stored[3].noise_figure_db == expected.noise_figure_db
 
     def test_resume_after_failed_run_serves_completed_groups(self, tmp_path):
-        sched, plan = self._failing_first_plan(tmp_path)
+        engine, plan = self._failing_first_plan(tmp_path)
         with pytest.raises(MeasurementError):
-            plan.run(sched.engine)
-        report = plan.run_report(
-            sched.engine, allow_failures=True, resume=True
-        )
+            plan.run(engine)
+        report = plan.run_report(engine, allow_failures=True, resume=True)
         assert report.cached_tasks == 2
         assert [g.n_tasks for g in report.groups] == [2]
         assert [r is not None for r in report.results] == [
@@ -749,7 +723,7 @@ class TestRunReport:
 
     def test_run_hook_error_stops_at_once(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        sched = MeasurementScheduler(store=store)
+        engine = MeasurementEngine(store=store)
         sim = small_sim(n_samples=30_000)
         tasks = [
             MeasurementTask(sim, sim.make_estimator(), i) for i in range(4)
@@ -759,9 +733,11 @@ class TestRunReport:
             raise RuntimeError("drain")
 
         with pytest.raises(RuntimeError, match="drain"):
-            sched.run(tasks, max_group_size=2, on_group_end=stop)
+            plan_measurements(tasks, max_group_size=2).run(
+                engine, on_group_end=stop
+            )
         stored = [
-            store.has_result(sched.engine.task_key(t.source, t.estimator, t.rng))
+            store.has_result(engine.task_key(t.source, t.estimator, t.rng))
             for t in tasks
         ]
         assert stored == [True, True, False, False]
@@ -774,7 +750,7 @@ class TestRunReport:
             MeasurementTask(interrupting, sim.make_estimator(), 2),
         ]
         with pytest.raises(KeyboardInterrupt):
-            MeasurementScheduler().run(tasks)
+            plan_measurements(tasks).run(MeasurementEngine())
         assert interrupting.calls == 1
 
 
@@ -791,13 +767,29 @@ class TestEnginePoolLifetime:
             assert pool.spawn_count == 1
         assert not pool.active
 
-    def test_shared_pool_not_closed_by_engine(self):
-        with WorkerPool(max_workers=1) as pool:
-            eng = MeasurementEngine(backend="process", pool=pool)
-            eng.map_sweep(square, [1], seed=0)
-            eng.close()
-            assert pool.active  # still the caller's to close
-        assert not pool.active
+    def test_pool_survives_a_failed_screen(self):
+        # A failed screen leaves the engine's pool to the engine's own
+        # close(): the next lot reuses the workers instead of spawning.
+        from repro.experiments.production import run_production
+
+        bad = MatlabSimulation(
+            MatlabSimConfig(
+                n_samples=30_000, nperseg=3000, reference_ratio=0.001
+            )
+        )
+        bad_task = MeasurementTask(bad, bad.make_estimator(), 2)
+        with MeasurementEngine(backend="process", max_workers=2) as eng:
+            first = run_production(n_devices=4, n_samples=2**14, engine=eng)
+            with pytest.raises(MeasurementError):
+                plan_measurements([bad_task]).run(eng)
+            again = run_production(n_devices=4, n_samples=2**14, engine=eng)
+            assert eng.worker_pool.spawn_count == 1
+            assert eng.worker_pool.active
+        assert again.measured_nf_db == first.measured_nf_db
+
+    def test_vectorized_backend_name_rejected(self):
+        with pytest.raises(ConfigurationError):
+            MeasurementEngine(backend="vectorized")
 
     def test_spectra_and_single_measure_stay_in_process(self):
         sim = small_sim(n_samples=30_000)
@@ -844,9 +836,11 @@ class TestChunkedPlanning:
                 for i in range(4)
             ]
 
-        sched = MeasurementScheduler()
-        whole = sched.run(build_tasks())
-        chunked = sched.run(build_tasks(), max_group_size=1)
+        engine = MeasurementEngine()
+        whole = plan_measurements(build_tasks()).run(engine)
+        chunked = plan_measurements(build_tasks(), max_group_size=1).run(
+            engine
+        )
         for a, b in zip(whole, chunked):
             assert a.noise_figure_db == b.noise_figure_db
             assert a.y == b.y
@@ -857,9 +851,8 @@ class TestChunkedPlanning:
             MeasurementTask(sim, sim.make_estimator(), i) for i in range(5)
         ]
         calls = []
-        MeasurementScheduler().run(
-            tasks,
-            max_group_size=2,
+        plan_measurements(tasks, max_group_size=2).run(
+            MeasurementEngine(),
             on_group_end=lambda gi, n: calls.append((gi, n)),
         )
         assert calls == [(0, 3), (1, 3), (2, 3)]
@@ -870,9 +863,8 @@ class TestChunkedPlanning:
             MeasurementTask(sim, sim.make_estimator(), i) for i in range(4)
         ]
         calls = []
-        report = MeasurementScheduler().run_report(
-            tasks,
-            max_group_size=2,
+        report = plan_measurements(tasks, max_group_size=2).run_report(
+            MeasurementEngine(),
             on_group_end=lambda gi, n: calls.append(gi),
         )
         assert len([r for r in report.results if r is not None]) == 4
@@ -880,44 +872,34 @@ class TestChunkedPlanning:
         assert calls == [0, 1]
 
 
-class TestPoolReleaseOnError:
-    def _spy_close(self, sched):
-        closed = []
-        original = sched.engine.close
+class TestPerfbenchNames:
+    """``MeasurementScheduler`` and ``scheduler=`` stay only because the
+    benchmark harness calls them; both are spellings of the engine."""
 
-        def close():
-            closed.append(True)
-            original()
+    def test_scheduler_function_builds_an_engine(self, tmp_path):
+        from repro.engine.scheduler import MeasurementScheduler
+        from repro.experiments.production import (
+            run_production,
+            run_production_retest,
+        )
 
-        sched.engine.close = close
-        return closed
-
-    def test_planning_error_releases_owned_engine(self):
-        sched = MeasurementScheduler()
-        closed = self._spy_close(sched)
-        with pytest.raises(ConfigurationError):
-            sched.run(["nonsense"])
-        assert closed
-
-    def test_checkpoint_hook_error_releases_owned_engine(self):
-        sim = small_sim()
-        tasks = [
-            MeasurementTask(sim, sim.make_estimator(), i) for i in range(2)
-        ]
-        sched = MeasurementScheduler()
-        closed = self._spy_close(sched)
-
-        def explode(gi, n):
-            raise RuntimeError("hook failure")
-
-        with pytest.raises(RuntimeError):
-            sched.run(tasks, max_group_size=1, on_group_end=explode)
-        assert closed
-
-    def test_wrapped_engine_is_not_closed_on_error(self):
-        eng = MeasurementEngine()
-        sched = MeasurementScheduler(engine=eng)
-        closed = self._spy_close(sched)
-        with pytest.raises(ConfigurationError):
-            sched.run(["nonsense"])
-        assert not closed  # the caller owns it; their shutdown decides
+        lot = dict(n_devices=4, n_samples=2**14, seed=11)
+        engine = MeasurementScheduler(
+            backend="process",
+            max_workers=2,
+            rng_mode="philox",
+            store=ResultStore(tmp_path / "store"),
+        )
+        with engine:
+            assert type(engine) is MeasurementEngine
+            via_alias = run_production(scheduler=engine, **lot)
+            direct = run_production(engine=engine, **lot)
+            with pytest.raises(ConfigurationError):
+                run_production(engine=engine, scheduler=engine, **lot)
+            with pytest.raises(ConfigurationError):
+                run_production_retest(engine=engine, scheduler=engine, **lot)
+        serial = run_production(
+            engine=MeasurementEngine(rng_mode="philox"), **lot
+        )
+        assert via_alias.measured_nf_db == direct.measured_nf_db
+        assert via_alias.measured_nf_db == serial.measured_nf_db

@@ -367,9 +367,9 @@ class TestJournalMaintenance:
             try:
                 assert restarted.replay_journal() == 0
             finally:
-                restarted.sched.close()
+                restarted.engine.close()
         finally:
-            service.sched.close()
+            service.engine.close()
 
     def test_journal_rotates_under_sustained_traffic(self, tmp_path):
         # The journal must compact while serving, not only at drain —
@@ -425,3 +425,45 @@ class TestDrainExitCodes:
             service.request_drain()
             thread.join(timeout=60.0)
         assert codes == [0]
+
+
+class TestEngineOwnership:
+    def test_failed_measure_job_keeps_the_pool(self, tmp_path, monkeypatch):
+        # A measure job whose measurement fails leaves the daemon's one
+        # engine and its workers alone: the next lot reuses the pool
+        # instead of spawning a new one.
+        from repro.engine import MeasurementEngine
+        from repro.errors import MeasurementError
+        from repro.service.queue import Job
+
+        def job(spec):
+            return Job(key=spec.key(), spec=spec, submitted_at=0.0)
+
+        def lot(seed):
+            params = {"n_devices": 4, "n_samples": N_SAMPLES,
+                      "nperseg": NPERSEG, "seed": seed}
+            return job(JobSpec(kind="lot", params=params))
+
+        def lost_line(self, source, estimator, rng=None):
+            raise MeasurementError("reference line lost")
+
+        service = MeasurementService(
+            ServiceConfig(
+                store_root=str(tmp_path / "store"),
+                backend="process",
+                max_workers=2,
+                journal_fsync=False,
+            )
+        )
+        try:
+            service._run_lot(lot(1))
+            with monkeypatch.context() as patch:
+                patch.setattr(MeasurementEngine, "measure", lost_line)
+                with pytest.raises(MeasurementError):
+                    service._run_measure(job(measure_spec(seed=5)))
+            service._run_lot(lot(2))
+            pool = service.engine.worker_pool
+            assert pool.spawn_count == 1
+            assert pool.active
+        finally:
+            service.engine.close()

@@ -1,11 +1,12 @@
 """Tests for repro.store: keys, serialization, the on-disk store."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
-from repro.bitstream import PackedRecordBatch, RecordProvenance
+from repro.bitstream import RecordProvenance
 from repro.core.bist import BISTResult
 from repro.core.normalization import NormalizationResult
 from repro.dsp.spectrum import Spectrum
@@ -23,11 +24,12 @@ from repro.store import (
 )
 from repro.store.locks import LockTimeout, file_lock
 from repro.store.serialize import (
-    payload_from_records,
+    META_MEMBER,
+    encode_meta,
     payload_from_result,
-    records_from_payload,
     result_from_payload,
 )
+from repro.store.store import _seal
 
 
 def _sim(**overrides):
@@ -273,27 +275,6 @@ class TestResultSerialization:
             payload_from_result({"not": "a result"})
 
 
-class TestRecordsSerialization:
-    def _batch(self):
-        sim = _sim()
-        rngs = spawn_rngs(5, 4)
-        batch, _ = sim.acquire_bitstreams(["hot", "cold", "hot", "cold"], rngs)
-        return batch
-
-    def test_round_trip_bit_identical(self):
-        batch = self._batch()
-        meta, arrays = payload_from_records(batch)
-        back = records_from_payload(json.loads(json.dumps(meta)), arrays)
-        assert np.array_equal(back.words, batch.words)
-        assert back.n_samples == batch.n_samples
-        assert back.sample_rate == batch.sample_rate
-        assert back.provenance == batch.provenance
-
-    def test_non_batch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            payload_from_records(np.zeros((2, 8)))
-
-
 class TestResultStore:
     def test_round_trip(self, tmp_path):
         store = ResultStore(tmp_path / "s")
@@ -310,15 +291,6 @@ class TestResultStore:
         key = "cd" * 32
         assert store.put_result(key, _result())
         assert not store.put_result(key, _result())
-
-    def test_records_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        sim = _sim()
-        batch, _ = sim.acquire_bitstreams(["hot", "cold"], spawn_rngs(3, 2))
-        key = "ef" * 32
-        assert store.put_records(key, batch)
-        back = store.get_records(key)
-        assert np.array_equal(back.words, batch.words)
 
     def test_outcome_round_trip(self, tmp_path):
         store = ResultStore(tmp_path / "s")
@@ -754,9 +726,30 @@ def _legacy_pack(members) -> bytes:
     )
 
 
+def _legacy_records_entry(batch) -> bytes:
+    """A sealed pooled-records payload as older versions wrote it under
+    ``records/<k2>/<key>.npz``."""
+    provenance = None
+    if batch.provenance is not None:
+        provenance = [
+            None if p is None else p.to_dict() for p in batch.provenance
+        ]
+    meta = {
+        "kind": "packed_records",
+        "schema": SCHEMA_VERSION,
+        "n_samples": batch.n_samples,
+        "sample_rate": batch.sample_rate,
+        "provenance": provenance,
+    }
+    buffer = io.BytesIO()
+    np.savez(buffer, **{META_MEMBER: encode_meta(meta)}, words=batch.words)
+    return _seal(buffer.getvalue())
+
+
 class TestLegacyLayout:
-    """A store with an old persistent index and a shard pack still
-    opens and works; neither leftover is read, written or removed."""
+    """A store with an old persistent index, a shard pack and pooled
+    records still opens and works; no leftover is read, written or
+    removed."""
 
     def test_index_dir_and_pack_are_ignored(self, tmp_path):
         root = tmp_path / "s"
@@ -772,9 +765,14 @@ class TestLegacyLayout:
         index_dir.mkdir()
         (index_dir / "seg-00000000.idx").write_bytes(b"REPROIDX" + bytes(72))
         (index_dir / "lock").write_bytes(b"")
+        records_key = "ab" + "2" * 62
+        batch, _ = _sim().acquire_bitstreams(["hot", "cold"], spawn_rngs(3, 2))
+        records = root / "records" / "ab" / f"{records_key}.npz"
+        records.parent.mkdir(parents=True)
+        records.write_bytes(_legacy_records_entry(batch))
         leftovers = {
             path: path.read_bytes()
-            for path in (pack, *index_dir.iterdir())
+            for path in (pack, records, *index_dir.iterdir())
         }
 
         store = ResultStore(root)
@@ -783,6 +781,9 @@ class TestLegacyLayout:
         assert store.get_result(packed_key) is None
         assert store.read_payload_bytes("results", packed_key) is None
         assert len(store.index()) == 0
+        # "records" is no longer a kind: nothing addresses the entry.
+        with pytest.raises(ConfigurationError):
+            store.read_payload_bytes("records", records_key)
         # Put, get, walk, evict and gc work as on a fresh store.
         assert store.put_result(loose_key, _result())
         assert_results_identical(store.get_result(loose_key), _result())
@@ -795,7 +796,8 @@ class TestLegacyLayout:
         assert store.quarantine_log == []
         # The leftovers are untouched, byte for byte.
         assert {
-            path: path.read_bytes() for path in (pack, *index_dir.iterdir())
+            path: path.read_bytes()
+            for path in (pack, records, *index_dir.iterdir())
         } == leftovers
 
 
