@@ -1,10 +1,12 @@
 """Shared helpers for the benchmark suite.
 
-Every bench regenerates one paper table/figure: it times the experiment
-with ``pytest-benchmark`` (one round — these are full measurements, not
-micro-kernels), renders the paper-style rows/series, prints them and
-persists them under ``benchmarks/results/`` so the output survives
-pytest's capture.
+Every paper bench regenerates one paper table/figure: it times the
+experiment with ``pytest-benchmark`` (one round — these are full
+measurements, not micro-kernels), renders the paper-style
+rows/series, prints them and persists them under
+``benchmarks/results/`` so the output survives pytest's capture.
+``bench_claims.py`` times its claims itself and persists one line per
+claim the same way.
 """
 
 from __future__ import annotations
@@ -32,16 +34,3 @@ def emit():
 def run_once(benchmark, fn, *args, **kwargs):
     """Benchmark a full experiment with a single timed round."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def envinfo() -> dict:
-    """The compute-environment record every bench JSON section embeds.
-
-    CPU count, numpy/scipy versions and the kernel implementation
-    (always ``"numpy"``) — a benchmark number is meaningless without
-    the environment it was measured in (see docs/PERFORMANCE.md,
-    "reading BENCH_engine.json").
-    """
-    from repro.kernels import report
-
-    return report()

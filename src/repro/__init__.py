@@ -34,11 +34,7 @@ The package is organized as:
     ASCII rendering of tables and series.
 """
 
-from repro.bitstream import (
-    PackedBitstream,
-    PackedRecordBatch,
-    RecordProvenance,
-)
+from repro.bitstream import PackedBitstream, PackedRecordBatch
 from repro.buffers import ArrayPool, default_pool
 from repro.constants import BOLTZMANN, T0_KELVIN, db_to_linear, linear_to_db
 from repro.core.bist import BISTMeasurementConfig, OneBitNoiseFigureBIST
@@ -67,7 +63,6 @@ __all__ = [
     "Waveform",
     "PackedBitstream",
     "PackedRecordBatch",
-    "RecordProvenance",
     "ArrayPool",
     "default_pool",
     "OneBitDigitizer",

@@ -8,13 +8,12 @@ cost of multiprocess sweeps (pickling 8 MB per paper-scale record).
 
 :class:`PackedBitstream` is the first-class packed record type: 8
 samples per byte (``numpy.packbits`` order), bit ``1`` for ``+1`` and
-bit ``0`` for ``-1``, carrying the sample rate and optional
-spawn-seeded provenance so a record remains traceable to the generator
-that produced it.  :class:`PackedRecordBatch` is the stacked form the
-measurement engine acquires, stores and analyzes.  Both unpack to the
-exact float64 ``+/-1`` arrays the serial float path produces, so every
-consumer (Welch kernels, normalization, Y-factor) sees bit-identical
-values; blocked access (:meth:`PackedBitstream.unpack_range`,
+bit ``0`` for ``-1``, carrying the sample rate.
+:class:`PackedRecordBatch` is the stacked form the measurement engine
+acquires, stores and analyzes.  Both unpack to the exact float64
+``+/-1`` arrays the serial float path produces, so every consumer
+(Welch kernels, normalization, Y-factor) sees bit-identical values;
+blocked access (:meth:`PackedBitstream.unpack_range`,
 :meth:`PackedBitstream.iter_blocks`) lets the DSP layer keep peak
 memory at ~1 bit per stored sample by unpacking only one FFT block at
 a time.
@@ -22,7 +21,6 @@ a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -45,72 +43,6 @@ def _tail_mask(n_samples: int) -> int:
     if used == 0:
         return 0xFF
     return (0xFF << (8 - used)) & 0xFF
-
-
-@dataclass(frozen=True)
-class RecordProvenance:
-    """Where a packed record's random stream came from.
-
-    ``spawn_key``/``entropy`` mirror the ``numpy.random.SeedSequence``
-    fields of the generator that produced the record, so any record in
-    a batch can be traced back to (and re-drawn from) its seed.
-    ``rng_mode`` records which synthesis path drew the record —
-    ``"compat"`` (per-record ``default_rng`` replay) or ``"philox"``
-    (counter-based batch fill; see :mod:`repro.signals.batch_rng`) —
-    since the two modes produce different realizations from the same
-    seed identity.
-    """
-
-    entropy: Optional[int] = None
-    spawn_key: Tuple[int, ...] = ()
-    state: Optional[str] = None
-    rng_mode: str = "compat"
-
-    @classmethod
-    def from_rng(
-        cls,
-        rng: np.random.Generator,
-        state: Optional[str] = None,
-        rng_mode: str = "compat",
-    ) -> "RecordProvenance":
-        """Capture the seed-sequence identity of a generator."""
-        seq = rng.bit_generator.seed_seq
-        entropy = getattr(seq, "entropy", None)
-        spawn_key = tuple(getattr(seq, "spawn_key", ()) or ())
-        if isinstance(entropy, (list, tuple)):
-            entropy = int(entropy[0]) if entropy else None
-        return cls(
-            entropy=int(entropy) if entropy is not None else None,
-            spawn_key=spawn_key,
-            state=state,
-            rng_mode=rng_mode,
-        )
-
-    def to_dict(self) -> dict:
-        """Stable JSON-able form (the store's serialization contract).
-
-        Round-trips exactly through :meth:`from_dict`: the dict holds
-        only ints, strings and ``None``, with the spawn key as a list,
-        so canonical-JSON digests of a provenance are identical before
-        and after a disk round trip.
-        """
-        return {
-            "entropy": self.entropy,
-            "spawn_key": [int(k) for k in self.spawn_key],
-            "state": self.state,
-            "rng_mode": self.rng_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecordProvenance":
-        """Inverse of :meth:`to_dict` (equality-exact)."""
-        entropy = data.get("entropy")
-        return cls(
-            entropy=int(entropy) if entropy is not None else None,
-            spawn_key=tuple(int(k) for k in data.get("spawn_key", ())),
-            state=data.get("state"),
-            rng_mode=data.get("rng_mode", "compat"),
-        )
 
 
 def _as_sign_array(samples) -> np.ndarray:
@@ -141,18 +73,15 @@ class PackedBitstream:
         Number of valid samples.
     sample_rate:
         Sample rate in Hz.
-    provenance:
-        Optional :class:`RecordProvenance` of the generating stream.
     """
 
-    __slots__ = ("words", "n_samples", "sample_rate", "provenance")
+    __slots__ = ("words", "n_samples", "sample_rate")
 
     def __init__(
         self,
         words: np.ndarray,
         n_samples: int,
         sample_rate: float,
-        provenance: Optional[RecordProvenance] = None,
         validate: bool = True,
         copy: Optional[bool] = None,
     ):
@@ -189,7 +118,6 @@ class PackedBitstream:
         object.__setattr__(self, "words", arr)
         object.__setattr__(self, "n_samples", n_samples)
         object.__setattr__(self, "sample_rate", float(sample_rate))
-        object.__setattr__(self, "provenance", provenance)
         if validate:
             self.validate()
 
@@ -197,21 +125,20 @@ class PackedBitstream:
         raise AttributeError("PackedBitstream is immutable")
 
     def __getstate__(self):
-        return (self.words, self.n_samples, self.sample_rate, self.provenance)
+        return (self.words, self.n_samples, self.sample_rate)
 
     def __setstate__(self, state):
         # The immutability __setattr__ breaks the default slots
         # protocol, so restore (and re-freeze the unpickled words)
         # explicitly — records travel through the engine's process
         # backend by pickle.
-        words, n_samples, sample_rate, provenance = state
+        words, n_samples, sample_rate = state
         arr = np.asarray(words, dtype=np.uint8)
         if arr.flags.writeable:
             arr.setflags(write=False)
         object.__setattr__(self, "words", arr)
         object.__setattr__(self, "n_samples", n_samples)
         object.__setattr__(self, "sample_rate", sample_rate)
-        object.__setattr__(self, "provenance", provenance)
 
     # ------------------------------------------------------------------
     # Construction
@@ -221,7 +148,6 @@ class PackedBitstream:
         cls,
         signal: Union[Waveform, np.ndarray, Sequence[float]],
         sample_rate: Optional[float] = None,
-        provenance: Optional[RecordProvenance] = None,
     ) -> "PackedBitstream":
         """Pack a ``+/-1`` record (Waveform or array) into 1 bit/sample."""
         if isinstance(signal, Waveform):
@@ -240,8 +166,7 @@ class PackedBitstream:
         samples = _as_sign_array(samples)
         words = np.packbits(samples > 0)
         return cls(
-            words, samples.size, rate, provenance=provenance,
-            validate=False, copy=False,
+            words, samples.size, rate, validate=False, copy=False
         )
 
     @classmethod
@@ -249,7 +174,6 @@ class PackedBitstream:
         cls,
         bits: np.ndarray,
         sample_rate: float,
-        provenance: Optional[RecordProvenance] = None,
     ) -> "PackedBitstream":
         """Pack an already-thresholded 0/1 (or boolean) bit array."""
         arr = np.asarray(bits)
@@ -259,7 +183,6 @@ class PackedBitstream:
             np.packbits(arr != 0),
             arr.size,
             sample_rate,
-            provenance=provenance,
             validate=False,
             copy=False,
         )
@@ -381,14 +304,13 @@ class PackedRecordBatch:
     125 kB instead of the 8 MB float64 record.
     """
 
-    __slots__ = ("words", "n_samples", "sample_rate", "provenance")
+    __slots__ = ("words", "n_samples", "sample_rate")
 
     def __init__(
         self,
         words: np.ndarray,
         n_samples: int,
         sample_rate: float,
-        provenance: Optional[Sequence[Optional[RecordProvenance]]] = None,
         validate: bool = True,
         copy: Optional[bool] = None,
     ):
@@ -419,20 +341,9 @@ class PackedRecordBatch:
                 f"sample_rate must be a positive finite number, got "
                 f"{sample_rate!r}"
             )
-        prov: Optional[List[Optional[RecordProvenance]]]
-        if provenance is not None:
-            prov = list(provenance)
-            if len(prov) != arr.shape[0]:
-                raise ConfigurationError(
-                    f"got {arr.shape[0]} records but {len(prov)} provenance "
-                    "entries"
-                )
-        else:
-            prov = None
         object.__setattr__(self, "words", arr)
         object.__setattr__(self, "n_samples", n_samples)
         object.__setattr__(self, "sample_rate", float(sample_rate))
-        object.__setattr__(self, "provenance", prov)
         if validate:
             self.validate()
 
@@ -440,17 +351,16 @@ class PackedRecordBatch:
         raise AttributeError("PackedRecordBatch is immutable")
 
     def __getstate__(self):
-        return (self.words, self.n_samples, self.sample_rate, self.provenance)
+        return (self.words, self.n_samples, self.sample_rate)
 
     def __setstate__(self, state):
-        words, n_samples, sample_rate, provenance = state
+        words, n_samples, sample_rate = state
         arr = np.asarray(words, dtype=np.uint8)
         if arr.flags.writeable:
             arr.setflags(write=False)
         object.__setattr__(self, "words", arr)
         object.__setattr__(self, "n_samples", n_samples)
         object.__setattr__(self, "sample_rate", sample_rate)
-        object.__setattr__(self, "provenance", provenance)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -458,7 +368,6 @@ class PackedRecordBatch:
         cls,
         records: np.ndarray,
         sample_rate: float,
-        provenance: Optional[Sequence[Optional[RecordProvenance]]] = None,
     ) -> "PackedRecordBatch":
         """Pack a ``(n_records, n_samples)`` ``+/-1`` stack."""
         arr = np.asarray(records)
@@ -469,8 +378,7 @@ class PackedRecordBatch:
         arr = _as_sign_array(arr)
         words = np.packbits(arr > 0, axis=-1)
         return cls(
-            words, arr.shape[1], sample_rate, provenance=provenance,
-            validate=False, copy=False,
+            words, arr.shape[1], sample_rate, validate=False, copy=False
         )
 
     @classmethod
@@ -497,7 +405,6 @@ class PackedRecordBatch:
             np.vstack([rec.words for rec in records]),
             first.n_samples,
             first.sample_rate,
-            provenance=[rec.provenance for rec in records],
             validate=False,
             copy=False,
         )
@@ -522,13 +429,8 @@ class PackedRecordBatch:
         return self.words.shape[0]
 
     def __getitem__(self, index: int) -> PackedBitstream:
-        prov = self.provenance[index] if self.provenance is not None else None
         return PackedBitstream(
-            self.words[index],
-            self.n_samples,
-            self.sample_rate,
-            provenance=prov,
-            validate=False,
+            self.words[index], self.n_samples, self.sample_rate, validate=False
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -39,11 +39,7 @@ store directory (``ls``, ``info``: a walk of its tree), size-bounds it
 writes.  The ``chaos`` subcommand runs the
 production screen under a named fault-injection plan and verifies the
 flagship robustness guarantee from the shell: the faulted outcome must
-be bit-identical to a fault-free run.  ``bench envinfo`` prints the
-compute environment (CPU count, numpy and scipy versions) that every
-benchmark JSON section embeds::
-
-    python -m repro bench envinfo
+be bit-identical to a fault-free run.
 
 ``serve`` runs the supervised measurement daemon of
 :mod:`repro.service` (write-ahead job journal, admission control,
@@ -942,16 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="as_json",
         help="print the raw stats report (and obs snapshot) as JSON",
     )
-    bench = sub.add_parser(
-        "bench", help="benchmark utilities (environment reporting)"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_sub.add_parser(
-        "envinfo",
-        help="print the compute environment as JSON: CPU count, "
-        "numpy/scipy versions and the kernel implementation "
-        "(the same record every benchmark JSON section embeds)",
-    )
     return parser
 
 
@@ -1073,14 +1059,6 @@ def _chaos_main(args) -> int:
         )
     )
     return 0 if identical else 1
-
-
-def _bench_main(args) -> int:
-    """The ``bench`` subcommand: envinfo."""
-    from repro.kernels import report
-
-    print(_dump_json(report()))
-    return 0
 
 
 def _serve_main(args) -> int:
@@ -1350,8 +1328,6 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     """Everything except serve/submit (which manage their own signals)."""
     if args.command == "store":
         return _store_main(args)
-    if args.command == "bench":
-        return _bench_main(args)
     if args.command == "chaos":
         return _chaos_main(args)
     if args.command == "run":

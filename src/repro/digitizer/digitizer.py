@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.bitstream import PackedRecordBatch, RecordProvenance
+from repro.bitstream import PackedRecordBatch
 from repro.digitizer.comparator import Comparator
 from repro.digitizer.sampler import SampledLatch
 from repro.errors import ConfigurationError
@@ -67,8 +67,6 @@ class OneBitDigitizer:
         reference: np.ndarray,
         sample_rate: float,
         rngs=None,
-        provenance: Optional[Sequence[Optional[RecordProvenance]]] = None,
-        rng_mode: str = "compat",
     ) -> PackedRecordBatch:
         """Digitize stacked records into a packed record batch.
 
@@ -83,11 +81,7 @@ class OneBitDigitizer:
         per-record child generators for comparator noise and latch
         jitter are spawned exactly as in the scalar path.  The output
         sample rate is ``sample_rate / divider`` (see
-        :attr:`output_sample_rate_factor`).  ``rng_mode`` is recorded in
-        the default per-record provenance — callers whose *analog*
-        records were synthesized on counter streams pass ``"philox"``
-        so the stored seed identity names the stream that actually
-        drew the record.
+        :attr:`output_sample_rate_factor`).
         """
         sig = np.asarray(signals, dtype=float)
         if sig.ndim != 2:
@@ -105,31 +99,16 @@ class OneBitDigitizer:
             raise ConfigurationError(
                 f"got {sig.shape[0]} records but {len(rngs)} generators"
             )
-        gens = [make_rng(rng) for rng in rngs]
         comp_rngs = []
         latch_rngs = []
-        for gen in gens:
-            comp_rng, latch_rng = spawn_rngs(gen, 2)
+        for rng in rngs:
+            comp_rng, latch_rng = spawn_rngs(make_rng(rng), 2)
             comp_rngs.append(comp_rng)
             latch_rngs.append(latch_rng)
         decisions = self.comparator.compare_batch(
             sig, reference, comp_rngs, sample_rate=float(sample_rate)
         )
-        latched = self.sampler.sample_batch_packed(decisions, latch_rngs)
-        if provenance is None:
-            # From the generators that actually drove this record's
-            # comparator/latch spawns, so the seed identity is real.
-            provenance = [
-                RecordProvenance.from_rng(gen, rng_mode=rng_mode)
-                for gen in gens
-            ]
-        return PackedRecordBatch(
-            latched.words,
-            latched.n_samples,
-            latched.sample_rate,
-            provenance=provenance,
-            validate=False,
-        )
+        return self.sampler.sample_batch_packed(decisions, latch_rngs)
 
     @staticmethod
     def level_ratio(signal: Waveform, reference: Waveform) -> float:

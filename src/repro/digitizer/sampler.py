@@ -73,8 +73,7 @@ class SampledLatch:
             if self.divider == 1:
                 return decisions
             return PackedRecordBatch(
-                decisions.words[:, :0], 0, out_rate,
-                provenance=decisions.provenance, validate=False,
+                decisions.words[:, :0], 0, out_rate, validate=False
             )
         indices = np.arange(0, n, self.divider)
         if self.jitter_rms_samples == 0:
@@ -91,7 +90,6 @@ class SampledLatch:
                 words,
                 indices.size,
                 out_rate,
-                provenance=decisions.provenance,
                 validate=False,
                 copy=False,
             )
@@ -118,6 +116,5 @@ class SampledLatch:
                 row_bits[np.clip(indices + jitter, 0, n - 1)]
             )
         return PackedRecordBatch(
-            words, indices.size, out_rate,
-            provenance=decisions.provenance, validate=False, copy=False,
+            words, indices.size, out_rate, validate=False, copy=False
         )

@@ -80,10 +80,6 @@ from repro.engine.scheduler import RetryPolicy, WorkerPool
 
 _BACKENDS = ("serial", "process")
 
-#: Store interaction modes: whether cached results are consulted
-#: (``read``) and whether fresh results are persisted (``write``).
-_CACHE_MODES = ("off", "read", "write", "readwrite")
-
 #: Single-measurement writes between engine-side budget checks;
 #: bounding the store costs a tree walk, so it is amortized.
 _BUDGET_CHECK_EVERY = 32
@@ -155,7 +151,7 @@ class MeasurementEngine:
         deterministic per seed and statistically equivalent to
         compat, not bit-identical.
     store:
-        A :class:`~repro.store.ResultStore` to consult and fill.  With
+        A :class:`~repro.store.ResultStore` to read and write.  With
         one attached, :meth:`measure` computes each measurement's
         provenance key (:meth:`task_key`) and returns the stored
         result on a hit — bit-identical to a recompute by the store's
@@ -164,11 +160,6 @@ class MeasurementEngine:
         resume through the same keys.  Uncacheable tasks
         (``rng=None``, unfingerprintable sources) transparently bypass
         the store.
-    cache:
-        Store interaction mode: ``"readwrite"`` (default), ``"read"``
-        (hit but never write — e.g. frozen golden stores), ``"write"``
-        (record but never trust — cache-warming / validation runs) or
-        ``"off"``.  Ignored without a ``store``.
     retry:
         A :class:`~repro.engine.scheduler.RetryPolicy` the engine's
         worker pool runs under (task retries with backoff, hung-worker
@@ -189,17 +180,12 @@ class MeasurementEngine:
         max_workers: Optional[int] = None,
         rng_mode: str = "compat",
         store: Optional[ResultStore] = None,
-        cache: str = "readwrite",
         retry: Optional[RetryPolicy] = None,
         cache_budget_bytes: Optional[int] = None,
     ):
         if backend not in _BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
-        if cache not in _CACHE_MODES:
-            raise ConfigurationError(
-                f"cache must be one of {_CACHE_MODES}, got {cache!r}"
             )
         if store is not None and not isinstance(store, ResultStore):
             raise ConfigurationError(
@@ -217,7 +203,6 @@ class MeasurementEngine:
         self.max_workers = max_workers
         self.rng_mode = validate_rng_mode(rng_mode)
         self.store = store
-        self.cache = cache
         self.retry = retry
         self.cache_budget_bytes = (
             int(cache_budget_bytes) if cache_budget_bytes is not None else None
@@ -231,16 +216,6 @@ class MeasurementEngine:
     # ------------------------------------------------------------------
     # Result store
     # ------------------------------------------------------------------
-    @property
-    def cache_reads(self) -> bool:
-        """Whether stored results are consulted before measuring."""
-        return self.store is not None and self.cache in ("read", "readwrite")
-
-    @property
-    def cache_writes(self) -> bool:
-        """Whether fresh results are persisted to the store."""
-        return self.store is not None and self.cache in ("write", "readwrite")
-
     def task_key(
         self,
         source,
@@ -276,7 +251,7 @@ class MeasurementEngine:
             for key, result in items
             if key is not None and result is not None
         ]
-        if not items or not self.cache_writes:
+        if not items or self.store is None:
             return 0
         written = sum(
             bool(self.store.put_result(key, result)) for key, result in items
@@ -375,8 +350,8 @@ class MeasurementEngine:
         (same generator spawning, bit-exact records) but acquires both
         states as one stacked batch and shares one batched Welch pass.
 
-        With a :class:`~repro.store.ResultStore` attached (``store=`` /
-        ``cache=``), the measurement's provenance key is consulted
+        With a :class:`~repro.store.ResultStore` attached (``store=``),
+        the measurement's provenance key is consulted
         first: a stored result is returned as-is (bit-identical to a
         recompute), and a miss measures normally and persists.
         Uncacheable tasks (``rng=None``) bypass the store entirely.
@@ -387,7 +362,7 @@ class MeasurementEngine:
         key = self.task_key(source, estimator, rng)
         gen = make_rng(rng)
         obs.inc("engine.measurements")
-        if key is not None and self.cache_reads:
+        if key is not None:
             cached = self.store.get_result(key)
             if cached is not None:
                 # Consume the same lineage a cold measure would: a
@@ -401,7 +376,7 @@ class MeasurementEngine:
         result = self._measure_pairs(
             source, estimator, [(rng_hot, rng_cold)], allow_failures=False
         )[0]
-        if key is not None and self.cache_writes:
+        if key is not None:
             self.store.put_result(key, result)
             self._budget_writes += 1
             self._maybe_enforce_budget()

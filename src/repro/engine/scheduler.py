@@ -919,11 +919,8 @@ class MeasurementPlan:
     ) -> RunReport:
         """Resume path of :meth:`run_report`: serve stored tasks, run a
         sub-report over the missing ones, merge."""
-        if not engine.cache_reads:
-            raise ConfigurationError(
-                "resume=True needs an engine with a store in a "
-                "read-capable cache mode"
-            )
+        if engine.store is None:
+            raise ConfigurationError("resume=True needs an engine with a store")
         keys = self._task_keys(engine)
         results: List = [None] * len(self.tasks)
         missing: List[int] = []

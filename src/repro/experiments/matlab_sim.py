@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.bitstream import PackedRecordBatch, RecordProvenance
+from repro.bitstream import PackedRecordBatch
 from repro.constants import T0_KELVIN
 from repro.core.bist import BISTMeasurementConfig, OneBitNoiseFigureBIST
 from repro.core.definitions import nf_to_f, noise_temperature_from_factor
@@ -232,17 +232,10 @@ class MatlabSimulation:
                 words = batch_gen.packed_bernoulli_words(
                     [thresholds[state] for state in states]
                 )
-                provenance = [
-                    RecordProvenance.from_rng(
-                        gen, state=state, rng_mode="philox"
-                    )
-                    for state, gen in zip(states, gens)
-                ]
                 batch = PackedRecordBatch(
                     words,
                     thresholds[states[0]].size,
                     out_rate,
-                    provenance=provenance,
                     validate=False,
                     copy=False,
                 )
@@ -255,7 +248,7 @@ class MatlabSimulation:
                 rng_mode=rng_mode,
             )
             record = dig.digitize_batch(
-                noise, reference, c.sample_rate_hz, [gen], rng_mode=rng_mode
+                noise, reference, c.sample_rate_hz, [gen]
             )
             rows.append(record[0])
         return PackedRecordBatch.from_records(rows), out_rate

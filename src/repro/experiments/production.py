@@ -239,11 +239,9 @@ def run_production(
     nperseg_by_device = _per_device(nperseg, n_devices, "nperseg")
     # Key the lot before drawing it: drawing spawns children off a
     # generator seed, and the key must address the pre-draw lineage
-    # (the one the retest flow can recompute).  The manifest write
-    # follows the engine's cache mode — a read-only ("frozen") store
-    # is never written.
+    # (the one the retest flow can recompute).
     lot_key = None
-    if eng.cache_writes:
+    if eng.store is not None:
         lot_key = production_lot_key(
             limit_db, nf_spread_db, n_devices, samples_by_device,
             nperseg_by_device, measurement_sigma_db, seed, eng.rng_mode,
@@ -409,8 +407,6 @@ def run_production_retest(
     eng = _resolve_engine(engine, scheduler)
     samples_by_device = _per_device(n_samples, n_devices, "n_samples")
     nperseg_by_device = _per_device(nperseg, n_devices, "nperseg")
-    # Trusting a stored outcome is a cache *read*; a write-only engine
-    # re-screens and only records.
     lot_key = (
         production_lot_key(
             limit_db, nf_spread_db, n_devices, samples_by_device,
@@ -419,11 +415,7 @@ def run_production_retest(
         if eng.store is not None
         else None
     )
-    prior = (
-        eng.store.get_outcome(lot_key)
-        if lot_key is not None and eng.cache_reads
-        else None
-    )
+    prior = eng.store.get_outcome(lot_key) if lot_key is not None else None
 
     true_values, device_rngs = _draw_lot(
         limit_db, nf_spread_db, n_devices, seed

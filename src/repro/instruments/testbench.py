@@ -223,9 +223,7 @@ class PrototypeTestbench:
         analog, reference, dig_rngs, rate, digitizer = (
             self.acquire_analog_batch(states, rngs, rng_mode=rng_mode)
         )
-        bits = digitizer.digitize_batch(
-            analog, reference, rate, dig_rngs, rng_mode=rng_mode
-        )
+        bits = digitizer.digitize_batch(analog, reference, rate, dig_rngs)
         return bits, rate / digitizer.sampler.divider
 
     # ------------------------------------------------------------------

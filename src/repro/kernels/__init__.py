@@ -15,7 +15,7 @@ implementation here, imported by its caller:
 
 Kernels take raw arrays, never bitstream objects: argument validation
 lives with the callers.  :func:`report` summarizes the compute
-environment for benchmarks.
+environment for perfbench.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Name lookup for the 1-bit kernels, and the environment report.
 
 The library imports its kernels directly from :mod:`repro.kernels`;
-this module serves the code that looks them up by name or records the
-environment a measurement ran in.
+this module serves ``perfbench/``, which looks them up by name and
+records the environment each run measured in.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ def get_kernel(name: str) -> Callable:
 
 
 def report() -> dict:
-    """The compute environment (the ``bench envinfo`` payload).
+    """The compute environment perfbench records with every run.
 
-    Embedded into every bench JSON section so recorded numbers carry
-    the CPU count and library versions.  ``kernel_backend`` is always
-    ``"numpy"``: each kernel has one numpy implementation.
+    The CPU count and library versions make a recorded number
+    comparable.  ``kernel_backend`` is always ``"numpy"``: each kernel
+    has one numpy implementation.
     """
     import numpy as np
 

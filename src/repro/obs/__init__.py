@@ -8,8 +8,9 @@ all talk to the module-level hooks here (:func:`inc`, :func:`gauge`,
 :mod:`repro.faults`: **disabled is the default and costs one global
 ``None``-check per hook** — no allocation, no lock, no branch beyond
 ``if _STATE is None: return`` — so the measurement path stays
-bit-identical and within noise of an un-instrumented build (asserted
-by ``benchmarks/bench_obs.py``).  Enabled, every hook is a dict update
+bit-identical (``tests/unit/test_obs.py::TestInertness``) and within
+2% of an un-instrumented build (the obs claim of
+``benchmarks/bench_claims.py``).  Enabled, every hook is a dict update
 under a short-held lock (:class:`~repro.obs.registry.MetricsRegistry`)
 or a bounded ring append (:class:`~repro.obs.trace.TraceBuffer`).
 
@@ -75,9 +76,9 @@ class _ObsState:
 
     __slots__ = ("registry", "trace")
 
-    def __init__(self, trace_capacity: int = DEFAULT_CAPACITY):
+    def __init__(self):
         self.registry = MetricsRegistry()
-        self.trace = TraceBuffer(capacity=trace_capacity)
+        self.trace = TraceBuffer()
 
 
 #: ``None`` while disabled — every hook below checks exactly this.
@@ -94,19 +95,11 @@ def _env_truthy(value: Optional[str]) -> bool:
 # ----------------------------------------------------------------------
 # Lifecycle
 # ----------------------------------------------------------------------
-def enable(trace_capacity: Optional[int] = None) -> None:
+def enable() -> None:
     """Turn observability on (idempotent; keeps accumulated state)."""
     global _STATE
     if _STATE is None:
-        capacity = trace_capacity
-        if capacity is None:
-            try:
-                capacity = int(
-                    os.environ.get("REPRO_OBS_TRACE_CAPACITY", "")
-                )
-            except ValueError:
-                capacity = None
-        _STATE = _ObsState(trace_capacity=capacity or DEFAULT_CAPACITY)
+        _STATE = _ObsState()
 
 
 def disable() -> None:

@@ -215,7 +215,6 @@ class MeasurementService:
             backend=config.backend,
             max_workers=config.max_workers,
             store=self.store,
-            cache="readwrite",
             retry=config.retry,
             rng_mode=config.rng_mode,
         )

@@ -10,10 +10,9 @@ bit anyway.
 
 This module is the opt-in alternative.  The acquirers
 (:class:`~repro.experiments.matlab_sim.MatlabSimulation`,
-:class:`~repro.instruments.testbench.PrototypeTestbench`), the
-digitizer's provenance and :func:`white_noise_matrix` take an
-``rng_mode`` knob; the per-contributor renderers of the analog chain
-are compat-only:
+:class:`~repro.instruments.testbench.PrototypeTestbench`) and
+:func:`white_noise_matrix` take an ``rng_mode`` knob; the
+per-contributor renderers of the analog chain are compat-only:
 
 ``"compat"`` (default)
     Bit-identical to the historical per-record ``default_rng`` replay.

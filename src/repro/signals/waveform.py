@@ -118,7 +118,7 @@ class Waveform:
         """Return a zero-mean copy."""
         return Waveform(self.samples - self.mean(), self.sample_rate)
 
-    def to_packed(self, provenance=None):
+    def to_packed(self):
         """Pack a ``+/-1`` bitstream waveform to 1 bit/sample.
 
         Returns a :class:`~repro.bitstream.PackedBitstream` (raises
@@ -127,7 +127,7 @@ class Waveform:
         """
         from repro.bitstream import PackedBitstream  # avoid import cycle
 
-        return PackedBitstream.pack(self, provenance=provenance)
+        return PackedBitstream.pack(self)
 
     def slice(self, start: int, stop: int) -> "Waveform":
         """Return samples ``[start:stop)`` as a new waveform."""

@@ -24,8 +24,8 @@ persistence layer:
     The advisory file lock the service journal takes whenever it
     creates, appends to or rotates its segments.
 
-Wiring: ``MeasurementEngine(store=..., cache="readwrite")`` consults
-the store in :meth:`~repro.engine.engine.MeasurementEngine.measure`,
+Wiring: ``MeasurementEngine(store=...)`` reads and writes the store
+in :meth:`~repro.engine.engine.MeasurementEngine.measure`,
 ``MeasurementPlan.run(..., resume=True)`` skips already-stored tasks,
 and :func:`~repro.engine.scheduler.plan_retest` plans only the
 failed / guard-band devices of a prior production outcome.

@@ -43,6 +43,11 @@ class TestChaosIdentity:
         ) as engine:
             reference = run_production(engine=engine, **self.KW)
         assert reference.run_report.ok
+        # With no injector the hardened stack injects nothing and
+        # answers like the plain call.
+        assert sum(reference.run_report.injections.values()) == 0
+        plain = run_production(**dict(self.KW, report=False))
+        assert plain.measured_nf_db == reference.measured_nf_db
 
         plan = resolve_plan("transient", seed=3)
         store = ResultStore(tmp_path / "chaos")

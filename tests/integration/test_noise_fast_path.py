@@ -159,31 +159,6 @@ class TestPhiloxMode:
             # iid bits: fraction-of-ones sigma is ~0.5/sqrt(n) ~ 8e-4
             assert abs(frac_philox - frac_compat) < 5e-3
 
-    def test_direct_synthesis_provenance(self):
-        sim = MatlabSimulation(SMALL)
-        batch, _ = sim.acquire_bitstreams(
-            ["hot", "cold"], spawn_rngs(1, 2), rng_mode="philox"
-        )
-        assert batch.provenance[0].rng_mode == "philox"
-        assert batch.provenance[0].state == "hot"
-        assert batch.provenance[1].state == "cold"
-
-    def test_digitized_philox_records_carry_philox_provenance(self):
-        # Records whose *analog* floats came from counter streams but
-        # that pass through the regular digitizer (hysteresis fallback,
-        # testbench chain) must not claim compat provenance.
-        dig = OneBitDigitizer(comparator=Comparator(hysteresis_v=0.02))
-        sim = MatlabSimulation(SMALL)
-        batch, _ = sim.acquire_bitstreams(
-            ["hot", "cold"], spawn_rngs(3, 2), digitizer=dig,
-            rng_mode="philox",
-        )
-        assert all(p.rng_mode == "philox" for p in batch.provenance)
-        compat, _ = sim.acquire_bitstreams(
-            ["hot", "cold"], spawn_rngs(3, 2), digitizer=dig
-        )
-        assert all(p.rng_mode == "compat" for p in compat.provenance)
-
     def test_comparator_offset_and_noise_fold_in(self):
         # Offset shifts the Bernoulli probability, comparator noise
         # widens sigma — both exactly.  Compare bit fractions against

@@ -179,22 +179,6 @@ class TestDigitizerPackedEquivalence:
             )
             assert np.array_equal(rows[i], scalar.samples)
 
-    def test_batch_provenance_replays_the_record(self, rng):
-        # The recorded seed identity must re-create the exact record,
-        # even when the caller passed rngs=None (OS entropy).
-        digitizer = OneBitDigitizer(Comparator(input_noise_rms=0.1))
-        n = 4096
-        signals = rng.normal(0.0, 1.0, (2, n))
-        reference = np.zeros(n)
-        first = digitizer.digitize_batch(signals, reference, FS, rngs=None)
-        replay_rngs = [
-            np.random.default_rng(prov.entropy) for prov in first.provenance
-        ]
-        replay = digitizer.digitize_batch(
-            signals, reference, FS, rngs=replay_rngs
-        )
-        assert np.array_equal(first.words, replay.words)
-
     def test_packed_compare_batch_requires_sample_rate(self, rng):
         from repro.errors import ConfigurationError
 

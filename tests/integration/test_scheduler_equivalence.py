@@ -277,7 +277,7 @@ class TestRepeatFanOut:
 
     @pytest.mark.parametrize("rng_mode", ["compat", "philox"])
     @pytest.mark.parametrize("bench", ["matlab_sim", "device_bench"])
-    def test_process_run_batch_matches_vectorized(self, rng_mode, bench):
+    def test_process_run_batch_matches_serial(self, rng_mode, bench):
         if bench == "matlab_sim":
             [source] = _small_sims(0.2)
             estimator = source.make_estimator()
@@ -335,7 +335,7 @@ class TestRepeatFanOut:
             telemetry = eng.worker_pool.telemetry
             assert (telemetry.attempts, telemetry.retries) == (2, 0)
 
-    def test_caller_generator_consumed_like_vectorized(self):
+    def test_caller_generator_consumed_like_serial(self):
         [sim] = _small_sims(0.2)
         estimator = sim.make_estimator()
         runs = {}

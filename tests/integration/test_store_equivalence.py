@@ -103,35 +103,12 @@ class TestEngineCache:
         key = engine.task_key(sim, estimator, 7)
         assert store.has_result(key)
 
-    def test_cache_read_mode_never_writes(self, tmp_path):
-        sim = _sim()
-        estimator = sim.make_estimator()
-        store = ResultStore(tmp_path / "s")
-        engine = MeasurementEngine(store=store, cache="read")
-        engine.measure(sim, estimator, rng=7)
-        assert len(store.index()) == 0
-
-    def test_cache_write_mode_never_reads(self, tmp_path):
-        sim = CountingSim(MatlabSimConfig(n_samples=N_SAMPLES, nperseg=NPERSEG))
-        estimator = sim.make_estimator()
-        store = ResultStore(tmp_path / "s")
-        engine = MeasurementEngine(store=store, cache="write")
-        engine.measure(sim, estimator, rng=7)
-        engine.measure(sim, estimator, rng=7)
-        assert sim.acquired_records == 4  # both calls measured
-
     def test_unseeded_measurement_bypasses_store(self, tmp_path):
         sim = _sim()
         estimator = sim.make_estimator()
         store = ResultStore(tmp_path / "s")
         MeasurementEngine(store=store).measure(sim, estimator, rng=None)
         assert len(store.index()) == 0
-
-    def test_invalid_cache_mode_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            MeasurementEngine(
-                store=ResultStore(tmp_path / "s"), cache="sometimes"
-            )
 
     def test_store_must_be_a_result_store(self):
         with pytest.raises(ConfigurationError):
@@ -360,24 +337,6 @@ class TestReviewRegressions:
                 nperseg=1024,
                 seed=np.random.default_rng(7),
             )
-
-    def test_outcome_respects_cache_modes(self, tmp_path):
-        kw = dict(n_devices=4, n_samples=2**13, nperseg=1024, seed=2005)
-        # read-only engine: a "frozen" store is never written
-        store = ResultStore(tmp_path / "frozen")
-        with MeasurementEngine(store=store, cache="read") as engine:
-            run_production(**kw, engine=engine)
-        assert len(store.index()) == 0
-        # write-only engine: outcomes are recorded but never trusted
-        store = ResultStore(tmp_path / "w")
-        with MeasurementEngine(store=store, cache="write") as engine:
-            run_production(**kw, engine=engine)
-            before = len(store.index().by_kind("outcomes"))
-            retest = run_production_retest(
-                **kw, retest_guardband_sigmas=1.0, engine=engine
-            )
-        assert before == 1
-        assert not retest.initial_from_store
 
 
 class TestWorkerDirectWrites:

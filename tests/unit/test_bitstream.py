@@ -6,7 +6,6 @@ import pytest
 from repro.bitstream import (
     PackedBitstream,
     PackedRecordBatch,
-    RecordProvenance,
     is_packed,
     packed_words_required,
 )
@@ -139,25 +138,6 @@ class TestValidation:
             packed.words[0] = 0
 
 
-class TestProvenance:
-    def test_from_rng_captures_spawn_key(self):
-        root = np.random.default_rng(2005)
-        child = np.random.default_rng(
-            root.bit_generator.seed_seq.spawn(3)[2]
-        )
-        prov = RecordProvenance.from_rng(child, state="hot")
-        assert prov.entropy == 2005
-        assert prov.spawn_key == (2,)
-        assert prov.state == "hot"
-
-    def test_carried_through_pack(self, rng):
-        prov = RecordProvenance.from_rng(np.random.default_rng(7))
-        packed = PackedBitstream.pack(
-            random_record(rng, 9), 1.0, provenance=prov
-        )
-        assert packed.provenance is prov
-
-
 class TestPackedRecordBatch:
     def test_roundtrip_and_getitem(self, rng):
         records = np.where(rng.random((5, 37)) > 0.5, 1.0, -1.0)
@@ -209,23 +189,14 @@ class TestPackedRecordBatch:
         with pytest.raises(ValueError):
             batch.words[0, 0] = 1
 
-    def test_provenance_list_length_checked(self, rng):
-        records = np.where(rng.random((2, 8)) > 0.5, 1.0, -1.0)
-        with pytest.raises(ConfigurationError):
-            PackedRecordBatch.pack(records, 1.0, provenance=[None])
-
 
 class TestPickle:
     def test_record_roundtrip(self, rng):
         import pickle
 
-        prov = RecordProvenance(entropy=5, spawn_key=(1,), state="hot")
-        packed = PackedBitstream.pack(
-            random_record(rng, 1001), 1e4, provenance=prov
-        )
+        packed = PackedBitstream.pack(random_record(rng, 1001), 1e4)
         back = pickle.loads(pickle.dumps(packed))
         assert back == packed
-        assert back.provenance == prov
         assert not back.words.flags.writeable
 
     def test_batch_roundtrip(self, rng):

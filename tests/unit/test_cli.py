@@ -304,21 +304,6 @@ class TestChaosSubcommand:
         assert set(doc["runs"]) == {"faulted", "faulted_resume"}
 
 
-class TestBenchCommand:
-    def test_subcommand_required(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench"])
-
-    def test_envinfo_prints_json(self, capsys):
-        import json
-
-        assert main(["bench", "envinfo"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert set(doc) == {"cpu_count", "numpy", "scipy", "kernel_backend"}
-        assert doc["kernel_backend"] == "numpy"
-        assert doc["cpu_count"] >= 1
-
-
 class TestStoreScaleSubcommands:
     """ls/info on the tree walk, evict, --cache-budget."""
 

@@ -127,12 +127,6 @@ class TestPhiloxFallbackPaths:
         assert rate_a == rate_b
         assert np.array_equal(batch_a.words, batch_b.words)
 
-    @pytest.mark.parametrize("kind", ["hysteresis", "jitter"])
-    def test_fallback_records_carry_philox_provenance(self, kind):
-        batch, _ = self._acquire(self._sim(), self._digitizer(kind))
-        assert batch.provenance is not None
-        assert all(p.rng_mode == "philox" for p in batch.provenance)
-
     def test_fallback_statistics_match_fast_path(self):
         # Same stochastic process either side of the model boundary: the
         # hysteresis-free bench takes the direct Bernoulli path, the

@@ -376,7 +376,7 @@ class TestPlanner:
             plan_measurements(tasks).run(MeasurementEngine())
 
 
-class TestSchedulerFacade:
+class TestEngineSweepsAndPool:
     """What the removed scheduler facade promised, now the engine's own:
     one backend vocabulary, sweeps, and one pool per engine."""
 
@@ -755,7 +755,7 @@ class TestRunReport:
 
 
 class TestEnginePoolLifetime:
-    def test_vectorized_engine_has_no_pool(self):
+    def test_serial_engine_has_no_pool(self):
         assert MeasurementEngine().worker_pool is None
 
     def test_engine_pool_lazy_and_persistent(self):

@@ -6,13 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.bitstream import RecordProvenance
 from repro.core.bist import BISTResult
 from repro.core.normalization import NormalizationResult
 from repro.dsp.spectrum import Spectrum
 from repro.errors import ConfigurationError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
-from repro.signals.random import make_rng, spawn_rngs
+from repro.signals.random import spawn_rngs
 from repro.store import (
     SCHEMA_VERSION,
     ResultStore,
@@ -203,48 +202,6 @@ class TestMeasurementKey:
         assert measurement_key(sim, base, 7) != measurement_key(
             sim, widened, 7
         )
-
-
-class TestRecordProvenanceRoundTrip:
-    def test_round_trip_identity(self):
-        child = spawn_rngs(2005, 3)[1]
-        prov = RecordProvenance.from_rng(child, state="hot", rng_mode="philox")
-        back = RecordProvenance.from_dict(prov.to_dict())
-        assert back == prov
-        assert back.spawn_key == prov.spawn_key
-        assert back.rng_mode == "philox"
-
-    def test_round_trip_survives_json(self):
-        prov = RecordProvenance.from_rng(make_rng(9), state="cold")
-        back = RecordProvenance.from_dict(
-            json.loads(json.dumps(prov.to_dict()))
-        )
-        assert back == prov
-
-    def test_serialized_digest_is_stable(self):
-        prov = RecordProvenance.from_rng(make_rng(9), state="cold")
-        once = digest(prov.to_dict())
-        again = digest(
-            RecordProvenance.from_dict(prov.to_dict()).to_dict()
-        )
-        assert once == again
-
-    def test_digest_changes_with_any_field(self):
-        prov = RecordProvenance(entropy=9, spawn_key=(1,), state="hot")
-        base = digest(prov.to_dict())
-        for changed in (
-            RecordProvenance(entropy=10, spawn_key=(1,), state="hot"),
-            RecordProvenance(entropy=9, spawn_key=(2,), state="hot"),
-            RecordProvenance(entropy=9, spawn_key=(1,), state="cold"),
-            RecordProvenance(
-                entropy=9, spawn_key=(1,), state="hot", rng_mode="philox"
-            ),
-        ):
-            assert digest(changed.to_dict()) != base
-
-    def test_none_entropy_round_trips(self):
-        prov = RecordProvenance()
-        assert RecordProvenance.from_dict(prov.to_dict()) == prov
 
 
 class TestResultSerialization:
@@ -728,12 +685,12 @@ def _legacy_pack(members) -> bytes:
 
 def _legacy_records_entry(batch) -> bytes:
     """A sealed pooled-records payload as older versions wrote it under
-    ``records/<k2>/<key>.npz``."""
-    provenance = None
-    if batch.provenance is not None:
-        provenance = [
-            None if p is None else p.to_dict() for p in batch.provenance
-        ]
+    ``records/<k2>/<key>.npz`` for the compat records of
+    ``spawn_rngs(3, n)``."""
+    provenance = [
+        {"entropy": 3, "spawn_key": [i], "state": None, "rng_mode": "compat"}
+        for i in range(batch.n_records)
+    ]
     meta = {
         "kind": "packed_records",
         "schema": SCHEMA_VERSION,
