@@ -281,9 +281,19 @@ class MeasurementEngine:
         ``"process"`` engine that never fans out never pays it) and
         reused across ``map_sweep`` calls and measurement chunks.
         ``None`` on the in-process backend.
+
+        A compat engine imports ``scipy.signal`` (the compat analog
+        chain's filters, :mod:`repro.signals.filters`) here, before
+        any worker forks: every worker, respawned ones included,
+        inherits the module instead of importing it again.  A philox
+        engine never loads it.
         """
         if self.backend != "process":
             return None
+        if self._pool is None and self.rng_mode == "compat":
+            # Before the check below, so that a daemon's watchdog and
+            # executor threads cannot both pass it during the import.
+            import scipy.signal  # noqa: F401
         if self._pool is None:
             self._pool = WorkerPool(
                 max_workers=self.max_workers, policy=self.retry

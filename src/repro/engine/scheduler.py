@@ -732,19 +732,27 @@ class MeasurementPlan:
                 out.append(None)
         return out
 
-    def _task_keys(self, engine) -> Optional[List[Optional[str]]]:
-        """Provenance keys of every task, or ``None`` without a store.
+    def _grouped(self) -> List[int]:
+        """Indices of the tasks some group measures, ascending (every
+        task of a :func:`plan_measurements` plan; the flagged devices
+        of a :func:`plan_retest` plan)."""
+        return sorted(i for group in self.groups for i in group.indices)
 
-        Computed *before* any execution: a task generator's key covers
-        its spawn count, so keying after the group ran would address a
-        different (consumed) stream.
+    def _task_keys(self, engine) -> Optional[List[Optional[str]]]:
+        """Provenance keys by task index, or ``None`` without a store.
+
+        Only grouped tasks are keyed; the slots of tasks no group
+        measures stay ``None``.  Computed *before* any execution: a
+        task generator's key covers its spawn count, so keying after
+        the group ran would address a different (consumed) stream.
         """
         if engine.store is None:
             return None
-        return [
-            engine.task_key(t.source, t.estimator, t.rng)
-            for t in self.tasks
-        ]
+        keys: List[Optional[str]] = [None] * len(self.tasks)
+        for i in self._grouped():
+            task = self.tasks[i]
+            keys[i] = engine.task_key(task.source, task.estimator, task.rng)
+        return keys
 
     def _commit(self, engine, keys, group, out, results) -> None:
         """Scatter one group's results; persist them when the engine
@@ -783,6 +791,8 @@ class MeasurementPlan:
         results and re-planning *only* the missing tasks into fresh
         sub-batches — stored tasks are never re-acquired.  Results are
         identical to a cold run (the store round-trip is bit-exact).
+        Either way, only tasks some group holds are keyed, loaded or
+        measured: a retest plan's other slots stay ``None``.
 
         ``on_group_end(group_index, n_groups)`` is a checkpoint hook
         invoked after each group's results are committed (and, with a
@@ -917,20 +927,22 @@ class MeasurementPlan:
     def _run_report_resumed(
         self, engine, allow_failures: bool, on_group_end=None
     ) -> RunReport:
-        """Resume path of :meth:`run_report`: serve stored tasks, run a
-        sub-report over the missing ones, merge."""
+        """Resume path of :meth:`run_report`: serve the grouped tasks
+        the store holds, run a sub-report over the missing ones, merge."""
         if engine.store is None:
             raise ConfigurationError("resume=True needs an engine with a store")
         keys = self._task_keys(engine)
+        grouped = self._grouped()
         results: List = [None] * len(self.tasks)
         missing: List[int] = []
-        for i, key in enumerate(keys):
+        for i in grouped:
+            key = keys[i]
             hit = engine.store.get_result(key) if key is not None else None
             if hit is not None:
                 results[i] = hit
             else:
                 missing.append(i)
-        cached = len(self.tasks) - len(missing)
+        cached = len(grouped) - len(missing)
         if not missing:
             return RunReport(results=results, cached_tasks=cached)
         subplan = plan_measurements(

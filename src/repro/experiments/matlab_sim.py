@@ -11,7 +11,7 @@ Th = 10000 K, Tc = 1000 K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np

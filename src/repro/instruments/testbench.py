@@ -12,13 +12,12 @@ figures, exactly like the paper's Table 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.analog.amplifier import NonInvertingAmplifier
-from repro.analog.noise_analysis import expected_noise_figure_db, noise_budget
+from repro.analog.noise_analysis import expected_noise_figure_db
 from repro.analog.noise_source import CalibratedNoiseSource
 from repro.analog.opamp import OPAMP_LIBRARY, OpAmpNoiseModel
 from repro.bitstream import PackedRecordBatch

@@ -27,7 +27,7 @@ from repro.engine import (
 )
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.instruments.testbench import build_prototype_testbench
-from repro.signals.random import make_rng, spawn_rngs
+from repro.signals.random import spawn_rngs
 
 SMALL = MatlabSimConfig(n_samples=60_000, nperseg=3_000)
 

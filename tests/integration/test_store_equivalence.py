@@ -201,6 +201,43 @@ class TestRetest:
         assert results[0] is None and results[3] is None
         assert results[1] is not None and results[2] is not None
 
+    def test_retest_plan_keys_and_resumes_only_flagged(self, tmp_path):
+        sims = [
+            CountingSim(MatlabSimConfig(n_samples=N_SAMPLES, nperseg=NPERSEG))
+            for _ in range(8)
+        ]
+        tasks = [
+            MeasurementTask(s, s.make_estimator(), 100 + i)
+            for i, s in enumerate(sims)
+        ]
+        verdicts = ["pass"] * 8
+        verdicts[2], verdicts[5] = "fail", "retest"
+        engine = MeasurementEngine(store=ResultStore(tmp_path / "s"))
+        keyed = []
+        task_key = engine.task_key
+
+        def counting_task_key(source, estimator, rng):
+            keyed.append(rng)
+            return task_key(source, estimator, rng)
+
+        engine.task_key = counting_task_key
+        plan_retest(tasks, verdicts).run(engine)
+        assert keyed == [102, 105]
+
+        cold = MeasurementEngine(store=ResultStore(tmp_path / "cold"))
+        report = plan_retest(tasks, verdicts).run_report(cold, resume=True)
+        flagged = {2, 5}
+        for i, result in enumerate(report.results):
+            assert (result is not None) == (i in flagged), i
+        assert report.cached_tasks == 0
+        assert [s.acquired_records for s in sims] == [
+            4 if i in flagged else 0 for i in range(8)
+        ]
+
+        warm = plan_retest(tasks, verdicts).run_report(engine, resume=True)
+        assert warm.cached_tasks == 2
+        assert [i for i, r in enumerate(warm.results) if r is not None] == [2, 5]
+
     def test_plan_retest_validates_inputs(self):
         sim = _sim()
         tasks = [MeasurementTask(sim, sim.make_estimator(), 1)]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from repro.digitizer.arcsine import (
     arcsine_law,
@@ -12,11 +13,18 @@ from repro.digitizer.arcsine import (
 from repro.digitizer.digitizer import OneBitDigitizer
 from repro.dsp.autocorr import normalized_autocorrelation
 from repro.errors import ConfigurationError
-from repro.signals.filters import lowpass
 from repro.signals.sources import GaussianNoiseSource
 from repro.signals.waveform import Waveform
 
 FS = 10000.0
+
+
+def lowpass(wave, cutoff_hz, order=4):
+    """Butterworth low-pass (zero state, causal) to band-limit noise."""
+    sos = signal.butter(
+        order, cutoff_hz, btype="low", fs=wave.sample_rate, output="sos"
+    )
+    return Waveform(signal.sosfilt(sos, wave.samples), wave.sample_rate)
 
 
 class TestArcsineLaw:

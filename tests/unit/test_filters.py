@@ -5,11 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.signals.filters import (
-    bandpass,
-    decimate,
     equivalent_noise_bandwidth_single_pole,
-    highpass,
-    lowpass,
     single_pole_lowpass,
     single_pole_lowpass_power,
     single_pole_magnitude,
@@ -23,50 +19,6 @@ N = 40000
 
 def sine(freq, n=N):
     return SineSource(freq, 1.0).render(n, FS)
-
-
-class TestLowpass:
-    def test_passes_low_frequency(self):
-        out = lowpass(sine(50.0), 1000.0)
-        assert out.slice(N // 2, N).rms() == pytest.approx(1 / np.sqrt(2), rel=0.02)
-
-    def test_attenuates_high_frequency(self):
-        out = lowpass(sine(4000.0), 500.0)
-        assert out.slice(N // 2, N).rms() < 0.01
-
-    def test_rejects_cutoff_above_nyquist(self):
-        with pytest.raises(ConfigurationError):
-            lowpass(sine(100.0), 6000.0)
-
-    def test_rejects_zero_order(self):
-        with pytest.raises(ConfigurationError):
-            lowpass(sine(100.0), 100.0, order=0)
-
-
-class TestHighpass:
-    def test_attenuates_low_frequency(self):
-        out = highpass(sine(20.0), 1000.0)
-        assert out.slice(N // 2, N).rms() < 0.01
-
-    def test_passes_high_frequency(self):
-        out = highpass(sine(4000.0), 500.0)
-        assert out.slice(N // 2, N).rms() == pytest.approx(1 / np.sqrt(2), rel=0.02)
-
-
-class TestBandpass:
-    def test_passes_in_band(self):
-        out = bandpass(sine(1000.0), 500.0, 2000.0)
-        assert out.slice(N // 2, N).rms() == pytest.approx(1 / np.sqrt(2), rel=0.05)
-
-    def test_rejects_out_of_band(self):
-        low = bandpass(sine(50.0), 500.0, 2000.0)
-        high = bandpass(sine(4500.0), 500.0, 2000.0)
-        assert low.slice(N // 2, N).rms() < 0.02
-        assert high.slice(N // 2, N).rms() < 0.02
-
-    def test_rejects_inverted_band(self):
-        with pytest.raises(ConfigurationError):
-            bandpass(sine(100.0), 2000.0, 500.0)
 
 
 class TestSinglePole:
@@ -119,16 +71,3 @@ class TestSinglePole:
         out = single_pole_lowpass(w, pole)
         expected = density * equivalent_noise_bandwidth_single_pole(pole)
         assert out.mean_square() == pytest.approx(expected, rel=0.05)
-
-
-class TestDecimate:
-    def test_halves_rate(self, white_noise):
-        out = decimate(white_noise, 2)
-        assert out.sample_rate == white_noise.sample_rate / 2
-
-    def test_factor_one_is_identity(self, white_noise):
-        assert decimate(white_noise, 1) is white_noise
-
-    def test_rejects_zero_factor(self, white_noise):
-        with pytest.raises(ConfigurationError):
-            decimate(white_noise, 0)

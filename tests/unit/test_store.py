@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from repro.core.bist import BISTResult
-from repro.core.normalization import NormalizationResult
-from repro.dsp.spectrum import Spectrum
 from repro.errors import ConfigurationError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.signals.random import spawn_rngs
