@@ -6,8 +6,6 @@ These are the building blocks of the noise-source chain of figures 4-5
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.constants import BOLTZMANN, T0_KELVIN, db_to_linear
 from repro.errors import ConfigurationError
 from repro.signals.random import GeneratorLike

@@ -14,7 +14,7 @@ matter, which is why the band is an explicit argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np

@@ -9,7 +9,7 @@ verify that claim quantitatively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.constants import T0_KELVIN, db_to_linear, linear_to_db
 from repro.errors import ConfigurationError

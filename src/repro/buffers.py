@@ -13,13 +13,17 @@ return pooled scratch to their own callers.  A plain :class:`ArrayPool`
 is not thread-safe; the process-wide :data:`default_pool` is
 **thread-local** (each thread sees its own pool), so the public APIs
 that draw scratch from it — ``compare_batch``, the packed Welch
-kernels — stay safe to call from concurrent threads.
+kernels — stay safe to call from concurrent threads.  A pool outlives
+its thread: when a thread ends, its pool goes to the next new thread,
+so the short-lived helper thread of each
+:meth:`~repro.engine.MeasurementEngine.measure` works in the warm
+scratch of the one before it.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -74,18 +78,25 @@ class ThreadLocalArrayPool:
 
     Scratch handed out on one thread is invisible to every other, so
     concurrent callers of the pooled hot paths cannot corrupt each
-    other's in-flight blocks.
+    other's in-flight blocks.  When a thread ends, its pool is kept for
+    the next thread that asks for one, so a new thread does not
+    allocate (and fault) its scratch again; no pool ever serves two
+    live threads.
     """
 
     def __init__(self):
         self._local = threading.local()
+        self._idle: List[ArrayPool] = []
 
     def _pool(self) -> ArrayPool:
-        pool = getattr(self._local, "pool", None)
-        if pool is None:
-            pool = ArrayPool()
-            self._local.pool = pool
-        return pool
+        lease = getattr(self._local, "lease", None)
+        if lease is None:
+            try:
+                pool = self._idle.pop()
+            except IndexError:
+                pool = ArrayPool()
+            lease = self._local.lease = _Lease(pool, self._idle)
+        return lease.pool
 
     def take(
         self, name: str, shape: ShapeLike, dtype=np.float64
@@ -105,6 +116,22 @@ class ThreadLocalArrayPool:
     def clear(self) -> None:
         """Release the calling thread's pooled arrays."""
         self._pool().clear()
+
+
+class _Lease:
+    """A thread's hold on its pool: the thread-local slot of
+    :class:`ThreadLocalArrayPool`.  Python drops a thread's locals
+    before ``Thread.join`` returns, so the pool is back in ``idle`` by
+    then."""
+
+    __slots__ = ("pool", "idle")
+
+    def __init__(self, pool: ArrayPool, idle: List[ArrayPool]):
+        self.pool = pool
+        self.idle = idle
+
+    def __del__(self):
+        self.idle.append(self.pool)
 
 
 #: Process-wide default pool used by the hot paths (thread-local).

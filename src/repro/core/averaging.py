@@ -14,7 +14,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from repro.core.bist import BISTResult, OneBitNoiseFigureBIST
+from repro.core.bist import OneBitNoiseFigureBIST
 from repro.errors import ConfigurationError, MeasurementError
 from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
 from repro.signals.waveform import Waveform

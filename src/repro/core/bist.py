@@ -14,7 +14,7 @@ figure:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np

@@ -8,9 +8,7 @@ temperature ``T0 = 290 K``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
-
-import numpy as np
+from typing import Sequence
 
 from repro.constants import T0_KELVIN, db_to_linear, linear_to_db
 from repro.dsp.power import mean_square

@@ -14,7 +14,7 @@ and each tap differs, but the Y-factor math is gain-free).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Sequence
 
 from repro.constants import T0_KELVIN
 from repro.core.bist import BISTMeasurementConfig, BISTResult, OneBitNoiseFigureBIST

@@ -19,9 +19,7 @@ is excluded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from repro.dsp.spectrum import Spectrum
 from repro.errors import ConfigurationError, MeasurementError

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import Callable
 
 import numpy as np
 
 from repro.core.bist import OneBitNoiseFigureBIST
-from repro.errors import ConfigurationError, MeasurementError
-from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
+from repro.errors import ConfigurationError
+from repro.signals.random import GeneratorLike
 from repro.signals.waveform import Waveform
 
 

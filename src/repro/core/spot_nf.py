@@ -14,7 +14,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.constants import T0_KELVIN
 from repro.core.bist import OneBitNoiseFigureBIST
 from repro.core.definitions import YFactorResult
 from repro.errors import ConfigurationError, MeasurementError

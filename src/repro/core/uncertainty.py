@@ -9,15 +9,13 @@ error in the hot temperature keeps the measured noise figure within about
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.constants import T0_KELVIN, linear_to_db
 from repro.core.definitions import (
-    f_to_nf,
     nf_to_f,
-    noise_factor_from_y,
     y_factor_expected,
 )
 from repro.errors import ConfigurationError

@@ -7,7 +7,7 @@ simply the ratio of measured powers; gain drift cancels (eq 11).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 

@@ -23,6 +23,10 @@ from repro.errors import ConfigurationError
 from repro.signals.random import GeneratorLike, make_rng
 from repro.signals.waveform import Waveform
 
+#: Samples per block of :meth:`Comparator.compare_batch` (a multiple of
+#: 8, so every block but a record's last packs to whole words).
+COMPARE_BLOCK = 1 << 16
+
 
 class Comparator:
     """A voltage comparator with offset, input noise and hysteresis.
@@ -86,7 +90,8 @@ class Comparator:
         if self.hysteresis_v == 0.0:
             bits = np.where(diff >= 0.0, 1.0, -1.0)
         else:
-            bits = self._compare_with_hysteresis(diff)
+            state = 1.0 if diff.size and diff[0] >= 0.0 else -1.0
+            bits, _ = self._schmitt(diff, state)
         return Waveform(bits, signal.sample_rate)
 
     def compare_batch(
@@ -110,9 +115,13 @@ class Comparator:
         (the comparator's own input noise, when enabled, draws from
         each record's generator).  The input is never modified.
 
-        Records are processed row by row through one pooled scratch
-        row — at paper scale a whole-batch broadcast would churn
-        hundreds of megabytes of fresh pages.
+        Records are processed row by row, each in blocks of
+        :data:`COMPARE_BLOCK` samples through one pooled scratch block:
+        subtract, offset, input noise (blocked draws replay the record's
+        one-shot ``normal`` stream) and pack.  The block is a multiple
+        of 8, so each block packs to whole words, and the Schmitt
+        trigger carries its state from block to block.  Scratch stays
+        one block per thread, however long the record.
         """
         sig = np.asarray(signals, dtype=float)
         ref = np.asarray(reference, dtype=float)
@@ -148,28 +157,38 @@ class Comparator:
         words = np.empty(
             (sig.shape[0], packed_words_required(n)), dtype=np.uint8
         )
-        diff = default_pool.take("comparator.diff", n)
+        scratch = default_pool.take("comparator.diff", COMPARE_BLOCK)
         for i, rng in enumerate(rngs):
             row_ref = ref if ref.ndim == 1 else ref[i]
-            np.subtract(sig[i], row_ref, out=diff)
-            if self.offset_v != 0.0:
-                diff += self.offset_v
-            if self.input_noise_rms > 0:
-                gen = make_rng(rng)
-                diff += gen.normal(0.0, self.input_noise_rms, size=n)
-            if self.hysteresis_v == 0.0:
-                words[i] = np.packbits(diff >= 0.0)
-            else:
-                words[i] = np.packbits(self._compare_with_hysteresis(diff) > 0)
+            gen = make_rng(rng) if self.input_noise_rms > 0 else None
+            for start in range(0, n, COMPARE_BLOCK):
+                stop = min(start + COMPARE_BLOCK, n)
+                diff = scratch[: stop - start]
+                np.subtract(sig[i, start:stop], row_ref[start:stop], out=diff)
+                if self.offset_v != 0.0:
+                    diff += self.offset_v
+                if gen is not None:
+                    diff += gen.normal(0.0, self.input_noise_rms, size=diff.size)
+                if self.hysteresis_v == 0.0:
+                    decided = diff >= 0.0
+                else:
+                    if start == 0:
+                        state = 1.0 if diff[0] >= 0.0 else -1.0
+                    bits, state = self._schmitt(diff, state)
+                    decided = bits > 0
+                words[i, start // 8 : (stop + 7) // 8] = np.packbits(decided)
         return PackedRecordBatch(
             words, n, sample_rate, validate=False, copy=False
         )
 
-    def _compare_with_hysteresis(self, diff: np.ndarray) -> np.ndarray:
-        """Sequential Schmitt-trigger evaluation."""
+    def _schmitt(self, diff: np.ndarray, state: float):
+        """Sequential Schmitt-trigger evaluation from ``state``.
+
+        Returns the ``+/-1`` decisions and the state after the last
+        sample, so a record can be evaluated block by block.
+        """
         half = self.hysteresis_v / 2.0
         bits = np.empty(diff.size)
-        state = 1.0 if diff.size and diff[0] >= 0.0 else -1.0
         for i, value in enumerate(diff):
             if state > 0:
                 if value < -half:
@@ -178,4 +197,4 @@ class Comparator:
                 if value > half:
                     state = 1.0
             bits[i] = state
-        return bits
+        return bits, state

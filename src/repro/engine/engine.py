@@ -4,7 +4,8 @@
 seed implementation into stacked-array batch runs:
 
 * a single two-state NF measurement (:meth:`MeasurementEngine.measure`)
-  acquires hot and cold records as one ``(2, n_samples)`` batch;
+  acquires and Welch-averages its hot and cold records on two threads
+  and meets them in the Y-factor;
 * a repeated measurement (:meth:`MeasurementEngine.run_batch`) stacks
   all ``2 * n_repeats`` records and produces every repeat's
   :class:`~repro.core.bist.BISTResult` from one batched Welch pass over
@@ -28,7 +29,7 @@ go to the pool, nothing smaller.  ``run_batch`` and
 chunk per pool worker, and each worker measures its chunk start to end
 (acquire, digitize, Welch, Y-factor estimate) and sends back only the
 results; ``map_sweep`` sends each task to the pool; a single
-``measure`` stays in-process.
+``measure`` stays in-process (on two threads, one per record).
 
 Records travel packed (1 bit/sample,
 :class:`~repro.bitstream.PackedRecordBatch`), as the BIST latch keeps
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import threading
 import time
 from typing import (
     Callable,
@@ -63,12 +65,13 @@ import numpy as np
 
 from repro.bitstream import PackedRecordBatch
 from repro.core.bist import (
+    BISTMeasurementConfig,
     BISTResult,
     OneBitNoiseFigureBIST,
     check_bitstream_samples,
 )
 from repro.dsp.psd import welch_batch
-from repro.dsp.spectrum import SpectrumBatch
+from repro.dsp.spectrum import Spectrum, SpectrumBatch
 from repro.errors import ConfigurationError, MeasurementError
 from repro import obs
 from repro.signals.batch_rng import validate_rng_mode
@@ -97,6 +100,12 @@ class BatchAcquirer(Protocol):
     PrototypeTestbench` and :class:`~repro.experiments.matlab_sim.
     MatlabSimulation` implement this protocol, and both take the
     optional ``rng_mode`` keyword.
+
+    :meth:`MeasurementEngine.measure` calls ``acquire_bitstreams`` once
+    per record, for the hot and the cold record from two threads at
+    once, so an acquirer must allow two concurrent calls.  The in-repo
+    acquirers do: their lazy caches hold deterministic values, and the
+    scratch pools they draw from are thread-local.
     """
 
     def acquire_bitstreams(
@@ -354,11 +363,20 @@ class MeasurementEngine:
         estimator: OneBitNoiseFigureBIST,
         rng: GeneratorLike = None,
     ) -> BISTResult:
-        """One two-state NF measurement with batched hot/cold records.
+        """One two-state NF measurement, its hot and cold legs on two
+        threads.
 
         Mirrors ``estimator.measure(source.acquire_bitstream, rng)``
-        (same generator spawning, bit-exact records) but acquires both
-        states as one stacked batch and shares one batched Welch pass.
+        (same generator spawning, bit-exact records).  The hot and cold
+        records are independent captures that meet only in the
+        Y-factor, so each is acquired, checked and Welch-averaged on
+        its own thread: the hot leg on a helper thread started for this
+        call, the cold leg on the calling thread.  The helper is joined
+        before the estimate, also when the cold leg raises; when both
+        legs raise, the hot leg's exception is the one raised.  Each
+        leg draws from its own generator and each Welch row is computed
+        on its own, so the result is bit-identical to one sequential
+        batch.
 
         With a :class:`~repro.store.ResultStore` attached (``store=``),
         the measurement's provenance key is consulted
@@ -383,9 +401,25 @@ class MeasurementEngine:
                 return cached
             obs.inc("engine.store_misses")
         rng_hot, rng_cold = spawn_rngs(gen, 2)
-        result = self._measure_pairs(
-            source, estimator, [(rng_hot, rng_cold)], allow_failures=False
-        )[0]
+        hot: dict = {}
+
+        def hot_leg() -> None:
+            try:
+                hot["spectrum"] = self._record_spectrum(
+                    source, estimator, "hot", rng_hot
+                )
+            except BaseException as exc:  # raised on the calling thread
+                hot["error"] = exc
+
+        helper = threading.Thread(target=hot_leg, name="measure-hot")
+        helper.start()
+        try:
+            cold = self._record_spectrum(source, estimator, "cold", rng_cold)
+        finally:
+            helper.join()
+            if "error" in hot:
+                raise hot.pop("error")
+        result = estimator.estimate_from_spectra(hot["spectrum"], cold)
         if key is not None:
             self.store.put_result(key, result)
             self._budget_writes += 1
@@ -473,6 +507,20 @@ class MeasurementEngine:
             )
         return records, float(sample_rate)
 
+    def _record_spectrum(
+        self,
+        source: BatchAcquirer,
+        estimator: OneBitNoiseFigureBIST,
+        state: str,
+        rng: np.random.Generator,
+    ) -> Spectrum:
+        """One leg of :meth:`measure`: acquire one record, check its
+        rate and bits, and return its Welch PSD."""
+        records, sample_rate = self._acquire(source, [state], [rng])
+        _check_rate(sample_rate, estimator.config)
+        check_bitstream_samples(records, "batched")
+        return self.spectra_of(records, sample_rate, estimator)[0]
+
     def _measure_pairs(
         self,
         source: BatchAcquirer,
@@ -486,11 +534,7 @@ class MeasurementEngine:
             states += ["hot", "cold"]
             rngs += [rng_hot, rng_cold]
         records, sample_rate = self._acquire(source, states, rngs)
-        if sample_rate != estimator.config.sample_rate_hz:
-            raise ConfigurationError(
-                f"acquired sample rate {sample_rate} Hz does not match "
-                f"configured {estimator.config.sample_rate_hz} Hz"
-            )
+        _check_rate(sample_rate, estimator.config)
         check_bitstream_samples(records, "batched")
         batch = self.spectra_of(records, sample_rate, estimator)
         return self._estimate_pairs(
@@ -654,12 +698,7 @@ class MeasurementEngine:
             [rec[i] for rec in device_records for i in range(2)]
         )
         out_rate = records.sample_rate
-        config = estimators[0].config
-        if out_rate != config.sample_rate_hz:
-            raise ConfigurationError(
-                f"acquired sample rate {out_rate} Hz does not match "
-                f"configured {config.sample_rate_hz} Hz"
-            )
+        _check_rate(out_rate, estimators[0].config)
         check_bitstream_samples(records, "multi-device")
         if obs_t0:
             obs.observe(
@@ -716,6 +755,16 @@ class MeasurementEngine:
                 _sweep_task, [(fn, task, rng) for task, rng in zip(tasks, rngs)]
             )
         return [fn(task, rng) for task, rng in zip(tasks, rngs)]
+
+
+def _check_rate(sample_rate: float, config: BISTMeasurementConfig) -> None:
+    """Reject records acquired at another rate than the analysis
+    configuration's."""
+    if sample_rate != config.sample_rate_hz:
+        raise ConfigurationError(
+            f"acquired sample rate {sample_rate} Hz does not match "
+            f"configured {config.sample_rate_hz} Hz"
+        )
 
 
 def _sweep_task(payload):

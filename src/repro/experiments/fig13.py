@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.core.bist import BISTResult
 from repro.dsp.spectrum import Spectrum
 from repro.instruments.testbench import PrototypeTestbench, build_prototype_testbench

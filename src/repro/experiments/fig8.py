@@ -10,9 +10,7 @@ raw bitstream spectra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro.dsp.spectrum import Spectrum
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
 

@@ -14,7 +14,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.constants import linear_to_db
 from repro.core.direct import DirectMethod, direct_method_gain_error_db
 from repro.core.yfactor import YFactorMethod
 from repro.dsp.psd import welch

@@ -17,6 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.bitstream import PackedRecordBatch
+from repro.buffers import default_pool
 from repro.constants import T0_KELVIN
 from repro.core.bist import BISTMeasurementConfig, OneBitNoiseFigureBIST
 from repro.core.definitions import nf_to_f, noise_temperature_from_factor
@@ -190,10 +191,10 @@ class MatlabSimulation:
         compat mode unpacked row ``i`` is bit-exact equal to
         ``bitstream(states[i], rngs[i]).samples``.  The acquisition
         streams record by record: each record's analog noise is drawn
-        at its own state's density, digitized to packed words and
-        discarded before the next one, so peak float memory is one
-        record — not the batch — no matter how many records are
-        stacked.
+        at its own state's density into one pooled row and digitized
+        to packed words before the next record overwrites it, so peak
+        float memory is one record — not the batch — no matter how
+        many records are stacked.
 
         ``rng_mode="philox"`` is the fast synthesis mode.  Through a
         digitizer the Bernoulli model covers (no hysteresis, no latch
@@ -241,11 +242,13 @@ class MatlabSimulation:
                 )
                 return batch, out_rate
         reference = self.reference_waveform().samples
+        # Pooled, so the pages stay warm from one acquisition to the next.
+        noise = default_pool.take("matlab_sim.noise", (1, c.n_samples))
         rows = []
         for state, gen in zip(states, gens):
-            noise = white_noise_matrix(
+            white_noise_matrix(
                 [gen], c.n_samples, scale=self.noise_rms(state),
-                rng_mode=rng_mode,
+                rng_mode=rng_mode, out=noise,
             )
             record = dig.digitize_batch(
                 noise, reference, c.sample_rate_hz, [gen]

@@ -8,7 +8,7 @@ cycles, and total test time; this quantifies sections 1/4/7 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.bist import BISTResult
 from repro.instruments.testbench import PrototypeTestbench, build_prototype_testbench

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.analog.opamp import OpAmpNoiseModel
 from repro.digitizer.comparator import Comparator
 from repro.digitizer.digitizer import OneBitDigitizer
@@ -22,7 +20,7 @@ from repro.engine import MeasurementEngine, MeasurementTask
 from repro.engine.scheduler import plan_measurements
 from repro.errors import ConfigurationError, MeasurementError
 from repro.instruments.testbench import build_prototype_testbench
-from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
+from repro.signals.random import GeneratorLike, make_rng
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,7 @@ read several dB higher — the shape both paths must agree on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional
 
 from repro.analog.amplifier import NonInvertingAmplifier
 from repro.analog.noise_analysis import expected_noise_figure_db, noise_budget

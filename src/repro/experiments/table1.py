@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.core.definitions import f_to_nf, nf_to_f
+from repro.core.definitions import nf_to_f
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.core.definitions import f_to_nf, noise_factor_from_y
 from repro.dsp.power import mean_square
 from repro.dsp.psd import welch

@@ -18,7 +18,7 @@ Two modes (DESIGN.md section 2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -13,12 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.analog.opamp import OpAmpNoiseModel
 from repro.core.uncertainty import (
-    MonteCarloResult,
-    UncertaintyBudget,
     monte_carlo_nf,
     nf_uncertainty_budget,
 )

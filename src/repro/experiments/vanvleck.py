@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
-import numpy as np
-
 from repro.digitizer.arcsine import corrected_psd
 from repro.errors import MeasurementError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation

@@ -6,8 +6,6 @@ noise, programmed in peak-to-peak volts like the physical instrument.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.signals.random import GeneratorLike
 from repro.signals.sources import (

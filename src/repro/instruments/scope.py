@@ -7,8 +7,6 @@ model enforces.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.signals.waveform import Waveform
 

@@ -25,7 +25,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError

@@ -307,9 +307,10 @@ def white_noise_matrix(
 
     In ``"compat"`` mode row ``i`` equals
     ``make_rng(rngs[i]).normal(mean, scale_i, n_samples)`` bit for bit
-    — the generators are resolved once up front and each row is drawn
-    straight into the output matrix, but the draws themselves replay
-    the historical per-record streams exactly.  In ``"philox"`` mode
+    — the generators are resolved once up front and each row is drawn,
+    scaled and shifted in place in the output matrix (no temporary
+    record), but the draws themselves replay the historical per-record
+    streams exactly.  In ``"philox"`` mode
     the rows come from per-record counter streams via
     :meth:`BatchNoiseGenerator.normal_matrix` (deterministic and
     independent per record, not bit-identical to compat).
@@ -341,7 +342,13 @@ def white_noise_matrix(
         )
     gens = [make_rng(rng) for rng in rngs]
     for i, gen in enumerate(gens):
-        out[i] = gen.normal(mean, scales[i], size=n)
+        # In place, the floats of gen.normal (mean + scale * z): adding
+        # a zero mean changes nothing, except that it turns the -0.0 a
+        # zero scale gives into +0.0.
+        gen.standard_normal(n, out=out[i])
+        out[i] *= scales[i]
+        if mean != 0.0 or scales[i] == 0.0:
+            out[i] += mean
     return out
 
 

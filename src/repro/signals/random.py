@@ -8,7 +8,7 @@ are reproducible and hot/cold acquisitions use independent noise.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 

@@ -17,7 +17,8 @@ The paper's method needs exactly these stimuli:
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional, Sequence
+import functools
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -93,12 +94,27 @@ class SineSource(SignalSource):
                 f"sine frequency {self.frequency_hz} Hz is not below the "
                 f"Nyquist frequency {sample_rate / 2.0} Hz"
             )
-        t = np.arange(n_samples) / sample_rate
-        samples = (
-            self.amplitude * np.sin(2.0 * np.pi * self.frequency_hz * t + self.phase_rad)
-            + self.dc
+        unit = _unit_sine(
+            self.frequency_hz, self.phase_rad, n_samples, sample_rate
         )
-        return Waveform(samples, sample_rate)
+        return Waveform(self.amplitude * unit + self.dc, sample_rate)
+
+
+@functools.lru_cache(maxsize=4)
+def _unit_sine(
+    frequency_hz: float, phase_rad: float, n_samples: int, sample_rate: float
+) -> np.ndarray:
+    """``sin(2*pi*f*t + phase)``, cached read-only.
+
+    Every bench of a lot renders its reference at one frequency and
+    record length and differs only in amplitude, so the ``sin`` pass
+    runs once; scaling the cached array is the float arithmetic a fresh
+    render does, so :meth:`SineSource.render` stays bit-identical.
+    """
+    t = np.arange(n_samples) / sample_rate
+    unit = np.sin(2.0 * np.pi * frequency_hz * t + phase_rad)
+    unit.setflags(write=False)
+    return unit
 
 
 class SquareSource(SignalSource):
@@ -136,10 +152,18 @@ class SquareSource(SignalSource):
                 f"square-wave frequency {self.frequency_hz} Hz is not below "
                 f"the Nyquist frequency {sample_rate / 2.0} Hz"
             )
-        t = np.arange(n_samples) / sample_rate
-        cycle_phase = (self.frequency_hz * t + self.phase_rad / (2.0 * np.pi)) % 1.0
-        samples = np.where(cycle_phase < self.duty, self.amplitude, -self.amplitude)
-        return Waveform(samples + self.dc, sample_rate)
+        # One array holds the cycle phase, then the output: the float
+        # operations of (f*t + phase/2pi) % 1 and where(...) + dc, with
+        # no float temporaries.
+        out = np.arange(n_samples, dtype=float)
+        out /= sample_rate
+        out *= self.frequency_hz
+        out += self.phase_rad / (2.0 * np.pi)
+        out %= 1.0
+        high = out < self.duty
+        out.fill(-self.amplitude + self.dc)
+        out[high] = self.amplitude + self.dc
+        return Waveform(out, sample_rate)
 
 
 class GaussianNoiseSource(SignalSource):

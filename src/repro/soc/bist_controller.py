@@ -9,7 +9,7 @@ bit-packed into the shared SRAM) and charges the full DSP pipeline to a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.core.bist import BISTResult, OneBitNoiseFigureBIST
 from repro.errors import ConfigurationError

@@ -10,7 +10,7 @@ the resource bench.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from repro.bitstream import PackedBitstream, packed_words_required
 from repro.errors import ConfigurationError, ResourceError

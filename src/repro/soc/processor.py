@@ -8,7 +8,7 @@ not cycle-exact simulation of any particular core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np

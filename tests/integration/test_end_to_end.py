@@ -5,10 +5,9 @@ digitizer -> Welch -> normalization -> Y-factor) at reduced record lengths
 and check the paper's structural claims.
 """
 
-import numpy as np
 import pytest
 
-from repro.analog.opamp import OPAMP_LIBRARY, OpAmpNoiseModel
+from repro.analog.opamp import OpAmpNoiseModel
 from repro.core.yfactor import YFactorMethod
 from repro.digitizer.comparator import Comparator
 from repro.digitizer.digitizer import OneBitDigitizer

@@ -1,7 +1,6 @@
 """Integration tests of the experiment harness: every paper table/figure
 must regenerate with the paper's qualitative structure intact."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.fig7 import run_fig7

@@ -301,12 +301,12 @@ class TestRepeatFanOut:
         )
         with MeasurementEngine(backend="process", max_workers=2) as eng:
             eng.run_batch(sim, sim.make_estimator(), 3, rng=1)
-            # A single measure stays in this process.
+            # A single measure stays in this process, one record a call.
             eng.measure(sim, sim.make_estimator(), rng=1)
         logs = {
             int(p.stem): p.read_text().split() for p in tmp_path.iterdir()
         }
-        assert logs.pop(os.getpid()) == ["2"]
+        assert logs.pop(os.getpid()) == ["1", "1"]
         # Each worker acquired its chunk's hot/cold pairs: 2 + 1 repeats.
         assert sorted(n for log in logs.values() for n in log) == ["2", "4"]
 

@@ -8,6 +8,8 @@ The acceptance bars of the store subsystem:
   devices and its merged outcome equals a full re-screen.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,10 @@ def _sim():
     )
 
 
+#: Guards CountingSim's counter (module-level, so the sim still pickles).
+_COUNT_LOCK = threading.Lock()
+
+
 class CountingSim(MatlabSimulation):
     """A simulation that counts how many records it acquires.
 
@@ -63,11 +69,13 @@ class CountingSim(MatlabSimulation):
 
     # Every acquisition — single measures and planned groups alike —
     # enters here.  The engine forwards rng_mode= to a signature that
-    # names it or takes **kwargs (see KwargsSim).
+    # names it or takes **kwargs (see KwargsSim).  A measure acquires
+    # its two records from two threads, so the count is locked.
     def acquire_bitstreams(
         self, states, rngs, digitizer=None, rng_mode="compat"
     ):
-        self._acquired += len(list(states))
+        with _COUNT_LOCK:
+            self._acquired += len(list(states))
         return super().acquire_bitstreams(
             states, rngs, digitizer=digitizer, rng_mode=rng_mode
         )

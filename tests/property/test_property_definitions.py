@@ -1,8 +1,7 @@
 """Property-based tests for the noise-figure math (eqs 2-9)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.definitions import (

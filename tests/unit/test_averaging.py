@@ -8,7 +8,6 @@ from repro.core.bist import BISTMeasurementConfig, OneBitNoiseFigureBIST
 from repro.digitizer.digitizer import OneBitDigitizer
 from repro.errors import ConfigurationError, MeasurementError
 from repro.signals.sources import GaussianNoiseSource, SquareSource
-from repro.signals.waveform import Waveform
 
 FS = 10000.0
 N = 100000

@@ -43,6 +43,16 @@ class TestWhiteNoiseMatrixCompat:
             expected = make_rng(replay[i]).normal(0.0, scales[i], size=400)
             assert np.array_equal(out[i], expected)
 
+    @pytest.mark.parametrize("mean", [0.0, 0.25, -3.0, 1e3])
+    @pytest.mark.parametrize("scale", [0.3, 0.0])
+    def test_byte_identical_to_normal(self, mean, scale):
+        # Drawn, scaled and shifted in place: the bytes of gen.normal,
+        # signed zeros included.
+        out = white_noise_matrix(spawn_rngs(9, 2), 1000, mean=mean, scale=scale)
+        for row, gen in zip(out, spawn_rngs(9, 2)):
+            expected = make_rng(gen).normal(mean, scale, size=1000)
+            assert row.tobytes() == expected.tobytes()
+
     def test_out_buffer_reuse(self):
         rngs = spawn_rngs(5, 2)
         buf = np.empty((2, 100))

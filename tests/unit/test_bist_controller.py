@@ -7,7 +7,6 @@ from repro.core.bist import BISTMeasurementConfig, OneBitNoiseFigureBIST
 from repro.digitizer.digitizer import OneBitDigitizer
 from repro.errors import ConfigurationError, ResourceError
 from repro.signals.sources import GaussianNoiseSource, SquareSource
-from repro.signals.random import spawn_rngs
 from repro.soc.bist_controller import BISTController
 from repro.soc.memory import SampleMemory
 from repro.soc.processor import DSPProcessor

@@ -1,10 +1,14 @@
 """Tests for repro.digitizer.comparator."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.digitizer.comparator import Comparator
+from repro.buffers import default_pool
+from repro.digitizer.comparator import COMPARE_BLOCK, Comparator
 from repro.errors import ConfigurationError
+from repro.signals.random import spawn_rngs
 from repro.signals.waveform import Waveform
 
 
@@ -105,3 +109,48 @@ class TestHysteresis:
     def test_rejects_negative_hysteresis(self):
         with pytest.raises(ConfigurationError):
             Comparator(hysteresis_v=-0.1)
+
+
+class TestBlockedBatch:
+    """``compare_batch`` works in blocks of ``COMPARE_BLOCK`` samples."""
+
+    N = 2 * COMPARE_BLOCK + 1235  # several blocks and a ragged tail
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"offset_v": 0.05},
+            {"input_noise_rms": 0.3},
+            {"hysteresis_v": 0.4},
+            {"offset_v": -0.1, "input_noise_rms": 0.2, "hysteresis_v": 0.1},
+        ],
+    )
+    def test_rows_equal_scalar_compare(self, kwargs):
+        rng = np.random.default_rng(11)
+        signals = rng.normal(size=(2, self.N))
+        reference = 0.2 * np.sin(np.arange(self.N) / 50.0)
+        comp = Comparator(**kwargs)
+        packed = comp.compare_batch(
+            signals, reference, spawn_rngs(4, 2), sample_rate=1000.0
+        )
+        for i, gen in enumerate(spawn_rngs(4, 2)):
+            scalar = comp.compare(wf(signals[i]), wf(reference), gen)
+            assert np.array_equal(packed[i].unpack(), scalar.samples)
+
+    def test_scratch_is_one_block(self):
+        held = []
+
+        def run():
+            # A new thread may take over the pool of one that has ended.
+            default_pool.clear()
+            Comparator(input_noise_rms=0.1).compare_batch(
+                np.zeros((1, 1_000_000)), np.zeros(1_000_000), [1],
+                sample_rate=1000.0,
+            )
+            held.append(default_pool.nbytes)
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert 0 < held[0] <= COMPARE_BLOCK * 8

@@ -1,13 +1,17 @@
 """Tests for repro.engine (MeasurementEngine API and sweeps)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.averaging import RepeatedMeasurement
 from repro.dsp.psd import welch, welch_batch
-from repro.engine import MeasurementEngine
+from repro.engine import MeasurementEngine, ResultStore
 from repro.errors import ConfigurationError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
+from repro.instruments.testbench import build_prototype_testbench
 from repro.signals.random import make_rng, spawn_rngs
 
 FS = 10000.0
@@ -165,6 +169,111 @@ class TestRunBatch:
         assert via_wrapper.noise_figure_db != (
             MeasurementEngine().measure(sim, est, rng=7).noise_figure_db
         )
+
+
+class BarrierSim(MatlabSimulation):
+    """A simulation whose acquisitions wait for a second one in flight."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self._barrier = threading.Barrier(2, timeout=10)
+
+    def acquire_bitstreams(self, states, rngs, **kwargs):
+        self._barrier.wait()
+        return super().acquire_bitstreams(states, rngs, **kwargs)
+
+
+class FailingSim(MatlabSimulation):
+    """A simulation whose acquisition of some states raises."""
+
+    def __init__(self, config, failing):
+        super().__init__(config)
+        self._failing = failing
+
+    def acquire_bitstreams(self, states, rngs, **kwargs):
+        for state in states:
+            if state in self._failing:
+                raise ConfigurationError(f"{state} acquisition failed")
+        return super().acquire_bitstreams(states, rngs, **kwargs)
+
+
+class TestMeasureLegs:
+    """``measure`` runs its hot and cold records on two threads."""
+
+    def test_hot_and_cold_records_are_in_flight_at_once(self):
+        sim = small_sim()
+        est = sim.make_estimator()
+        for mode in ("compat", "philox"):
+            engine = MeasurementEngine(rng_mode=mode)
+            both = engine.measure(BarrierSim(sim.config), est, rng=3)
+            plain = engine.measure(sim, est, rng=3)
+            assert (both.noise_figure_db, both.y) == (
+                plain.noise_figure_db, plain.y
+            )
+
+    @pytest.mark.parametrize(
+        "failing", [("hot",), ("cold",), ("hot", "cold")]
+    )
+    def test_a_leg_error_reaches_the_caller(self, failing):
+        # When both legs raise, the hot leg's error is the one raised.
+        sim = FailingSim(small_sim().config, failing)
+        threads = threading.active_count()
+        with pytest.raises(ConfigurationError, match=failing[0]):
+            MeasurementEngine().measure(sim, sim.make_estimator(), rng=3)
+        assert threading.active_count() == threads
+
+    def test_concurrent_measures_share_lazy_caches(self):
+        # Four callers (eight legs) race for one fresh simulation's and
+        # one fresh bench's lazy references, Bernoulli thresholds and
+        # window coefficients; each result must equal a measure on an
+        # untouched object.
+        def bench():
+            return build_prototype_testbench(n_samples=2**16)
+
+        for mode in ("compat", "philox"):
+            engine = MeasurementEngine(rng_mode=mode)
+            for make in (small_sim, bench):
+                source = make()
+                est = source.make_estimator()
+                expected = [
+                    engine.measure(make(), est, rng=seed).noise_figure_db
+                    for seed in range(4)
+                ]
+                got = [None] * 4
+
+                def run(seed):
+                    got[seed] = engine.measure(
+                        source, est, rng=seed
+                    ).noise_figure_db
+
+                callers = [
+                    threading.Thread(target=run, args=(seed,))
+                    for seed in range(4)
+                ]
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-5)
+                try:
+                    for caller in callers:
+                        caller.start()
+                    for caller in callers:
+                        caller.join(timeout=60)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert not any(caller.is_alive() for caller in callers)
+                assert got == expected, (mode, make.__name__)
+
+    def test_store_hit_starts_no_thread(self, tmp_path, monkeypatch):
+        sim = small_sim()
+        est = sim.make_estimator()
+        engine = MeasurementEngine(store=ResultStore(str(tmp_path)))
+        cold = engine.measure(sim, est, rng=3)
+        started = []
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda self: started.append(self)
+        )
+        hit = engine.measure(sim, est, rng=3)
+        assert started == []
+        assert (hit.noise_figure_db, hit.y) == (cold.noise_figure_db, cold.y)
 
 
 class TestMeasureBatchAveraging:

@@ -6,7 +6,6 @@ import pytest
 from repro.core.frequency_response import FrequencyResponseBIST
 from repro.errors import ConfigurationError, MeasurementError
 from repro.signals.filters import single_pole_lowpass
-from repro.signals.waveform import Waveform
 
 FS = 32768.0
 

@@ -5,10 +5,9 @@ import pytest
 
 from repro.analog.amplifier import NonInvertingAmplifier
 from repro.analog.inverting import InvertingAmplifier
-from repro.analog.opamp import OPAMP_LIBRARY, OpAmpNoiseModel
+from repro.analog.opamp import OPAMP_LIBRARY
 from repro.errors import ConfigurationError
 from repro.signals.sources import SineSource
-from repro.signals.waveform import Waveform
 
 FS = 32768.0
 

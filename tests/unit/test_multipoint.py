@@ -9,7 +9,6 @@ from repro.digitizer.digitizer import OneBitDigitizer
 from repro.errors import ConfigurationError
 from repro.signals.sources import GaussianNoiseSource, SquareSource
 from repro.signals.random import spawn_rngs
-from repro.signals.waveform import Waveform
 
 FS = 10000.0
 N = 200000

@@ -1,10 +1,9 @@
 """Tests for per-tap reference support in MultiPointBIST and the
 hot-temperature selection rule used for high-NF devices."""
 
-import numpy as np
 import pytest
 
-from repro.analog.opamp import OPAMP_LIBRARY, OpAmpNoiseModel
+from repro.analog.opamp import OPAMP_LIBRARY
 from repro.core.bist import BISTMeasurementConfig
 from repro.core.multipoint import MultiPointBIST, TestPoint
 from repro.digitizer.digitizer import OneBitDigitizer

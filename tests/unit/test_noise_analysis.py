@@ -1,6 +1,5 @@
 """Tests for repro.analog.noise_analysis."""
 
-import numpy as np
 import pytest
 
 from repro.analog.amplifier import NonInvertingAmplifier

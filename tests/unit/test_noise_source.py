@@ -1,6 +1,5 @@
 """Tests for repro.analog.noise_source."""
 
-import numpy as np
 import pytest
 
 from repro.analog.noise_source import CalibratedNoiseSource

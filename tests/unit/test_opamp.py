@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analog.opamp import OPAMP_LIBRARY, OpAmpNoiseModel
-from repro.constants import FOUR_K_T0, db_to_linear
+from repro.constants import FOUR_K_T0
 from repro.errors import ConfigurationError
 
 

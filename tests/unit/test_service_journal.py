@@ -7,7 +7,6 @@ after it invented.
 """
 
 import json
-import struct
 import zlib
 
 import pytest

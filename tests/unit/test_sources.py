@@ -12,6 +12,7 @@ from repro.signals.sources import (
     SineSource,
     SquareSource,
     ThermalNoiseSource,
+    _unit_sine,
 )
 
 FS = 10000.0
@@ -52,6 +53,32 @@ class TestSineSource:
         assert a == b
 
 
+    @pytest.mark.parametrize(
+        "args, n, fs",
+        [((3000.0, 0.031), 2**17, 32768.0), ((60.0, 1.7, 0.3, -0.4), 10_001, FS)],
+    )
+    def test_byte_identical_to_formula(self, args, n, fs):
+        source = SineSource(*args)
+        t = np.arange(n) / fs
+        expected = (
+            source.amplitude
+            * np.sin(2.0 * np.pi * source.frequency_hz * t + source.phase_rad)
+            + source.dc
+        )
+        for _ in range(2):  # fresh, then from the cached unit sine
+            assert source.render(n, fs).samples.tobytes() == expected.tobytes()
+
+    def test_unit_sine_is_cached_read_only(self):
+        SineSource(123.0, 1.0).render(N, FS)
+        unit = _unit_sine(123.0, 0.0, N, FS)
+        assert not unit.flags.writeable
+        before = _unit_sine.cache_info()
+        other = SineSource(123.0, 2.5).render(N, FS)
+        after = _unit_sine.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert other.samples.tobytes() == (2.5 * unit + 0.0).tobytes()
+
+
 class TestSquareSource:
     def test_takes_only_two_levels(self):
         w = SquareSource(60.0, 1.5).render(N, FS)
@@ -75,6 +102,22 @@ class TestSquareSource:
         _, p = spec.line_power(100.0, 20.0, subtract_floor=False)
         amp = np.sqrt(2 * p)
         assert amp == pytest.approx(4 / np.pi, rel=0.01)
+
+    @pytest.mark.parametrize(
+        "args, n, fs",
+        [((60.0, 0.06), 1_000_000, FS), ((7.0, 1.0, -1.1, 0.3, 1e3), 12_345, 100.0)],
+    )
+    def test_byte_identical_to_formula(self, args, n, fs):
+        source = SquareSource(*args)
+        t = np.arange(n) / fs
+        phase = (
+            source.frequency_hz * t + source.phase_rad / (2.0 * np.pi)
+        ) % 1.0
+        expected = (
+            np.where(phase < source.duty, source.amplitude, -source.amplitude)
+            + source.dc
+        )
+        assert source.render(n, fs).samples.tobytes() == expected.tobytes()
 
     def test_rejects_bad_duty(self):
         with pytest.raises(ConfigurationError):

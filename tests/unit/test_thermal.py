@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.constants import BOLTZMANN, T0_KELVIN
+from repro.constants import BOLTZMANN
 from repro.errors import ConfigurationError
 from repro.signals.thermal import (
     available_noise_power,

@@ -1,9 +1,8 @@
 """Tests for repro.core.uncertainty (the +/-0.3 dB claim of ref [6])."""
 
-import numpy as np
 import pytest
 
-from repro.core.definitions import noise_factor_from_y, y_factor_expected
+from repro.core.definitions import noise_factor_from_y
 from repro.core.uncertainty import (
     monte_carlo_nf,
     nf_uncertainty_budget,
