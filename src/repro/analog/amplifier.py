@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.buffers import default_pool
 from repro.constants import BOLTZMANN, T0_KELVIN
 from repro.analog.opamp import OpAmpNoiseModel
 from repro.errors import ConfigurationError
@@ -221,14 +222,17 @@ class NonInvertingAmplifier:
         return total
 
     def render_input_noise_batch(
-        self, n_samples: int, sample_rate: float, rngs
+        self, n_samples: int, sample_rate: float, rngs, out=None
     ) -> np.ndarray:
         """Stacked input-referred noise records, one per generator.
 
         Row ``i`` is bit-exact equal to ``render_input_noise(...,
         rngs[i]).samples``: each record's contributors draw from its own
-        generator in the serial order (en, then in, then Johnson) while
-        the 1/f spectral shaping runs as batched FFTs across records.
+        generator in the serial order (en, then in, then Johnson).  The
+        en records land in ``out`` when given (float64, one row per
+        generator), which is returned, otherwise in a fresh array; the
+        other contributors are rendered one at a time into one pooled
+        stack and added in place.
         """
         gens = [make_rng(rng) for rng in rngs]
         rs = self.source_resistance_ohm
@@ -238,18 +242,28 @@ class NonInvertingAmplifier:
         en_source = ShapedNoiseSource.one_over_f(
             self.opamp.en_v_per_rthz**2, self.opamp.en_corner_hz
         )
-        total = en_source.render_batch(n_samples, sample_rate, gens)
+        total = en_source.render_batch(n_samples, sample_rate, gens, out=out)
 
         if self.opamp.in_a_per_rthz > 0 and r_eq > 0:
             in_source = ShapedNoiseSource.one_over_f(
                 (self.opamp.in_a_per_rthz * r_eq) ** 2, self.opamp.in_corner_hz
             )
-            total = total + in_source.render_batch(n_samples, sample_rate, gens)
+            total += in_source.render_batch(
+                n_samples,
+                sample_rate,
+                gens,
+                out=default_pool.take("amplifier.contributor", total.shape),
+            )
 
         johnson_density = self.feedback_johnson_density
         if johnson_density > 0:
             johnson = GaussianNoiseSource.from_density(johnson_density, sample_rate)
-            total = total + johnson.render_batch(n_samples, sample_rate, gens)
+            total += johnson.render_batch(
+                n_samples,
+                sample_rate,
+                gens,
+                out=default_pool.take("amplifier.contributor", total.shape),
+            )
         return total
 
     def process(
@@ -312,14 +326,18 @@ class NonInvertingAmplifier:
                     f"got {arr.shape[0]} records but {len(rngs)} generators"
                 )
             noise = self.render_input_noise_batch(
-                arr.shape[-1], sample_rate, rngs
+                arr.shape[-1],
+                sample_rate,
+                rngs,
+                out=default_pool.take("amplifier.noise", arr.shape),
             )
-            total = arr + noise
-        if self.bandwidth_hz < sample_rate / 2.0:
-            total = single_pole_lowpass_array(
-                total, sample_rate, self.bandwidth_hz
-            )
-        return total * self.actual_gain
+            total = np.add(arr, noise, out=noise)
+        if self.bandwidth_hz >= sample_rate / 2.0:
+            return total * self.actual_gain
+        # lfilter's output is fresh, so it is scaled in place.
+        total = single_pole_lowpass_array(total, sample_rate, self.bandwidth_hz)
+        total *= self.actual_gain
+        return total
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -127,13 +127,16 @@ class CalibratedNoiseSource:
         n_samples: int,
         sample_rate: float,
         rngs,
+        out=None,
     ) -> np.ndarray:
         """Render one record per ``(state, rng)`` pair as a stacked array.
 
         ``states`` and ``rngs`` are equal-length sequences; row ``i`` is
         bit-exact equal to ``render(states[i], ..., rngs[i])`` so a
         hot/cold pair (or a whole repeat batch) can be generated in one
-        call without losing per-record reproducibility.
+        call without losing per-record reproducibility.  The records
+        are drawn into ``out`` when given (float64, one row per pair),
+        which is returned; otherwise into a fresh array.
         """
         states = list(states)
         rngs = list(rngs)
@@ -148,7 +151,7 @@ class CalibratedNoiseSource:
             for state in set(states)
         }
         rms_rows = np.array([sources[state].rms for state in states])
-        return white_noise_matrix(rngs, n_samples, scale=rms_rows)
+        return white_noise_matrix(rngs, n_samples, scale=rms_rows, out=out)
 
     @property
     def y_factor_true(self) -> float:

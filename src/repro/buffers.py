@@ -3,19 +3,27 @@
 The comparator's batch path recycled one scratch row to avoid churning
 hundreds of megabytes of fresh pages per paper-scale batch; this module
 generalizes that discipline.  An :class:`ArrayPool` hands out named
-scratch arrays that persist across calls, so the hot loops (comparator
-diff rows, packed-Welch unpack blocks, batched noise rendering) touch
-warm pages instead of faulting new ones on every batch.
+scratch arrays that persist across calls, so the hot loops touch warm
+pages instead of faulting new ones on every batch.  They are the
+comparator's diff blocks, the packed-Welch unpack and windowed blocks,
+the paper simulation's noise record, and a lot device's analog chain:
+the testbench's source stack, each amplifier's noise and contributor
+stacks, the shaped-noise and spectral-synthesis half-spectra, and the
+philox records that :meth:`~repro.instruments.testbench.
+PrototypeTestbench.acquire_bitstreams` digitizes before it returns.
 
-Ownership discipline: an array returned by :meth:`ArrayPool.take` is
-valid until the next ``take`` of the same name — callers must never
-return pooled scratch to their own callers.  A plain :class:`ArrayPool`
+Ownership rule: an array returned by :meth:`ArrayPool.take` is valid
+until the next ``take`` of the same name, so a function returns pooled
+memory only when its caller passed that memory in as ``out=``; without
+``out=`` it returns a fresh array.  Nested calls must not take the same
+name: the DUT and the post-amplifier share their names only because
+``process_batch`` returns fresh memory.  A plain :class:`ArrayPool`
 is not thread-safe; the process-wide :data:`default_pool` is
 **thread-local** (each thread sees its own pool), so the public APIs
 that draw scratch from it — ``compare_batch``, the packed Welch
-kernels — stay safe to call from concurrent threads.  A pool outlives
-its thread: when a thread ends, its pool goes to the next new thread,
-so the short-lived helper thread of each
+kernels, the analog chain — stay safe to call from concurrent threads.
+A pool outlives its thread: when a thread ends, its pool goes to the
+next new thread, so the short-lived helper thread of each
 :meth:`~repro.engine.MeasurementEngine.measure` works in the warm
 scratch of the one before it.
 """

@@ -21,6 +21,7 @@ from repro.analog.noise_analysis import expected_noise_figure_db
 from repro.analog.noise_source import CalibratedNoiseSource
 from repro.analog.opamp import OPAMP_LIBRARY, OpAmpNoiseModel
 from repro.bitstream import PackedRecordBatch
+from repro.buffers import default_pool
 from repro.constants import T0_KELVIN
 from repro.core.bist import BISTMeasurementConfig, OneBitNoiseFigureBIST
 from repro.digitizer.digitizer import OneBitDigitizer
@@ -163,6 +164,24 @@ class PrototypeTestbench:
         benches' poles that start-up transient decays below ``1e-16``
         within a few dozen samples, so no warm-up is discarded.
         """
+        analog, dig_rngs = self._render_analog(states, rngs, rng_mode)
+        return (
+            analog,
+            self.reference_waveform().samples,
+            dig_rngs,
+            self.sample_rate_hz,
+            self.digitizer,
+        )
+
+    def _render_analog(self, states, rngs, rng_mode, scratch=False):
+        """The analog records and digitizer generators of
+        :meth:`acquire_analog_batch`.
+
+        With ``scratch=True`` philox records are synthesized into this
+        thread's pooled scratch, valid until the next such call on the
+        thread, so only a caller that is done with them before it
+        returns may ask for it.  Compat records are fresh either way.
+        """
         validate_rng_mode(rng_mode)
         states = list(states)
         rngs = list(rngs)
@@ -177,17 +196,28 @@ class PrototypeTestbench:
             analog_rngs.append(analog_rng)
             dig_rngs.append(dig_rng)
         if rng_mode == "philox":
+            psds = self.analog_psd(states)
+            out = None
+            if scratch:
+                out = default_pool.take(
+                    "testbench.analog", (len(states), self.n_samples)
+                )
             analog = BatchNoiseGenerator(analog_rngs).spectral_matrix(
-                self.analog_psd(states), self.n_samples, self.sample_rate_hz
+                psds, self.n_samples, self.sample_rate_hz, out=out
             )
         else:
             # (source, DUT, post-amplifier) generators per record.
             stage_rngs = [spawn_rngs(analog_rng, 3) for analog_rng in analog_rngs]
+            # The amplifiers return fresh records, so the source stack
+            # can be scratch in both calls.
             source = self.noise_source.render_batch(
                 states,
                 self.n_samples,
                 self.sample_rate_hz,
                 [r[0] for r in stage_rngs],
+                out=default_pool.take(
+                    "testbench.source", (len(states), self.n_samples)
+                ),
             )
             dut_out = self.dut.process_batch(
                 source, self.sample_rate_hz, [r[1] for r in stage_rngs]
@@ -195,13 +225,7 @@ class PrototypeTestbench:
             analog = self.post_amplifier.process_batch(
                 dut_out, self.sample_rate_hz, [r[2] for r in stage_rngs]
             )
-        return (
-            analog,
-            self.reference_waveform().samples,
-            dig_rngs,
-            self.sample_rate_hz,
-            self.digitizer,
-        )
+        return analog, dig_rngs
 
     def acquire_bitstreams(
         self, states, rngs, rng_mode: str = "compat"
@@ -216,14 +240,18 @@ class PrototypeTestbench:
         path.  Returns ``(records, output_sample_rate)`` with the
         records a :class:`~repro.bitstream.PackedRecordBatch` (1
         bit/sample).  ``rng_mode="philox"`` draws the analog records by
-        spectral synthesis (see :meth:`acquire_analog_batch`); the
+        spectral synthesis (see :meth:`acquire_analog_batch`) into
+        pooled scratch, which is digitized before this returns; the
         digitizer is the same in both modes.
         """
-        analog, reference, dig_rngs, rate, digitizer = (
-            self.acquire_analog_batch(states, rngs, rng_mode=rng_mode)
+        analog, dig_rngs = self._render_analog(
+            states, rngs, rng_mode, scratch=True
         )
-        bits = digitizer.digitize_batch(analog, reference, rate, dig_rngs)
-        return bits, rate / digitizer.sampler.divider
+        rate = self.sample_rate_hz
+        bits = self.digitizer.digitize_batch(
+            analog, self.reference_waveform().samples, rate, dig_rngs
+        )
+        return bits, rate / self.digitizer.sampler.divider
 
     # ------------------------------------------------------------------
     # Analytical helpers
@@ -282,9 +310,17 @@ class PrototypeTestbench:
         post_noise[0] = post.feedback_johnson_density
         dut_power = dut.actual_gain**2 * self._chain_power(dut, freqs)
         post_power = post.actual_gain**2 * self._chain_power(post, freqs)
-        source_gain = post_power * dut_power
-        floor = post_power * (dut_power * dut_noise + post_noise)
-        return source[:, np.newaxis] * source_gain + floor
+        # In place, the floats of post_power * (dut_power * dut_noise +
+        # post_noise) and source * (post_power * dut_power) + floor: a
+        # lot device computes this once, and every temporary of it is
+        # another half-megabyte of fresh pages at 2**17 samples.
+        floor = np.multiply(dut_noise, dut_power, out=dut_noise)
+        floor += post_noise
+        floor *= post_power
+        psd = np.empty((len(source), freqs.size))
+        np.multiply(source[:, np.newaxis], post_power * dut_power, out=psd)
+        psd += floor
+        return psd
 
     def _chain_power(
         self, amplifier: NonInvertingAmplifier, freqs: np.ndarray

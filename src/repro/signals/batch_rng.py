@@ -59,6 +59,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro.buffers import default_pool
 from repro.errors import ConfigurationError
 from repro.kernels import bernoulli_pack
 from repro.signals.random import GeneratorLike, make_rng
@@ -83,6 +84,19 @@ def validate_rng_mode(rng_mode: str) -> str:
             f"rng_mode must be one of {RNG_MODES}, got {rng_mode!r}"
         )
     return rng_mode
+
+
+def _checked_out(out: Optional[np.ndarray], shape) -> np.ndarray:
+    """``out`` if it is a float64 array of ``shape``, a fresh one for
+    ``None``; raise otherwise."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != np.float64:
+        raise ConfigurationError(
+            f"out must be float64 of shape {shape}, got {out.dtype} "
+            f"{out.shape}"
+        )
+    return out
 
 
 def _seed_sequence_of(seed: GeneratorLike) -> np.random.SeedSequence:
@@ -153,14 +167,7 @@ class BatchNoiseGenerator:
         n = int(n_samples)
         if n < 0:
             raise ConfigurationError(f"n_samples must be >= 0, got {n_samples}")
-        shape = (self.n_streams, n)
-        if out is None:
-            out = np.empty(shape)
-        elif out.shape != shape or out.dtype != np.float64:
-            raise ConfigurationError(
-                f"out must be float64 of shape {shape}, got "
-                f"{out.dtype} {out.shape}"
-            )
+        out = _checked_out(out, (self.n_streams, n))
         if n == 0:
             return out
         for i, gen in enumerate(self._gens):
@@ -185,6 +192,7 @@ class BatchNoiseGenerator:
         psds: Union[np.ndarray, Sequence[np.ndarray]],
         n_samples: int,
         sample_rate: float,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Gaussian records with prescribed one-sided PSDs, one per stream.
 
@@ -196,6 +204,11 @@ class BatchNoiseGenerator:
         even ``n``) the Nyquist bin are real with variance ``n*fs*S/2``
         — the spectrum ``rfft`` gives white noise of density ``S``, so
         the record is a stationary Gaussian process with PSD ``S``.
+
+        The records land in ``out`` when given (float64, one row per
+        stream), which is returned; otherwise in a fresh array.  Every
+        row's half-spectrum is drawn into one pooled row, and its
+        ``irfft`` writes straight into the record.
         """
         n = int(n_samples)
         if n < 1:
@@ -213,9 +226,12 @@ class BatchNoiseGenerator:
                 raise ConfigurationError(
                     f"got {self.n_streams} streams but {len(rows)} PSDs"
                 )
+        out = _checked_out(out, (self.n_streams, n))
         # Real bins carry the whole variance on one part: x sqrt(2).
         real_bins = [0, n_bins - 1] if n % 2 == 0 else [0]
-        spectrum = np.empty((self.n_streams, n_bins), dtype=np.complex128)
+        spectrum = default_pool.take(
+            "spectral_matrix.spectrum", n_bins, np.complex128
+        )
         for i, gen in enumerate(self._gens):
             psd = np.asarray(rows[i], dtype=float)
             if psd.shape != (n_bins,) or not (
@@ -227,10 +243,11 @@ class BatchNoiseGenerator:
                 )
             amp = np.sqrt(psd * (n * sample_rate / 4.0))
             amp[real_bins] *= np.sqrt(2.0)
-            gen.standard_normal(2 * n_bins, out=spectrum[i].view(np.float64))
-            spectrum[i] *= amp
-        spectrum[:, real_bins] = spectrum[:, real_bins].real
-        return np.fft.irfft(spectrum, n=n, axis=-1)
+            gen.standard_normal(2 * n_bins, out=spectrum.view(np.float64))
+            spectrum *= amp
+            spectrum[real_bins] = spectrum[real_bins].real
+            np.fft.irfft(spectrum, n=n, out=out[i])
+        return out
 
     # ------------------------------------------------------------------
     def packed_bernoulli_words(
@@ -322,14 +339,7 @@ def white_noise_matrix(
         return BatchNoiseGenerator(rngs).normal_matrix(
             n, mean=mean, scale=scale, out=out
         )
-    shape = (len(rngs), n)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise ConfigurationError(
-            f"out must be float64 of shape {shape}, got {out.dtype} "
-            f"{out.shape}"
-        )
+    out = _checked_out(out, (len(rngs), n))
     scale_arr = np.asarray(scale, dtype=float)
     if scale_arr.ndim == 0:
         scales = np.full(len(rngs), float(scale_arr))

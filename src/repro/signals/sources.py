@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.buffers import default_pool
 from repro.constants import BOLTZMANN
 from repro.errors import ConfigurationError
 from repro.signals.batch_rng import white_noise_matrix
@@ -203,14 +204,18 @@ class GaussianNoiseSource(SignalSource):
         samples = gen.normal(self.mean, self.rms, size=n_samples)
         return Waveform(samples, sample_rate)
 
-    def render_batch(self, n_samples, sample_rate, rngs) -> np.ndarray:
+    def render_batch(
+        self, n_samples, sample_rate, rngs, out=None
+    ) -> np.ndarray:
         """Stacked records, one per generator (no Waveform copies).
 
-        Row ``i`` replays ``rngs[i]``'s own stream bit for bit.
+        Row ``i`` replays ``rngs[i]``'s own stream bit for bit.  The
+        records are drawn into ``out`` when given (float64, one row per
+        generator), which is returned; otherwise into a fresh array.
         """
         _validate_render_args(n_samples, sample_rate)
         return white_noise_matrix(
-            rngs, n_samples, mean=self.mean, scale=self.rms
+            rngs, n_samples, mean=self.mean, scale=self.rms, out=out
         )
 
 
@@ -326,25 +331,37 @@ class ShapedNoiseSource(SignalSource):
         samples = np.fft.irfft(spectrum, n=n_samples)
         return Waveform(samples, sample_rate)
 
-    def render_batch(self, n_samples, sample_rate, rngs) -> np.ndarray:
-        """Stacked shaped-noise records with one batched FFT round trip.
+    def render_batch(
+        self, n_samples, sample_rate, rngs, out=None
+    ) -> np.ndarray:
+        """Stacked shaped-noise records, shaped in place.
 
         Each record's white draws come from its own generator (in the
-        same order as :meth:`render`); the spectral shaping runs as a
-        single batched ``rfft``/``irfft`` pair, which is bit-identical
-        to the per-record transforms.
+        same order as :meth:`render`) and land in ``out`` when given
+        (float64, one row per generator), otherwise in a fresh array;
+        each row is then shaped through one pooled half-spectrum with
+        :meth:`render`'s ``rfft``/``irfft`` pair, so row ``i`` equals
+        ``render(n_samples, sample_rate, rngs[i]).samples`` bit for bit.
+        At full-record lengths the per-row transforms are also faster
+        than one batched call over the stack.
         """
         _validate_render_args(n_samples, sample_rate)
         rngs = list(rngs)
         n = int(n_samples)
         if n == 0:
-            return np.zeros((len(rngs), 0))
+            return white_noise_matrix(rngs, 0, out=out)
         density = self._checked_density(n, sample_rate)
-        white = white_noise_matrix(rngs, n)
-        spectrum = np.fft.rfft(white, axis=-1)
-        spectrum *= np.sqrt(density * sample_rate / 2.0)
-        spectrum[..., 0] = 0.0  # force zero mean
-        return np.fft.irfft(spectrum, n=n, axis=-1)
+        weight = np.sqrt(density * sample_rate / 2.0)
+        out = white_noise_matrix(rngs, n, out=out)
+        spectrum = default_pool.take(
+            "shaped_noise.spectrum", n // 2 + 1, np.complex128
+        )
+        for row in out:
+            np.fft.rfft(row, out=spectrum)
+            spectrum *= weight
+            spectrum[0] = 0.0  # force zero mean
+            np.fft.irfft(spectrum, n=n, out=row)
+        return out
 
 
 class CompositeSource(SignalSource):
