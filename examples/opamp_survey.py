@@ -8,6 +8,7 @@ both the analytical expectation and the BIST measurement.
 Run:  python examples/opamp_survey.py
 """
 
+from repro import MeasurementEngine
 from repro.analog.opamp import OPAMP_LIBRARY, OpAmpNoiseModel
 from repro.experiments.table3 import _hot_temperature_for
 from repro.instruments import build_prototype_testbench
@@ -17,7 +18,7 @@ N_SAMPLES = 2**18
 BAND = (500.0, 1500.0)
 
 
-def survey_datasheet() -> list:
+def survey_datasheet(engine: MeasurementEngine) -> list:
     rows = []
     for seed, name in enumerate(OPAMP_LIBRARY):
         # High-NF devices need a hotter calibration source to keep the Y
@@ -27,7 +28,7 @@ def survey_datasheet() -> list:
             name, t_hot_k=t_hot, n_samples=N_SAMPLES
         )
         estimator = bench.make_estimator(noise_band_hz=BAND)
-        result = estimator.measure(bench.acquire_bitstream, rng=100 + seed)
+        result = engine.measure(bench, estimator, rng=100 + seed)
         expected = bench.expected_nf_db(*BAND)
         rows.append(
             [name, expected, result.noise_figure_db,
@@ -36,7 +37,7 @@ def survey_datasheet() -> list:
     return rows
 
 
-def survey_paper_calibrated() -> list:
+def survey_paper_calibrated(engine: MeasurementEngine) -> list:
     paper_expected = {"OP27": 3.7, "OP07": 6.5, "TL081": 10.1, "CA3140": 16.2}
     rows = []
     for seed, (name, target) in enumerate(paper_expected.items()):
@@ -46,7 +47,7 @@ def survey_paper_calibrated() -> list:
         )
         bench = build_prototype_testbench(model, n_samples=N_SAMPLES)
         estimator = bench.make_estimator(noise_band_hz=BAND)
-        result = estimator.measure(bench.acquire_bitstream, rng=200 + seed)
+        result = engine.measure(bench, estimator, rng=200 + seed)
         rows.append(
             [name, target, result.noise_figure_db,
              result.noise_figure_db - target]
@@ -55,10 +56,11 @@ def survey_paper_calibrated() -> list:
 
 
 def main() -> None:
+    engine = MeasurementEngine()
     print(
         render_table(
             ["opamp", "expected NF (dB)", "measured NF (dB)", "error (dB)"],
-            survey_datasheet(),
+            survey_datasheet(engine),
             title="Survey A - typical-datasheet opamp models",
         )
     )
@@ -66,7 +68,7 @@ def main() -> None:
     print(
         render_table(
             ["opamp", "paper expected NF (dB)", "measured NF (dB)", "error (dB)"],
-            survey_paper_calibrated(),
+            survey_paper_calibrated(engine),
             title="Survey B - devices calibrated to the paper's expected column",
         )
     )

@@ -8,6 +8,7 @@ result against the analytical expectation.
 Run:  python examples/quickstart.py
 """
 
+from repro import MeasurementEngine
 from repro.instruments import build_prototype_testbench
 from repro.reporting import render_table
 
@@ -21,8 +22,8 @@ def main() -> None:
     #    Y factor -> noise figure (paper eqs 5-9).
     estimator = bench.make_estimator()
 
-    # 3. Acquire the hot and cold bitstreams and estimate.
-    result = estimator.measure(bench.acquire_bitstream, rng=2005)
+    # 3. The engine acquires the hot and cold bitstreams and estimates.
+    result = MeasurementEngine().measure(bench, estimator, rng=2005)
 
     expected = bench.expected_nf_db(500.0, 1500.0)
     print(

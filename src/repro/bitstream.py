@@ -11,7 +11,7 @@ samples per byte (``numpy.packbits`` order), bit ``1`` for ``+1`` and
 bit ``0`` for ``-1``, carrying the sample rate.
 :class:`PackedRecordBatch` is the stacked form the measurement engine
 acquires, stores and analyzes.  Both unpack to the exact float64
-``+/-1`` arrays the serial float path produces, so every consumer
+``+/-1`` arrays the scalar ``digitize`` produces, so every consumer
 (Welch kernels, normalization, Y-factor) sees bit-identical values;
 blocked access (:meth:`PackedBitstream.unpack_range`,
 :meth:`PackedBitstream.iter_blocks`) lets the DSP layer keep peak

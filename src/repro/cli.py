@@ -22,10 +22,11 @@ Usage::
 
 ``--fast`` shrinks record lengths for a quick look; default sizes match
 the benchmark suite (paper scale).  ``--backend``/``--workers`` pick
-the execution backend for the sweep/production experiments: every
-experiment of a ``run`` invocation shares one
-:class:`~repro.engine.MeasurementEngine` (and, on the process backend,
-its one persistent worker pool).  ``--store`` attaches a
+the execution backend: every experiment of a ``run`` invocation shares
+one :class:`~repro.engine.MeasurementEngine` (and, on the process
+backend, its one persistent worker pool), and every experiment but
+``table1``, ``table2`` and ``fig7`` acquires its records through it.
+``--store`` attaches a
 persistent :class:`~repro.store.ResultStore` (measurements cache and
 survive the process), ``--resume`` replays an interrupted sweep
 computing only what the store is missing, and ``--json`` switches the
@@ -132,7 +133,8 @@ def _run_table3(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.table3 import run_table3
 
     result = run_table3(
-        mode="paper", n_samples=2**17 if opts.fast else 2**20, seed=2005
+        mode="paper", n_samples=2**17 if opts.fast else 2**20, seed=2005,
+        engine=engine,
     )
     return render_table(
         ["opamp", "expected (dB)", "measured (dB)", "error (dB)"],
@@ -165,7 +167,7 @@ def _run_fig8(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.matlab_sim import MatlabSimConfig
 
     config = MatlabSimConfig(n_samples=250_000, nperseg=5000) if opts.fast else None
-    result = run_fig8(config, seed=2005)
+    result = run_fig8(config, seed=2005, engine=engine)
     return render_table(
         ["quantity", "hot", "cold"],
         [
@@ -181,7 +183,7 @@ def _run_fig9(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.matlab_sim import MatlabSimConfig
 
     config = MatlabSimConfig(n_samples=250_000, nperseg=5000) if opts.fast else None
-    result = run_fig9(config, seed=2005)
+    result = run_fig9(config, seed=2005, engine=engine)
     return render_table(
         ["stage", "hot/cold floor ratio"],
         [
@@ -210,7 +212,9 @@ def _run_fig10(opts: RunOptions, engine: MeasurementEngine) -> str:
 def _run_fig13(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.fig13 import run_fig13
 
-    result = run_fig13(n_samples=2**17 if opts.fast else 2**20, seed=2005)
+    result = run_fig13(
+        n_samples=2**17 if opts.fast else 2**20, seed=2005, engine=engine
+    )
     return render_table(
         ["quantity", "value"],
         [
@@ -242,7 +246,9 @@ def _run_uncertainty(opts: RunOptions, engine: MeasurementEngine) -> str:
 def _run_spot_nf(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.spot_nf import run_spot_nf
 
-    result = run_spot_nf(n_samples=2**17 if opts.fast else 2**19, seed=2005)
+    result = run_spot_nf(
+        n_samples=2**17 if opts.fast else 2**19, seed=2005, engine=engine
+    )
     return render_table(
         ["band (Hz)", "expected (dB)", "linear (dB)", "corrected (dB)"],
         [
@@ -261,7 +267,9 @@ def _run_spot_nf(opts: RunOptions, engine: MeasurementEngine) -> str:
 def _run_resources(opts: RunOptions, engine: MeasurementEngine) -> str:
     from repro.experiments.resources import run_resources
 
-    result = run_resources(n_samples=2**16 if opts.fast else 2**20, seed=2005)
+    result = run_resources(
+        n_samples=2**16 if opts.fast else 2**20, seed=2005, engine=engine
+    )
     return render_table(
         ["resource", "value"],
         [
@@ -581,10 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("serial", "process"),
         default="serial",
-        help="execution backend for the engine-driven experiments "
-        "(production, record_length, robustness, gain_sensitivity, "
-        "fig10, uncertainty); process = persistent worker pool; "
-        "other experiments always run serial",
+        help="execution backend of the engine that every experiment "
+        "but table1, table2 and fig7 acquires through; process = "
+        "persistent worker pool for lots, sweeps and repeats (a single "
+        "measurement stays in-process)",
     )
     run.add_argument(
         "--workers",
@@ -597,21 +605,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--rng-mode",
         choices=("compat", "philox"),
         default="compat",
-        help="noise-synthesis mode for the engine-driven experiments: "
-        "compat replays per-record generator streams bit for bit; "
-        "philox is the fast counter-based mode (deterministic per "
-        "seed, statistically equivalent, not bit-identical): white-"
-        "noise simulation benches synthesize their records directly as "
-        "packed bits, testbench chains as one shaped spectrum per record",
+        help="noise-synthesis mode of the engine: compat replays "
+        "per-record generator streams bit for bit; philox is the fast "
+        "counter-based mode (deterministic per seed, statistically "
+        "equivalent, not bit-identical): white-noise simulation benches "
+        "synthesize their records directly as packed bits, testbench "
+        "chains as one shaped spectrum per record",
     )
     run.add_argument(
         "--store",
         metavar="DIR",
         default=None,
-        help="attach a persistent result store: measurements of the "
-        "engine-driven experiments are cached under provenance "
-        "keys (cache hits are bit-identical to recomputes) and "
-        "survive the process",
+        help="attach a persistent result store: each two-state NF "
+        "measurement the engine makes is cached under its provenance "
+        "key (hits are bit-identical to recomputes) and survives the "
+        "process; raw records and spectra are not stored",
     )
     run.add_argument(
         "--cache-budget",

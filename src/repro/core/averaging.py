@@ -10,14 +10,13 @@ and a normal-theory confidence interval on the mean NF.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.bist import OneBitNoiseFigureBIST
 from repro.errors import ConfigurationError, MeasurementError
-from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
-from repro.signals.waveform import Waveform
+from repro.signals.random import GeneratorLike
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,11 @@ class RepeatedMeasurement:
     n_repeats:
         Number of independent two-state acquisitions (>= 2).
     allow_failures:
-        When True, acquisitions that raise :class:`MeasurementError`
-        (e.g. a lost reference line) are counted and skipped instead of
-        aborting the flow; at least two repeats must still succeed.
+        When True, repeats whose estimate raises
+        :class:`MeasurementError` (e.g. a lost reference line) are
+        counted and skipped instead of aborting the flow; at least two
+        repeats must still succeed.  An acquisition error aborts the
+        batch either way.
     """
 
     def __init__(
@@ -78,26 +79,6 @@ class RepeatedMeasurement:
 
     def measure(
         self,
-        acquire: Callable[[str, GeneratorLike], Waveform],
-        rng: GeneratorLike = None,
-    ) -> AveragedResult:
-        """Run all repeats serially and summarize."""
-        gen = make_rng(rng)
-        values: List[float] = []
-        n_failed = 0
-        for child in spawn_rngs(gen, self.n_repeats):
-            try:
-                result = self.estimator.measure(acquire, rng=child)
-            except MeasurementError:
-                if not self.allow_failures:
-                    raise
-                n_failed += 1
-                continue
-            values.append(result.noise_figure_db)
-        return self._summarize(values, n_failed)
-
-    def measure_batch(
-        self,
         source,
         rng: GeneratorLike = None,
         engine=None,
@@ -105,10 +86,10 @@ class RepeatedMeasurement:
         """Run all repeats as one stacked batch through the engine.
 
         ``source`` is a batch acquirer (e.g. a
-        :class:`~repro.instruments.testbench.PrototypeTestbench`); the
-        engine spawns per-repeat generators exactly like :meth:`measure`,
-        so the statistics agree with the serial path to the batched-FFT
-        rounding (<= 1e-10 on the PSDs).
+        :class:`~repro.instruments.testbench.PrototypeTestbench`);
+        ``engine.run_batch`` (default: an in-process compat engine)
+        spawns one child generator per repeat, so repeat ``i`` is
+        bit-identical to ``engine.measure`` with child ``i``.
         """
         from repro.engine import MeasurementEngine
 

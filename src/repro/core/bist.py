@@ -10,12 +10,15 @@ figure:
 3. integrate the noise band power in each normalized spectrum, excluding
    the reference line and its harmonics;
 4. ``Y = P_hot / P_cold`` and eq 8/9 give the noise factor.
+
+The two-state acquisition that feeds it is
+:meth:`repro.engine.MeasurementEngine.measure`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -26,7 +29,6 @@ from repro.core.normalization import NormalizationResult, ReferenceNormalizer
 from repro.dsp.psd import welch
 from repro.dsp.spectrum import Spectrum
 from repro.errors import ConfigurationError, MeasurementError
-from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
 from repro.signals.waveform import Waveform
 
 
@@ -296,21 +298,3 @@ class OneBitNoiseFigureBIST:
             t_hot_k=self.t_hot_k,
             t_cold_k=self.t_cold_k,
         )
-
-    # ------------------------------------------------------------------
-    def measure(
-        self,
-        acquire: Callable[[str, GeneratorLike], Waveform],
-        rng: GeneratorLike = None,
-    ) -> BISTResult:
-        """Drive a two-state acquisition and estimate.
-
-        ``acquire(state, rng)`` must return the captured bitstream for
-        ``state`` in ``("hot", "cold")`` — typically bound to a testbench
-        or a :class:`~repro.soc.bist_controller.BISTController`.
-        """
-        gen = make_rng(rng)
-        rng_hot, rng_cold = spawn_rngs(gen, 2)
-        bits_hot = acquire("hot", rng_hot)
-        bits_cold = acquire("cold", rng_cold)
-        return self.estimate_from_bitstreams(bits_hot, bits_cold)

@@ -13,14 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
-from repro.core.bist import OneBitNoiseFigureBIST
 from repro.errors import ConfigurationError
-from repro.signals.random import GeneratorLike
-from repro.signals.waveform import Waveform
 
 
 class Verdict(Enum):
@@ -31,28 +27,11 @@ class Verdict(Enum):
     RETEST = "retest"
 
 
-@dataclass(frozen=True)
-class ScreenResult:
-    """One device's screening outcome."""
-
-    measured_nf_db: float
-    limit_db: float
-    guardband_db: float
-    verdict: Verdict
-
-    @property
-    def effective_limit_db(self) -> float:
-        """The guard-banded acceptance limit."""
-        return self.limit_db - self.guardband_db
-
-
 class ProductionNfScreen:
-    """Guard-banded upper-limit NF screen.
+    """Guard-banded upper-limit NF screen over measured NFs.
 
     Parameters
     ----------
-    estimator:
-        Configured 1-bit estimator.
     limit_db:
         Specification limit (device fails above it).
     measurement_sigma_db:
@@ -65,16 +44,10 @@ class ProductionNfScreen:
 
     def __init__(
         self,
-        estimator: OneBitNoiseFigureBIST,
         limit_db: float,
         measurement_sigma_db: float,
         guardband_sigmas: float = 2.0,
     ):
-        if not isinstance(estimator, OneBitNoiseFigureBIST):
-            raise ConfigurationError(
-                f"estimator must be OneBitNoiseFigureBIST, got "
-                f"{type(estimator).__name__}"
-            )
         if limit_db <= 0:
             raise ConfigurationError(f"limit must be > 0 dB, got {limit_db}")
         if measurement_sigma_db < 0:
@@ -85,7 +58,6 @@ class ProductionNfScreen:
             raise ConfigurationError(
                 f"guardband must be >= 0 sigmas, got {guardband_sigmas}"
             )
-        self.estimator = estimator
         self.limit_db = float(limit_db)
         self.measurement_sigma_db = float(measurement_sigma_db)
         self.guardband_sigmas = float(guardband_sigmas)
@@ -102,20 +74,6 @@ class ProductionNfScreen:
         if measured_nf_db > self.limit_db:
             return Verdict.FAIL
         return Verdict.RETEST
-
-    def screen(
-        self,
-        acquire: Callable[[str, GeneratorLike], Waveform],
-        rng: GeneratorLike = None,
-    ) -> ScreenResult:
-        """Measure one device and classify it."""
-        result = self.estimator.measure(acquire, rng=rng)
-        return ScreenResult(
-            measured_nf_db=result.noise_figure_db,
-            limit_db=self.limit_db,
-            guardband_db=self.guardband_db,
-            verdict=self.classify(result.noise_figure_db),
-        )
 
 
 @dataclass(frozen=True)

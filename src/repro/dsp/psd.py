@@ -236,7 +236,8 @@ def welch(
     detrend: bool = True,
     block_segments: int = DEFAULT_BLOCK_SEGMENTS,
 ) -> Spectrum:
-    """Welch-averaged one-sided PSD (vectorized, no per-segment FFT loop).
+    """Welch-averaged one-sided PSD: row 0 of :func:`welch_batch` on a
+    one-record batch, so a record's PSD is the same alone or stacked.
 
     Parameters
     ----------
@@ -256,32 +257,20 @@ def welch(
         Segments per batched FFT call (cache-residency knob).
     """
     if isinstance(signal, PackedBitstream):
-        fs = signal.sample_rate
-        if sample_rate is not None and float(sample_rate) != fs:
-            raise ConfigurationError(
-                f"sample_rate {sample_rate} Hz does not match the packed "
-                f"record rate {fs} Hz"
-            )
-        step = _welch_params(nperseg, overlap, signal.n_samples)
-        win = get_window(window, nperseg)
-        acc = np.zeros(nperseg // 2 + 1)
-        n_segments = accumulate_packed_spectral_power(
-            signal, nperseg, step, win, acc, detrend, block_segments
+        records = PackedRecordBatch(
+            signal.words[np.newaxis],
+            signal.n_samples,
+            signal.sample_rate,
+            validate=False,
+            copy=False,
         )
     else:
-        samples, fs = _as_samples(signal, sample_rate)
-        step = _welch_params(nperseg, overlap, samples.size)
-        win = get_window(window, nperseg)
-        segments = frame_segments(samples, nperseg, step)
-        n_segments = segments.shape[0]
-        acc = np.zeros(nperseg // 2 + 1)
-        accumulate_spectral_power(segments, win, acc, detrend, block_segments)
-    psd = _one_sided_scale(
-        acc, nperseg, fs * np.sum(win**2) * n_segments
-    )
-
-    freqs, enbw_hz = _welch_grid(win, nperseg, fs)
-    return Spectrum(freqs, psd, enbw_hz=enbw_hz)
+        samples, sample_rate = _as_samples(signal, sample_rate)
+        records = samples[np.newaxis]
+    return welch_batch(
+        records, nperseg, sample_rate, window, overlap, detrend,
+        block_segments,
+    )[0]
 
 
 def welch_batch(
@@ -297,12 +286,12 @@ def welch_batch(
 
     ``records`` is a ``(n_records, n_samples)`` array or a
     :class:`~repro.bitstream.PackedRecordBatch`; each record's segments
-    go through the same blocked batched FFT kernel as :func:`welch`, so
-    a row of the result matches ``welch(records[i], ...)`` to machine
-    precision (identical code path).  Packed batches are unpacked one
-    FFT block at a time — peak float memory is one block, not the
-    record stack.  ``sample_rate`` may be omitted for packed batches
-    (they carry their rate).
+    go through the same blocked batched FFT kernel, and each row is
+    computed on its own, so row ``i`` equals ``welch(records[i], ...)``
+    bit for bit (:func:`welch` is this function on one row).  Packed
+    batches are unpacked one FFT block at a time — peak float memory is
+    one block, not the record stack.  ``sample_rate`` may be omitted for
+    packed batches (they carry their rate).
 
     Returns a :class:`~repro.dsp.spectrum.SpectrumBatch` whose ``psd``
     matrix has one row per record.
@@ -323,34 +312,29 @@ def welch_batch(
                 records[r], nperseg, step, win, accs[r], detrend,
                 block_segments,
             )
-        psd = _one_sided_scale(
-            accs, nperseg, fs * np.sum(win**2) * n_segments
-        )
-        freqs, enbw_hz = _welch_grid(win, nperseg, fs)
-        return SpectrumBatch(freqs, psd, enbw_hz=enbw_hz)
-
-    arr = np.asarray(records, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[np.newaxis, :]
-    if arr.ndim != 2:
-        raise ConfigurationError(
-            f"records must be a (n_records, n_samples) array, got shape "
-            f"{arr.shape}"
-        )
-    if sample_rate is None or sample_rate <= 0:
-        raise ConfigurationError(f"sample_rate must be > 0, got {sample_rate}")
-    fs = float(sample_rate)
-    step = _welch_params(nperseg, overlap, arr.shape[-1])
-    win = get_window(window, nperseg)
-    frames = frame_segments(arr, nperseg, step)  # (R, n_segments, nperseg)
-    n_records, n_segments = frames.shape[0], frames.shape[1]
-
-    psd = np.empty((n_records, nperseg // 2 + 1))
-    denominator = fs * np.sum(win**2) * n_segments
-    for r in range(n_records):
-        acc = np.zeros(nperseg // 2 + 1)
-        accumulate_spectral_power(frames[r], win, acc, detrend, block_segments)
-        psd[r] = _one_sided_scale(acc, nperseg, denominator)
-
+    else:
+        arr = np.asarray(records, dtype=float)
+        if arr.ndim == 1:
+            arr = arr[np.newaxis, :]
+        if arr.ndim != 2:
+            raise ConfigurationError(
+                f"records must be a (n_records, n_samples) array, got "
+                f"shape {arr.shape}"
+            )
+        if sample_rate is None or sample_rate <= 0:
+            raise ConfigurationError(
+                f"sample_rate must be > 0, got {sample_rate}"
+            )
+        fs = float(sample_rate)
+        step = _welch_params(nperseg, overlap, arr.shape[-1])
+        win = get_window(window, nperseg)
+        frames = frame_segments(arr, nperseg, step)  # (R, n_segments, nperseg)
+        n_segments = frames.shape[1]
+        accs = np.zeros((frames.shape[0], nperseg // 2 + 1))
+        for r in range(frames.shape[0]):
+            accumulate_spectral_power(
+                frames[r], win, accs[r], detrend, block_segments
+            )
+    psd = _one_sided_scale(accs, nperseg, fs * np.sum(win**2) * n_segments)
     freqs, enbw_hz = _welch_grid(win, nperseg, fs)
     return SpectrumBatch(freqs, psd, enbw_hz=enbw_hz)

@@ -35,13 +35,14 @@ Records travel packed (1 bit/sample,
 :class:`~repro.bitstream.PackedRecordBatch`), as the BIST latch keeps
 them in SoC memory: every acquirer hands back packed batches and the
 packed Welch unpacks one FFT block at a time.  Every record of every
-path comes from one call, ``acquire_bitstreams``.
+path, and of every experiment that analyzes raw spectra, comes from
+one call, :meth:`MeasurementEngine.acquire`.
 
-Random-number discipline: the engine spawns child generators in exactly
-the order the serial code paths do (``estimator.measure`` spawns
-``(hot, cold)``; ``RepeatedMeasurement`` spawns one child per repeat
-which then spawns ``(hot, cold)``), so every record is bit-exact equal
-to its serial counterpart and results are reproducible from one seed.
+Random-number discipline: ``measure`` spawns ``(hot, cold)`` from its
+generator, and ``run_batch`` (one child per repeat) and
+``measure_devices`` (one generator per device) spawn each pair the
+same way, so a batch row is bit-exact equal to ``measure`` with that
+generator and results are reproducible from one seed.
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ class BatchAcquirer(Protocol):
     Implementations return ``(records, sample_rate)`` where ``records``
     is a :class:`~repro.bitstream.PackedRecordBatch` with one row per
     requested state, row ``i`` the record for ``(states[i], rngs[i])``
-    — bit-exact equal to the corresponding serial acquisition when
-    unpacked.  Both :class:`~repro.instruments.testbench.
+    — a function of that pair alone, so a record is the same whether
+    it is acquired alone or stacked with others.  Both
+    :class:`~repro.instruments.testbench.
     PrototypeTestbench` and :class:`~repro.experiments.matlab_sim.
     MatlabSimulation` implement this protocol, and both take the
     optional ``rng_mode`` keyword.
@@ -366,8 +368,8 @@ class MeasurementEngine:
         """One two-state NF measurement, its hot and cold legs on two
         threads.
 
-        Mirrors ``estimator.measure(source.acquire_bitstream, rng)``
-        (same generator spawning, bit-exact records).  The hot and cold
+        Spawns ``(hot, cold)`` generators from ``rng`` and acquires
+        one record per state.  The hot and cold
         records are independent captures that meet only in the
         Y-factor, so each is acquired, checked and Welch-averaged on
         its own thread: the hot leg on a helper thread started for this
@@ -436,11 +438,10 @@ class MeasurementEngine:
     ) -> List[Optional[BISTResult]]:
         """``n_repeats`` independent NF measurements as one batch.
 
-        Mirrors the serial repeat loop of
-        :class:`~repro.core.averaging.RepeatedMeasurement`: one child
-        generator per repeat, each spawning its own hot/cold pair.  All
-        ``2 * n_repeats`` records are acquired as a single stack and
-        measured from one batched Welch pass.
+        One child generator per repeat, each spawning its own hot/cold
+        pair as :meth:`measure` does.  All ``2 * n_repeats`` records are
+        acquired as a single stack and measured from one batched Welch
+        pass.
 
         On the ``"process"`` backend the repeats are split into
         ``min(max_workers, n_repeats)`` contiguous chunks, and each pool
@@ -472,7 +473,7 @@ class MeasurementEngine:
             lambda s: (source, estimator, pairs[s], allow_failures),
         )
 
-    def _acquire(
+    def acquire(
         self,
         source: BatchAcquirer,
         states: Sequence[str],
@@ -480,9 +481,11 @@ class MeasurementEngine:
     ) -> Tuple[PackedRecordBatch, float]:
         """Acquire one packed record per ``(states[i], rngs[i])``.
 
-        The engine's ``rng_mode`` travels along to acquirers whose
-        signature accepts it; acquirers without the knob stay on their
-        (compat) path.  Anything but a
+        Returns ``(records, sample_rate)``; every engine path captures
+        here, timed as ``engine.acquire_seconds``.  The engine's
+        ``rng_mode`` travels along to acquirers whose signature accepts
+        it; acquirers without the knob stay on their (compat) path.
+        Anything but a
         :class:`~repro.bitstream.PackedRecordBatch` with one row per
         state is a :class:`~repro.errors.ConfigurationError`.
         """
@@ -516,7 +519,7 @@ class MeasurementEngine:
     ) -> Spectrum:
         """One leg of :meth:`measure`: acquire one record, check its
         rate and bits, and return its Welch PSD."""
-        records, sample_rate = self._acquire(source, [state], [rng])
+        records, sample_rate = self.acquire(source, [state], [rng])
         _check_rate(sample_rate, estimator.config)
         check_bitstream_samples(records, "batched")
         return self.spectra_of(records, sample_rate, estimator)[0]
@@ -533,7 +536,7 @@ class MeasurementEngine:
         for rng_hot, rng_cold in pairs:
             states += ["hot", "cold"]
             rngs += [rng_hot, rng_cold]
-        records, sample_rate = self._acquire(source, states, rngs)
+        records, sample_rate = self.acquire(source, states, rngs)
         _check_rate(sample_rate, estimator.config)
         check_bitstream_samples(records, "batched")
         batch = self.spectra_of(records, sample_rate, estimator)
@@ -690,7 +693,7 @@ class MeasurementEngine:
         """
         obs_t0 = time.monotonic() if obs.enabled() else 0.0
         device_records = [
-            self._acquire(source, ["hot", "cold"], pair)[0]
+            self.acquire(source, ["hot", "cold"], pair)[0]
             for source, pair in zip(sources, pairs)
         ]
         # Stacking rejects records of different lengths or rates.

@@ -18,6 +18,7 @@ import numpy as np
 from repro.analog.components import Attenuator
 from repro.analog.opamp import OpAmpNoiseModel
 from repro.constants import T0_KELVIN
+from repro.engine import MeasurementEngine
 from repro.errors import ConfigurationError
 from repro.instruments.testbench import build_prototype_testbench
 from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
@@ -78,6 +79,7 @@ def run_attenuator_chain(
     losses = [float(x) for x in losses_db]
     if not losses:
         raise ConfigurationError("need at least one attenuator setting")
+    engine = MeasurementEngine()
     model = OpAmpNoiseModel.from_expected_nf(
         target_nf_db, 600.0, feedback_parallel_ohm=99.0, gbw_hz=8e6,
         name=f"attchain_nf{target_nf_db:g}",
@@ -97,7 +99,7 @@ def run_attenuator_chain(
         if expected is None:
             expected = bench.expected_nf_db(500.0, 1500.0)
         estimator = bench.make_estimator()
-        result = estimator.measure(bench.acquire_bitstream, rng=rng)
+        result = engine.measure(bench, estimator, rng=rng)
         rows.append(
             AttenuatorRow(
                 loss_db=loss_db,

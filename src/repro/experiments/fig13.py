@@ -12,8 +12,9 @@ from typing import Optional, Tuple
 
 from repro.core.bist import BISTResult
 from repro.dsp.spectrum import Spectrum
+from repro.engine import MeasurementEngine
 from repro.instruments.testbench import PrototypeTestbench, build_prototype_testbench
-from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
+from repro.signals.random import GeneratorLike
 
 
 @dataclass(frozen=True)
@@ -48,24 +49,25 @@ def run_fig13(
     n_samples: int = 2**19,
     noise_band_hz: Tuple[float, float] = (500.0, 1500.0),
     seed: GeneratorLike = 2005,
+    engine: Optional[MeasurementEngine] = None,
 ) -> Fig13Result:
-    """Regenerate the figure-13 normalized-PSD view of the prototype."""
+    """Regenerate the figure-13 normalized-PSD view of the prototype.
+
+    Everything shown is in one ``engine.measure`` result, so a
+    store-backed ``engine`` serves a rerun from its store.
+    """
     if bench is None:
         bench = build_prototype_testbench(opamp, n_samples=n_samples)
+    engine = engine if engine is not None else MeasurementEngine()
     estimator = bench.make_estimator(noise_band_hz=noise_band_hz)
     normalizer = estimator.normalizer
 
-    gen = make_rng(seed)
-    rng_hot, rng_cold = spawn_rngs(gen, 2)
-    bits_hot = bench.acquire_bitstream("hot", rng_hot)
-    bits_cold = bench.acquire_bitstream("cold", rng_cold)
-    spec_hot = estimator.spectrum_of(bits_hot)
-    spec_cold = estimator.spectrum_of(bits_cold)
-    result = estimator.estimate_from_spectra(spec_hot, spec_cold)
+    result = engine.measure(bench, estimator, rng=seed)
     norm = result.normalization
 
-    zones_hot = normalizer.exclusion_zones(spec_hot, norm.line_frequency_hot_hz)
-    zones_cold = normalizer.exclusion_zones(spec_cold, norm.line_frequency_cold_hz)
+    # Normalized spectra keep the grid and ENBW the zones are built on.
+    zones_hot = normalizer.exclusion_zones(norm.hot, norm.line_frequency_hot_hz)
+    zones_cold = normalizer.exclusion_zones(norm.cold, norm.line_frequency_cold_hz)
     return Fig13Result(
         noise_band_hz=noise_band_hz,
         reference_frequency_hz=bench.reference.frequency_hz,

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.dsp.spectrum import Spectrum
+from repro.engine import MeasurementEngine
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
-from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
+from repro.signals.random import GeneratorLike, spawn_rngs
 
 
 @dataclass(frozen=True)
@@ -42,15 +43,15 @@ class Fig8Result:
 def run_fig8(
     config: Optional[MatlabSimConfig] = None,
     seed: GeneratorLike = 2005,
+    engine: Optional[MeasurementEngine] = None,
 ) -> Fig8Result:
     """Regenerate the figure-8 spectrum levels."""
     sim = MatlabSimulation(config)
-    gen = make_rng(seed)
-    rng_hot, rng_cold = spawn_rngs(gen, 2)
+    engine = engine if engine is not None else MeasurementEngine()
     estimator = sim.make_estimator()
 
-    spec_hot = estimator.spectrum_of(sim.bitstream("hot", rng_hot))
-    spec_cold = estimator.spectrum_of(sim.bitstream("cold", rng_cold))
+    records, rate = engine.acquire(sim, ["hot", "cold"], spawn_rngs(seed, 2))
+    spec_hot, spec_cold = engine.spectra_of(records, rate, estimator).spectra()
 
     normalizer = estimator.normalizer
     f_hot, line_hot = normalizer.line_power(spec_hot)

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.engine import MeasurementEngine
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
-from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
+from repro.signals.random import GeneratorLike, spawn_rngs
 
 
 @dataclass(frozen=True)
@@ -42,16 +43,16 @@ def run_fig9(
     config: Optional[MatlabSimConfig] = None,
     zoom_halfwidth_hz: float = 40.0,
     seed: GeneratorLike = 2005,
+    engine: Optional[MeasurementEngine] = None,
 ) -> Fig9Result:
     """Regenerate the figure-9 zoom comparison."""
     sim = MatlabSimulation(config)
-    gen = make_rng(seed)
-    rng_hot, rng_cold = spawn_rngs(gen, 2)
+    engine = engine if engine is not None else MeasurementEngine()
     estimator = sim.make_estimator()
     normalizer = estimator.normalizer
 
-    spec_hot = estimator.spectrum_of(sim.bitstream("hot", rng_hot))
-    spec_cold = estimator.spectrum_of(sim.bitstream("cold", rng_cold))
+    records, rate = engine.acquire(sim, ["hot", "cold"], spawn_rngs(seed, 2))
+    spec_hot, spec_cold = engine.spectra_of(records, rate, estimator).spectra()
     norm = normalizer.normalize_pair(spec_hot, spec_cold)
 
     f_ref = sim.config.reference_frequency_hz

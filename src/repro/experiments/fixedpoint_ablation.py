@@ -11,9 +11,10 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.analog.opamp import OpAmpNoiseModel
+from repro.engine import MeasurementEngine
 from repro.errors import ConfigurationError
 from repro.instruments.testbench import build_prototype_testbench
-from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
+from repro.signals.random import GeneratorLike, spawn_rngs
 from repro.soc.fixedpoint import FixedPointSpec, fixed_point_welch
 
 DEFAULT_SPECS = (
@@ -57,6 +58,7 @@ def run_fixedpoint(
     specs = list(specs)
     if not specs:
         raise ConfigurationError("need at least one word-length spec")
+    engine = MeasurementEngine()
 
     model = OpAmpNoiseModel.from_expected_nf(
         target_nf_db, 600.0, feedback_parallel_ohm=99.0, gbw_hz=8e6,
@@ -64,12 +66,11 @@ def run_fixedpoint(
     )
     bench = build_prototype_testbench(model, n_samples=n_samples)
     estimator = bench.make_estimator()
-    gen = make_rng(seed)
-    rng_hot, rng_cold = spawn_rngs(gen, 2)
-    bits_hot = bench.acquire_bitstream("hot", rng_hot)
-    bits_cold = bench.acquire_bitstream("cold", rng_cold)
-
-    float_result = estimator.estimate_from_bitstreams(bits_hot, bits_cold)
+    records, rate = engine.acquire(bench, ["hot", "cold"], spawn_rngs(seed, 2))
+    float_result = estimator.estimate_from_spectra(
+        *engine.spectra_of(records, rate, estimator).spectra()
+    )
+    bits_hot, bits_cold = (records[i].to_waveform() for i in range(2))
 
     points = []
     for window_bits, acc_bits in specs:

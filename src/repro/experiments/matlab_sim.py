@@ -132,18 +132,6 @@ class MatlabSimulation:
             self._reference = source.render(c.n_samples, c.sample_rate_hz)
         return self._reference
 
-    def bitstream(
-        self,
-        state: str,
-        rng: GeneratorLike = None,
-        digitizer: Optional[OneBitDigitizer] = None,
-    ) -> Waveform:
-        """Digitize one state's noise against the shared reference."""
-        dig = digitizer if digitizer is not None else OneBitDigitizer()
-        gen = make_rng(rng)
-        noise = self.render_noise(state, gen)
-        return dig.digitize(noise, self.reference_waveform(), gen)
-
     def _bernoulli_thresholds(self, state: str, dig: OneBitDigitizer):
         """u32 compare thresholds for direct packed-record synthesis.
 
@@ -188,8 +176,9 @@ class MatlabSimulation:
         protocol shared with :class:`~repro.instruments.testbench.
         PrototypeTestbench` — with the records a
         :class:`~repro.bitstream.PackedRecordBatch` (1 bit/sample).  In
-        compat mode unpacked row ``i`` is bit-exact equal to
-        ``bitstream(states[i], rngs[i]).samples``.  The acquisition
+        compat mode unpacked row ``i`` is bit-exact equal to the scalar
+        stage chain on ``rngs[i]``: :meth:`render_noise`, then
+        ``digitize``, both on that one generator.  The acquisition
         streams record by record: each record's analog noise is drawn
         at its own state's density into one pooled row and digitized
         to packed words before the next record overwrites it, so peak

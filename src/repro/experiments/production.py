@@ -287,7 +287,6 @@ def run_production(
     rows = []
     for sigmas in guardband_sigmas:
         screen = ProductionNfScreen(
-            tasks[-1].estimator,
             limit_db=limit_db,
             measurement_sigma_db=measurement_sigma_db,
             guardband_sigmas=float(sigmas),
@@ -447,7 +446,6 @@ def run_production_retest(
         true_values, samples_by_device, nperseg_by_device, device_rngs
     )
     screen = ProductionNfScreen(
-        tasks[-1].estimator,
         limit_db=limit_db,
         measurement_sigma_db=measurement_sigma_db,
         guardband_sigmas=float(retest_guardband_sigmas),
@@ -473,7 +471,6 @@ def run_production_retest(
     rows = []
     for sigmas in guardband_sigmas:
         merged_screen = ProductionNfScreen(
-            tasks[-1].estimator,
             limit_db=limit_db,
             measurement_sigma_db=measurement_sigma_db,
             guardband_sigmas=float(sigmas),

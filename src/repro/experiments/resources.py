@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.bist import BISTResult
+from repro.engine import MeasurementEngine
 from repro.instruments.testbench import PrototypeTestbench, build_prototype_testbench
 from repro.signals.random import GeneratorLike
 from repro.soc.bist_controller import BISTController, ResourceReport
@@ -51,17 +52,25 @@ def run_resources(
     memory_capacity_bytes: int = 512 * 1024,
     clock_hz: float = 100e6,
     seed: GeneratorLike = 2005,
+    engine: Optional[MeasurementEngine] = None,
 ) -> ResourcesResult:
-    """Measure once through the SoC controller and account resources."""
+    """Measure once through the SoC controller and account resources.
+
+    Each capture the controller asks for is a one-record ``engine.acquire``.
+    """
     if bench is None:
         bench = build_prototype_testbench(opamp, n_samples=n_samples)
+    engine = engine if engine is not None else MeasurementEngine()
     estimator = bench.make_estimator()
     controller = BISTController(
         estimator,
         SampleMemory(memory_capacity_bytes),
         DSPProcessor(clock_hz=clock_hz),
     )
-    outcome = controller.run(bench.acquire_bitstream, rng=seed)
+    outcome = controller.run(
+        lambda state, rng: engine.acquire(bench, [state], [rng])[0][0],
+        rng=seed,
+    )
     from repro.soc.streaming import StreamingWelch
 
     # Packed accumulator: the reported working set is the real

@@ -16,8 +16,9 @@ from repro.analog.noise_analysis import expected_noise_figure_db, noise_budget
 from repro.analog.opamp import OpAmpNoiseModel
 from repro.constants import T0_KELVIN
 from repro.core.spot_nf import SpotNoiseFigureSweep, octave_bands
+from repro.engine import MeasurementEngine
 from repro.instruments.testbench import build_prototype_testbench
-from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
+from repro.signals.random import GeneratorLike, spawn_rngs
 
 #: A flicker-heavy device: 3 kHz 1/f corner puts several dB of NF slope
 #: inside the measurement span.
@@ -84,6 +85,7 @@ def run_spot_nf(
     n_bands: int = 4,
     n_samples: int = 2**19,
     seed: GeneratorLike = 2005,
+    engine: Optional[MeasurementEngine] = None,
 ) -> SpotNfExperimentResult:
     """Measure NF per octave band and compare against the analysis.
 
@@ -92,6 +94,7 @@ def run_spot_nf(
     high-flicker band would collapse Y toward 1 (see EXPERIMENTS.md).
     """
     model = opamp if opamp is not None else FLICKER_OPAMP
+    engine = engine if engine is not None else MeasurementEngine()
     probe = NonInvertingAmplifier(model, 10_000.0, 100.0, 600.0)
     worst_te = (
         noise_budget(probe, f_start_hz, 2.0 * f_start_hz).noise_factor - 1.0
@@ -107,10 +110,8 @@ def run_spot_nf(
 
     estimator = bench.make_estimator()
     sweep = SpotNoiseFigureSweep(estimator, bands)
-    gen = make_rng(seed)
-    rng_hot, rng_cold = spawn_rngs(gen, 2)
-    bits_hot = bench.acquire_bitstream("hot", rng_hot)
-    bits_cold = bench.acquire_bitstream("cold", rng_cold)
+    records, _ = engine.acquire(bench, ["hot", "cold"], spawn_rngs(seed, 2))
+    bits_hot, bits_cold = (records[i].to_waveform() for i in range(2))
     linear = sweep.estimate(bits_hot, bits_cold)
 
     # Van Vleck-corrected path (Blackman-Tukey on the inverted

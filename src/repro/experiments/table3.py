@@ -18,7 +18,7 @@ Two modes (DESIGN.md section 2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from repro.analog.amplifier import NonInvertingAmplifier
 from repro.analog.noise_analysis import noise_budget
 from repro.analog.opamp import OPAMP_LIBRARY, OpAmpNoiseModel
 from repro.constants import T0_KELVIN
+from repro.engine import MeasurementEngine
 from repro.errors import ConfigurationError
 from repro.instruments.testbench import build_prototype_testbench
 from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
@@ -117,10 +118,15 @@ def run_table3(
     source_resistance_ohm: float = 600.0,
     noise_band_hz: Tuple[float, float] = (500.0, 1500.0),
     seed: GeneratorLike = 2005,
+    engine: Optional[MeasurementEngine] = None,
 ) -> Table3Result:
-    """Regenerate Table 3: measure all four opamps with the 1-bit BIST."""
+    """Regenerate Table 3: measure all four opamps with the 1-bit BIST.
+
+    A store-backed ``engine`` serves the rows it holds from its store.
+    """
     if mode not in _MODES:
         raise ConfigurationError(f"mode must be one of {_MODES}, got {mode!r}")
+    engine = engine if engine is not None else MeasurementEngine()
     gen = make_rng(seed)
     rngs = spawn_rngs(gen, len(PAPER_TABLE3))
 
@@ -131,7 +137,7 @@ def run_table3(
         )
         estimator = bench.make_estimator(noise_band_hz=noise_band_hz)
         expected = bench.expected_nf_db(*noise_band_hz)
-        result = estimator.measure(bench.acquire_bitstream, rng=rng)
+        result = engine.measure(bench, estimator, rng=rng)
         rows.append(
             Table3Row(
                 opamp=name,

@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.digitizer.arcsine import corrected_psd
+from repro.engine import MeasurementEngine
 from repro.errors import MeasurementError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
-from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
+from repro.signals.random import GeneratorLike, spawn_rngs
 
 DEFAULT_RATIOS = (0.15, 0.30, 0.50, 0.70)
 
@@ -48,29 +49,28 @@ def run_vanvleck(
     base = config if config is not None else MatlabSimConfig(
         n_samples=250_000, nperseg=5000
     )
-    gen = make_rng(seed)
-    rngs = spawn_rngs(gen, len(tuple(ratios)))
+    engine = MeasurementEngine()
+    ratios = tuple(ratios)
+    rngs = spawn_rngs(seed, len(ratios))
     true_ratio = MatlabSimulation(base).true_power_ratio
+
+    def error_of(y: float) -> float:
+        return 100.0 * (y - true_ratio) / true_ratio
 
     points = []
     for ratio, rng in zip(ratios, rngs):
         sim = MatlabSimulation(replace(base, reference_ratio=ratio))
         estimator = sim.make_estimator()
-        rng_hot, rng_cold = spawn_rngs(rng, 2)
-        bits_hot = sim.bitstream("hot", rng_hot)
-        bits_cold = sim.bitstream("cold", rng_cold)
-
-        def error_of(y: float) -> float:
-            return 100.0 * (y - true_ratio) / true_ratio
-
+        records, rate = engine.acquire(sim, ["hot", "cold"], spawn_rngs(rng, 2))
+        spectra = engine.spectra_of(records, rate, estimator).spectra()
         try:
-            linear = estimator.estimate_from_bitstreams(bits_hot, bits_cold)
+            linear = estimator.estimate_from_spectra(*spectra)
             err_linear = error_of(linear.y)
         except MeasurementError:
             err_linear = None
         try:
-            spec_hot = corrected_psd(bits_hot, max_lag)
-            spec_cold = corrected_psd(bits_cold, max_lag)
+            spec_hot = corrected_psd(records[0].to_waveform(), max_lag)
+            spec_cold = corrected_psd(records[1].to_waveform(), max_lag)
             corrected = estimator.estimate_from_spectra(spec_hot, spec_cold)
             err_corrected = error_of(corrected.y)
         except MeasurementError:

@@ -129,30 +129,20 @@ class PrototypeTestbench:
             self._reference_cache = cache
         return cache[3]
 
-    def acquire_bitstream(
-        self, state: str, rng: GeneratorLike = None
-    ) -> Waveform:
-        """Capture one state's bitstream (analog chain + digitizer)."""
-        gen = make_rng(rng)
-        analog_rng, dig_rng = spawn_rngs(gen, 2)
-        analog = self.analog_output(state, analog_rng)
-        return self.digitizer.digitize(
-            analog, self.reference_waveform(), dig_rng
-        )
-
     def acquire_analog_batch(self, states, rngs, rng_mode: str = "compat"):
         """Run the analog front-end for a batch of records.
 
         Returns ``(analog, reference, dig_rngs, sample_rate,
-        digitizer)``.  Each record's generator is split into an analog
-        and a digitizer generator exactly as in
-        :meth:`acquire_bitstream`, and the digitizer generators are
+        digitizer)``.  Each record's generator ``r`` is split into an
+        analog and a digitizer generator, ``(a, d) = spawn_rngs(r, 2)``,
+        exactly as in :meth:`acquire_bitstreams`, and the ``d`` are
         handed back un-consumed, so a later ``digitize_batch`` is
-        bit-exact vs the scalar path.
+        bit-exact vs :meth:`acquire_bitstreams`.
 
         ``rng_mode="compat"`` renders the chain stage by stage (source,
         DUT noise and pole, post-amplifier noise and pole), row ``i``
-        bit-exact equal to :meth:`analog_output`.  ``rng_mode="philox"``
+        bit-exact equal to ``analog_output(states[i], a)``, not
+        ``analog_output(states[i], r)``.  ``rng_mode="philox"``
         draws each record in one step from a counter stream keyed by
         its analog generator: a complex Gaussian half-spectrum scaled
         by the square root of :meth:`analog_psd`, then one ``irfft``
@@ -232,12 +222,13 @@ class PrototypeTestbench:
     ) -> Tuple[PackedRecordBatch, float]:
         """Capture a batch of bitstreams as one packed record batch.
 
-        ``states`` and ``rngs`` are equal-length sequences; unpacked
-        row ``i`` is bit-exact equal to ``acquire_bitstream(states[i],
-        rngs[i]).samples``.  The whole analog chain — source rendering,
-        both amplifiers, the digitizer — runs on stacked arrays with
-        per-record child generators spawned exactly as in the scalar
-        path.  Returns ``(records, output_sample_rate)`` with the
+        ``states`` and ``rngs`` are equal-length sequences; in compat
+        mode unpacked row ``i`` is bit-exact equal to the scalar stage
+        chain: :meth:`analog_output` with the analog generator, then
+        ``digitizer.digitize`` with the digitizer one.  The whole analog
+        chain — source rendering, both amplifiers, the digitizer — runs
+        on stacked arrays with those per-record child generators.
+        Returns ``(records, output_sample_rate)`` with the
         records a :class:`~repro.bitstream.PackedRecordBatch` (1
         bit/sample).  ``rng_mode="philox"`` draws the analog records by
         spectral synthesis (see :meth:`acquire_analog_batch`) into

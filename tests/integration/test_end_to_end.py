@@ -7,6 +7,7 @@ and check the paper's structural claims.
 
 import pytest
 
+from repro import MeasurementEngine
 from repro.analog.opamp import OpAmpNoiseModel
 from repro.core.yfactor import YFactorMethod
 from repro.digitizer.comparator import Comparator
@@ -18,11 +19,18 @@ N_FAST = 2**17
 N_SLOW = 2**18
 
 
+def measure(bench, rng, estimator=None):
+    """One two-state measurement of ``bench`` on a compat engine."""
+    if estimator is None:
+        estimator = bench.make_estimator()
+    return MeasurementEngine().measure(bench, estimator, rng=rng)
+
+
 class TestPrototypeMeasurement:
     def test_bist_tracks_expected_nf_op27(self):
         bench = build_prototype_testbench("OP27", n_samples=N_SLOW)
         est = bench.make_estimator()
-        result = est.measure(bench.acquire_bitstream, rng=42)
+        result = measure(bench, 42, est)
         expected = bench.expected_nf_db(500.0, 1500.0)
         assert result.noise_figure_db == pytest.approx(expected, abs=1.0)
 
@@ -31,7 +39,7 @@ class TestPrototypeMeasurement:
         # the same bench (the paper's implicit validation).
         bench = build_prototype_testbench("OP07", n_samples=N_SLOW)
         est = bench.make_estimator()
-        onebit = est.measure(bench.acquire_bitstream, rng=11)
+        onebit = measure(bench, 11, est)
 
         yf = YFactorMethod(2900.0, 290.0)
         hot = bench.analog_output("hot", rng=12)
@@ -51,9 +59,7 @@ class TestPrototypeMeasurement:
         for name in ("OP27", "CA3140"):
             bench = build_prototype_testbench(name, n_samples=N_FAST)
             est = bench.make_estimator()
-            measured[name] = est.measure(
-                bench.acquire_bitstream, rng=21
-            ).noise_figure_db
+            measured[name] = measure(bench, 21, est).noise_figure_db
         assert measured["OP27"] < measured["CA3140"] - 5.0
 
     def test_synthesized_target_nf_recovered(self):
@@ -63,7 +69,7 @@ class TestPrototypeMeasurement:
         )
         bench = build_prototype_testbench(model, n_samples=N_SLOW)
         est = bench.make_estimator()
-        result = est.measure(bench.acquire_bitstream, rng=31)
+        result = measure(bench, 31, est)
         assert result.noise_figure_db == pytest.approx(target, abs=1.0)
 
     def test_hot_level_bias_shifts_nf_down(self):
@@ -75,12 +81,8 @@ class TestPrototypeMeasurement:
         biased = build_prototype_testbench(
             model, n_samples=N_FAST, hot_level_error=0.3
         )
-        nf_clean = clean.make_estimator().measure(
-            clean.acquire_bitstream, rng=5
-        ).noise_figure_db
-        nf_biased = biased.make_estimator().measure(
-            biased.acquire_bitstream, rng=5
-        ).noise_figure_db
+        nf_clean = measure(clean, 5).noise_figure_db
+        nf_biased = measure(biased, 5).noise_figure_db
         assert nf_biased < nf_clean - 0.5
 
 
@@ -97,12 +99,8 @@ class TestComparatorNonidealities:
             n_samples=N_SLOW,
             digitizer=OneBitDigitizer(comparator=Comparator(offset_v=offset)),
         )
-        nf_ideal = ideal_bench.make_estimator().measure(
-            ideal_bench.acquire_bitstream, rng=8
-        ).noise_figure_db
-        nf_offset = offset_bench.make_estimator().measure(
-            offset_bench.acquire_bitstream, rng=8
-        ).noise_figure_db
+        nf_ideal = measure(ideal_bench, 8).noise_figure_db
+        nf_offset = measure(offset_bench, 8).noise_figure_db
         assert nf_offset == pytest.approx(nf_ideal, abs=0.5)
 
     def test_comparator_noise_tolerated(self):
@@ -120,10 +118,6 @@ class TestComparatorNonidealities:
                 comparator=Comparator(input_noise_rms=noise_rms)
             ),
         )
-        nf_a = bench.make_estimator().measure(
-            bench.acquire_bitstream, rng=9
-        ).noise_figure_db
-        nf_b = noisy_bench.make_estimator().measure(
-            noisy_bench.acquire_bitstream, rng=9
-        ).noise_figure_db
+        nf_a = measure(bench, 9).noise_figure_db
+        nf_b = measure(noisy_bench, 9).noise_figure_db
         assert nf_b == pytest.approx(nf_a, abs=0.6)

@@ -106,11 +106,11 @@ class TestStreamingMatchesLoop:
 
 
 class TestBatchAcquisitionBitExact:
-    def test_testbench_rows_equal_serial(self):
+    def test_testbench_rows_equal_serial(self, stage_chain):
         bench = build_prototype_testbench(n_samples=2**14)
         states = ("hot", "cold", "hot", "cold")
         serial = [
-            bench.acquire_bitstream(state, child).samples
+            stage_chain(bench, state, child).samples
             for state, child in zip(states, spawn_rngs(make_rng(21), 4))
         ]
         bits, rate = bench.acquire_bitstreams(
@@ -121,11 +121,11 @@ class TestBatchAcquisitionBitExact:
         for i in range(4):
             assert np.array_equal(rows[i], serial[i])
 
-    def test_matlab_sim_rows_equal_serial(self):
+    def test_matlab_sim_rows_equal_serial(self, stage_chain):
         sim = MatlabSimulation(MatlabSimConfig(n_samples=40_000, nperseg=2000))
         states = ("hot", "cold")
         serial = [
-            sim.bitstream(state, child).samples
+            stage_chain(sim, state, child).samples
             for state, child in zip(states, spawn_rngs(make_rng(8), 2))
         ]
         bits, _ = sim.acquire_bitstreams(states, spawn_rngs(make_rng(8), 2))
@@ -158,21 +158,32 @@ class TestBatchAcquisitionBitExact:
 
 
 class TestEngineMatchesSerialMeasurements:
-    def test_measure_equals_estimator_measure(self):
+    def test_measure_equals_estimator_measure(self, stage_chain):
+        # The engine's two-thread measure equals the estimator run on
+        # the scalar stage chain's float records, bit for bit.
         sim = MatlabSimulation(MatlabSimConfig(n_samples=100_000, nperseg=5000))
         est = sim.make_estimator()
-        serial = est.measure(lambda s, r: sim.bitstream(s, r), rng=31)
-        batched = MeasurementEngine().measure(sim, est, rng=31)
-        assert batched.noise_figure_db == pytest.approx(
-            serial.noise_figure_db, abs=1e-9
+        hot, cold = (
+            stage_chain(sim, state, child)
+            for state, child in zip(("hot", "cold"), spawn_rngs(make_rng(31), 2))
         )
-        assert batched.y == pytest.approx(serial.y, rel=1e-10)
+        serial = est.estimate_from_bitstreams(hot, cold)
+        batched = MeasurementEngine().measure(sim, est, rng=31)
+        assert batched.noise_figure_db == serial.noise_figure_db
+        assert batched.y == serial.y
 
     def test_run_batch_equals_repeated_measurement(self):
+        # Repeat i of a batch is the single measurement of child i, and
+        # RepeatedMeasurement summarizes exactly those values.
         bench = build_prototype_testbench(n_samples=2**15)
         est = bench.make_estimator()
-        rep = RepeatedMeasurement(est, n_repeats=3)
-        serial = rep.measure(bench.acquire_bitstream, rng=13)
-        results = MeasurementEngine().run_batch(bench, est, 3, rng=13)
-        for serial_nf, result in zip(serial.nf_values_db, results):
-            assert result.noise_figure_db == pytest.approx(serial_nf, abs=1e-9)
+        engine = MeasurementEngine()
+        results = engine.run_batch(bench, est, 3, rng=13)
+        singles = [
+            engine.measure(bench, est, rng=child)
+            for child in spawn_rngs(make_rng(13), 3)
+        ]
+        averaged = RepeatedMeasurement(est, n_repeats=3).measure(bench, rng=13)
+        nfs = [r.noise_figure_db for r in results]
+        assert nfs == [r.noise_figure_db for r in singles]
+        assert nfs == list(averaged.nf_values_db)

@@ -3,6 +3,7 @@ must regenerate with the paper's qualitative structure intact."""
 
 import pytest
 
+from repro.engine import MeasurementEngine
 from repro.experiments.fig7 import run_fig7
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
@@ -16,9 +17,25 @@ from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
 from repro.experiments.uncertainty import run_uncertainty
 from repro.experiments.vanvleck import run_vanvleck
+from repro.instruments.testbench import PrototypeTestbench
+from repro.store import ResultStore
 
 # Reduced-size Matlab-sim config for fast tests (keeps 60 Hz on-bin).
 FAST_SIM = MatlabSimConfig(n_samples=250_000, nperseg=5000)
+
+
+@pytest.fixture
+def testbench_acquisitions(monkeypatch):
+    """Every state a testbench acquires from here on, in call order."""
+    states = []
+    acquire = PrototypeTestbench.acquire_bitstreams
+
+    def counting(self, batch_states, rngs, **kwargs):
+        states.extend(batch_states)
+        return acquire(self, batch_states, rngs, **kwargs)
+
+    monkeypatch.setattr(PrototypeTestbench, "acquire_bitstreams", counting)
+    return states
 
 
 class TestTable1:
@@ -82,6 +99,21 @@ class TestTable3:
         with pytest.raises(ConfigurationError):
             run_table3(mode="magic")
 
+    def test_store_backed_rerun_acquires_nothing(
+        self, tmp_path, testbench_acquisitions
+    ):
+        engine = MeasurementEngine(store=ResultStore(tmp_path / "s"))
+        first = run_table3(
+            mode="paper", n_samples=2**16, seed=2005, engine=engine
+        )
+        assert len(testbench_acquisitions) == 8  # 4 opamps x (hot, cold)
+        testbench_acquisitions.clear()
+        second = run_table3(
+            mode="paper", n_samples=2**16, seed=2005, engine=engine
+        )
+        assert testbench_acquisitions == []
+        assert second.rows == first.rows
+
 
 class TestFig7:
     def test_reference_constant_and_ratio_correct(self):
@@ -133,6 +165,18 @@ class TestFig13:
         result = run_fig13(n_samples=2**17, seed=13)
         assert result.floor_ratio_after == pytest.approx(result.bist.y, rel=0.3)
         assert abs(result.nf_error_db) < 1.5
+
+    def test_store_backed_rerun_acquires_nothing(
+        self, tmp_path, testbench_acquisitions
+    ):
+        engine = MeasurementEngine(store=ResultStore(tmp_path / "s"))
+        first = run_fig13(n_samples=2**15, seed=13, engine=engine)
+        assert len(testbench_acquisitions) == 2
+        testbench_acquisitions.clear()
+        second = run_fig13(n_samples=2**15, seed=13, engine=engine)
+        assert testbench_acquisitions == []
+        assert second.floor_ratio_after == first.floor_ratio_after
+        assert second.bist.noise_figure_db == first.bist.noise_figure_db
 
 
 class TestGainSensitivity:
@@ -186,3 +230,12 @@ class TestVanVleck:
         for p in result.points:
             assert p.error_linear_pct is not None
             assert p.error_corrected_pct is not None
+
+    def test_ratios_may_be_an_iterator(self):
+        config = MatlabSimConfig(n_samples=40_000, nperseg=2000)
+        from_iterator = run_vanvleck(
+            ratios=(r for r in (0.15, 0.3)), config=config
+        )
+        from_tuple = run_vanvleck(ratios=(0.15, 0.3), config=config)
+        assert len(from_iterator.points) == 2
+        assert from_iterator.points == from_tuple.points

@@ -44,14 +44,14 @@ def _mixed_tasks(seed, sims):
 # (a) compat bit-identity
 # ----------------------------------------------------------------------
 class TestCompatBitIdentity:
-    def test_packed_acquisition_matches_serial(self):
+    def test_packed_acquisition_matches_serial(self, stage_chain):
         sim = MatlabSimulation(SMALL)
         batch, rate = sim.acquire_bitstreams(
             ["hot", "cold"], spawn_rngs(2005, 2), rng_mode="compat"
         )
         replay = spawn_rngs(2005, 2)
         for i, state in enumerate(["hot", "cold"]):
-            serial = sim.bitstream(state, replay[i])
+            serial = stage_chain(sim, state, replay[i])
             assert np.array_equal(batch[i].unpack(), serial.samples)
 
     def test_compat_engine_equals_default_engine(self):
@@ -64,16 +64,21 @@ class TestCompatBitIdentity:
         assert compat.noise_figure_db == default.noise_figure_db
         assert compat.y == default.y
 
-    def test_compat_engine_equals_seed_serial_measure(self):
+    def test_compat_engine_equals_seed_serial_measure(self, stage_chain):
         sim = MatlabSimulation(SMALL)
         estimator = sim.make_estimator()
         engine_nf = MeasurementEngine(rng_mode="compat").measure(
             sim, estimator, rng=2005
         )
-        serial_nf = estimator.measure(sim.bitstream, rng=2005)
+        serial_nf = estimator.estimate_from_bitstreams(
+            *(
+                stage_chain(sim, state, rng)
+                for state, rng in zip(("hot", "cold"), spawn_rngs(2005, 2))
+            )
+        )
         assert engine_nf.noise_figure_db == serial_nf.noise_figure_db
 
-    def test_testbench_compat_rows_bit_identical(self):
+    def test_testbench_compat_rows_bit_identical(self, stage_chain):
         bench = build_prototype_testbench(n_samples=2**14)
         rngs = spawn_rngs(7, 2)
         records, rate = bench.acquire_bitstreams(
@@ -81,7 +86,7 @@ class TestCompatBitIdentity:
         )
         replay = spawn_rngs(7, 2)
         for i, state in enumerate(["hot", "cold"]):
-            serial = bench.acquire_bitstream(state, replay[i])
+            serial = stage_chain(bench, state, replay[i])
             assert np.array_equal(records[i].unpack(), serial.samples)
 
     def test_scheduler_compat_default_unchanged(self):

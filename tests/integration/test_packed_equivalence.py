@@ -35,11 +35,14 @@ def rel_diff(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-def serial_records(sim, states, seed):
-    """The serial float reference: one ``sim.bitstream`` per record."""
+def serial_records(stage_chain, sim, states, seed):
+    """The serial float reference: one scalar stage chain per record."""
     rngs = spawn_rngs(make_rng(seed), len(states))
     return np.vstack(
-        [sim.bitstream(state, rng).samples for state, rng in zip(states, rngs)]
+        [
+            stage_chain(sim, state, rng).samples
+            for state, rng in zip(states, rngs)
+        ]
     )
 
 
@@ -195,13 +198,13 @@ class TestEngineBackendsEquivalence:
     def sim(self):
         return MatlabSimulation(MatlabSimConfig(n_samples=50000, nperseg=2000))
 
-    def test_serial_engine_packed_matches_float(self, sim):
+    def test_serial_engine_packed_matches_float(self, sim, stage_chain):
         estimator = sim.make_estimator()
         states = ["hot", "cold", "hot", "cold"]
         packed_records, rate = sim.acquire_bitstreams(
             states, spawn_rngs(make_rng(31), 4)
         )
-        float_records = serial_records(sim, states, 31)
+        float_records = serial_records(stage_chain, sim, states, 31)
         assert isinstance(packed_records, PackedRecordBatch)
         assert np.array_equal(packed_records.unpack(), float_records)
         engine = MeasurementEngine()
@@ -209,13 +212,13 @@ class TestEngineBackendsEquivalence:
         float_psd = engine.spectra_of(float_records, rate, estimator)
         assert rel_diff(packed_psd.psd, float_psd.psd) <= TOL
 
-    def test_process_engine_packed_matches_float(self, sim):
+    def test_process_engine_packed_matches_float(self, sim, stage_chain):
         estimator = sim.make_estimator()
         states = ["hot", "cold", "hot", "cold"]
         packed_records, rate = sim.acquire_bitstreams(
             states, spawn_rngs(make_rng(77), 4)
         )
-        float_records = serial_records(sim, states, 77)
+        float_records = serial_records(stage_chain, sim, states, 77)
         with MeasurementEngine(backend="process", max_workers=2) as process_engine:
             process_psd = process_engine.spectra_of(
                 packed_records, rate, estimator
@@ -225,13 +228,21 @@ class TestEngineBackendsEquivalence:
         )
         assert rel_diff(process_psd.psd, float_psd.psd) <= TOL
 
-    def test_run_batch_identical_across_backends_and_packing(self, sim):
-        # The serial reference: one estimator.measure per repeat child.
+    def test_run_batch_identical_across_backends_and_packing(
+        self, sim, stage_chain
+    ):
+        # The serial reference: the estimator on one scalar stage-chain
+        # pair per repeat child.
         estimator = sim.make_estimator()
-        reference = [
-            estimator.measure(sim.bitstream, rng=child).noise_figure_db
-            for child in spawn_rngs(make_rng(7), 3)
-        ]
+        reference = []
+        for child in spawn_rngs(make_rng(7), 3):
+            hot, cold = (
+                stage_chain(sim, state, rng)
+                for state, rng in zip(("hot", "cold"), spawn_rngs(child, 2))
+            )
+            reference.append(
+                estimator.estimate_from_bitstreams(hot, cold).noise_figure_db
+            )
         runs = {}
         for backend in ("serial", "process"):
             with MeasurementEngine(backend=backend, max_workers=2) as engine:
@@ -257,11 +268,11 @@ class TestEngineBackendsEquivalence:
             with pytest.raises(ConfigurationError):
                 engine.spectra_of(records, rate / 2.0, estimator)
 
-    def test_packed_records_are_64x_smaller(self, sim):
+    def test_packed_records_are_64x_smaller(self, sim, stage_chain):
         packed_records, _ = sim.acquire_bitstreams(
             ["hot", "cold"], spawn_rngs(make_rng(5), 2)
         )
-        float_records = serial_records(sim, ["hot", "cold"], 5)
+        float_records = serial_records(stage_chain, sim, ["hot", "cold"], 5)
         assert float_records.nbytes / packed_records.nbytes == 64.0
 
 

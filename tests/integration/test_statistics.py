@@ -7,6 +7,7 @@ estimator's statistical behaviour — the quantities EXPERIMENTS.md quotes.
 import numpy as np
 import pytest
 
+from repro import MeasurementEngine
 from repro.analog.opamp import OpAmpNoiseModel
 from repro.core.averaging import RepeatedMeasurement
 from repro.instruments.testbench import build_prototype_testbench
@@ -20,8 +21,9 @@ def nf6_population():
     )
     bench = build_prototype_testbench(model, n_samples=2**17)
     estimator = bench.make_estimator()
+    engine = MeasurementEngine()
     values = [
-        estimator.measure(bench.acquire_bitstream, rng=3000 + s).noise_figure_db
+        engine.measure(bench, estimator, rng=3000 + s).noise_figure_db
         for s in range(20)
     ]
     return np.asarray(values), bench.expected_nf_db(500.0, 1500.0)
@@ -52,7 +54,7 @@ class TestEstimatorStatistics:
         )
         bench = build_prototype_testbench(model, n_samples=2**17)
         rm = RepeatedMeasurement(bench.make_estimator(), n_repeats=6)
-        result = rm.measure(bench.acquire_bitstream, rng=77)
+        result = rm.measure(bench, rng=77)
         low, high = result.confidence_interval_db
         expected = bench.expected_nf_db(500.0, 1500.0)
         # A 95 % CI from 6 repeats should usually cover; allow a small

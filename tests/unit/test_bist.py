@@ -132,19 +132,6 @@ class TestEstimation:
         yfr = result.y_factor_result
         assert yfr.y == result.y
 
-    def test_measure_drives_acquisition(self):
-        est = OneBitNoiseFigureBIST(make_config(n_samples=200000), 2900.0, 290.0)
-        calls = []
-
-        def acquire(state, rng):
-            calls.append(state)
-            bits_hot, bits_cold = synth_bitstreams(n=200000, seed=6)
-            return bits_hot if state == "hot" else bits_cold
-
-        result = est.measure(acquire, rng=1)
-        assert calls == ["hot", "cold"]
-        assert result.noise_figure_db > 0
-
     def test_spectrum_of_uses_config(self):
         bits_hot, _ = synth_bitstreams(n=200000, seed=7)
         est = OneBitNoiseFigureBIST(make_config(n_samples=200000), 2900.0, 290.0)

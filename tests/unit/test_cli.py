@@ -178,6 +178,25 @@ class TestStoreOptions:
         assert resumed["measured_nf_db"] == cold["measured_nf_db"]
         assert resumed["rows"] == cold["rows"]
 
+    @pytest.mark.parametrize("experiment", ["table3", "fig13"])
+    def test_store_backed_rerun_acquires_nothing(
+        self, experiment, tmp_path, capsys, monkeypatch
+    ):
+        from repro.instruments.testbench import PrototypeTestbench
+
+        argv = ["run", experiment, "--fast", "--store", str(tmp_path / "s")]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+
+        def no_acquisition(self, states, rngs, **kwargs):
+            raise AssertionError("a stored measurement was acquired again")
+
+        monkeypatch.setattr(
+            PrototypeTestbench, "acquire_bitstreams", no_acquisition
+        )
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+
 
 class TestStoreSubcommand:
     def _populate(self, store_dir):

@@ -137,14 +137,14 @@ class TestRunBatch:
                 BadSource(), sim.make_estimator(), 1, rng=1
             )
 
-    def test_float_stack_rejected(self):
+    def test_float_stack_rejected(self, stage_chain):
         # A valid +/-1 float stack is still not a packed record batch.
         sim = small_sim()
 
         class FloatSource:
             def acquire_bitstreams(self, states, rngs):
                 records = [
-                    sim.bitstream(state, rng).samples
+                    stage_chain(sim, state, rng).samples
                     for state, rng in zip(states, rngs)
                 ]
                 return np.vstack(records), sim.config.sample_rate_hz
@@ -277,15 +277,22 @@ class TestMeasureLegs:
 
 
 class TestMeasureBatchAveraging:
-    def test_statistics_match_serial(self):
+    def test_statistics_match_serial(self, stage_chain):
+        # The serial reference: the estimator on one scalar stage-chain
+        # pair per repeat child.
         sim = small_sim()
         est = sim.make_estimator()
-        rep = RepeatedMeasurement(est, n_repeats=3)
-        serial = rep.measure(lambda s, r: sim.bitstream(s, r), rng=4)
-        batched = rep.measure_batch(sim, rng=4)
-        assert batched.n_measurements == serial.n_measurements
-        assert batched.nf_mean_db == pytest.approx(serial.nf_mean_db, abs=1e-9)
-        assert batched.nf_std_db == pytest.approx(serial.nf_std_db, abs=1e-9)
+        serial = []
+        for child in spawn_rngs(make_rng(4), 3):
+            hot, cold = (
+                stage_chain(sim, state, rng)
+                for state, rng in zip(("hot", "cold"), spawn_rngs(child, 2))
+            )
+            serial.append(est.estimate_from_bitstreams(hot, cold).noise_figure_db)
+        batched = RepeatedMeasurement(est, n_repeats=3).measure(sim, rng=4)
+        assert batched.nf_values_db == tuple(serial)
+        assert batched.nf_mean_db == float(np.mean(serial))
+        assert batched.nf_std_db == float(np.std(serial, ddof=1))
 
 
 class TestMapSweep:

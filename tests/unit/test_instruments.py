@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analog.opamp import OPAMP_LIBRARY, OpAmpNoiseModel
+from repro.engine import MeasurementEngine
 from repro.errors import ConfigurationError
 from repro.instruments.function_generator import FunctionGenerator
 from repro.instruments.scope import LogicScope
@@ -121,9 +122,9 @@ class TestTestbenchBehaviour:
 
     def test_acquire_bitstream_is_pm1(self):
         bench = build_prototype_testbench(n_samples=2**14)
-        bits = bench.acquire_bitstream("cold", rng=4)
-        assert set(np.unique(bits.samples)) <= {-1.0, 1.0}
-        assert len(bits) == 2**14
+        records, _ = MeasurementEngine().acquire(bench, ["cold"], [4])
+        assert set(np.unique(records[0].unpack())) <= {-1.0, 1.0}
+        assert records.n_samples == 2**14
 
     def test_expected_nf_reasonable_for_op27(self):
         bench = build_prototype_testbench("OP27", n_samples=2**14)

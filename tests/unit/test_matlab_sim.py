@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import MeasurementEngine
 from repro.errors import ConfigurationError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 
@@ -62,8 +63,10 @@ class TestSimulation:
 
     def test_bitstream_is_pm_one(self):
         cfg = MatlabSimConfig(n_samples=20000, nperseg=5000)
-        bits = MatlabSimulation(cfg).bitstream("cold", rng=3)
-        assert set(np.unique(bits.samples)) <= {-1.0, 1.0}
+        records, _ = MeasurementEngine().acquire(
+            MatlabSimulation(cfg), ["cold"], [3]
+        )
+        assert set(np.unique(records[0].unpack())) <= {-1.0, 1.0}
 
     def test_estimator_calibration(self):
         sim = MatlabSimulation()

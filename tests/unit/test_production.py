@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.bist import BISTMeasurementConfig, OneBitNoiseFigureBIST
 from repro.core.production import (
     ProductionNfScreen,
     Verdict,
@@ -12,20 +11,8 @@ from repro.core.production import (
 from repro.errors import ConfigurationError
 
 
-def make_estimator():
-    config = BISTMeasurementConfig(
-        sample_rate_hz=10000.0,
-        n_samples=100000,
-        nperseg=5000,
-        reference_frequency_hz=60.0,
-        noise_band_hz=(100.0, 4500.0),
-    )
-    return OneBitNoiseFigureBIST(config, 2900.0, 290.0)
-
-
 def make_screen(limit=8.0, sigma=0.4, guardband=2.0):
     return ProductionNfScreen(
-        make_estimator(),
         limit_db=limit,
         measurement_sigma_db=sigma,
         guardband_sigmas=guardband,
@@ -55,8 +42,6 @@ class TestClassify:
         assert make_screen(sigma=0.5, guardband=3.0).guardband_db == 1.5
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ProductionNfScreen("est", 8.0, 0.4)
         with pytest.raises(ConfigurationError):
             make_screen(limit=0.0)
         with pytest.raises(ConfigurationError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.bist import BISTResult
+from repro.engine import MeasurementEngine
 from repro.errors import ConfigurationError
 from repro.experiments.matlab_sim import MatlabSimConfig, MatlabSimulation
 from repro.signals.random import spawn_rngs
@@ -38,7 +39,7 @@ def _sim(**overrides):
 def _result(seed=7, **overrides) -> BISTResult:
     sim = _sim(**overrides)
     estimator = sim.make_estimator()
-    return estimator.measure(sim.bitstream, rng=seed)
+    return MeasurementEngine().measure(sim, estimator, rng=seed)
 
 
 def assert_results_identical(a: BISTResult, b: BISTResult) -> None:
@@ -357,7 +358,6 @@ class TestResultStore:
         import repro.store.keys as keys_module
         import repro.store.serialize as serialize_module
         import repro.store.store as store_module
-        from repro.engine import MeasurementEngine
         from repro.experiments.production import _build_device_bench
 
         bench = _build_device_bench(8.0, 2**14)
