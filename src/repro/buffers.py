@@ -9,7 +9,7 @@ comparator's diff blocks, the packed-Welch unpack and windowed blocks,
 the paper simulation's noise record, and a lot device's analog chain:
 the testbench's source stack, each amplifier's noise and contributor
 stacks, the shaped-noise and spectral-synthesis half-spectra, and the
-philox records that :meth:`~repro.instruments.testbench.
+float32 philox records that :meth:`~repro.instruments.testbench.
 PrototypeTestbench.acquire_bitstreams` digitizes before it returns.
 
 Ownership rule: an array returned by :meth:`ArrayPool.take` is valid

@@ -136,14 +136,22 @@ def _run_table3(opts: RunOptions, engine: MeasurementEngine) -> str:
         mode="paper", n_samples=2**17 if opts.fast else 2**20, seed=2005,
         engine=engine,
     )
-    return render_table(
+    table = render_table(
         ["opamp", "expected (dB)", "measured (dB)", "error (dB)"],
         [
             [r.opamp, r.expected_nf_db, r.measured_nf_db, r.error_db]
+            if r.failure is None
+            else [r.opamp, r.expected_nf_db, "failed", "-"]
             for r in result.rows
         ],
         title=f"Table 3 ({result.mode} mode)",
     )
+    notes = [
+        f"{r.opamp} failed: {r.failure}"
+        for r in result.rows
+        if r.failure is not None
+    ]
+    return "\n".join([table, *notes])
 
 
 def _run_fig7(opts: RunOptions, engine: MeasurementEngine) -> str:

@@ -113,7 +113,11 @@ class Comparator:
         carrying ``sample_rate``); unpacked row ``i`` is bit-exact equal
         to the scalar :meth:`compare` of record ``i`` with ``rngs[i]``
         (the comparator's own input noise, when enabled, draws from
-        each record's generator).  The input is never modified.
+        each record's generator).  The input is never modified.  A
+        float32 stack (philox testbench records) is read as it is, not
+        copied: each block's subtraction upcasts it element by element,
+        which is exact, so its decisions are those of its float64
+        upcast.  Any other input is read as float64.
 
         Records are processed row by row, each in blocks of
         :data:`COMPARE_BLOCK` samples through one pooled scratch block:
@@ -123,7 +127,9 @@ class Comparator:
         trigger carries its state from block to block.  Scratch stays
         one block per thread, however long the record.
         """
-        sig = np.asarray(signals, dtype=float)
+        sig = np.asarray(signals)
+        if sig.dtype != np.float32:
+            sig = np.asarray(sig, dtype=float)
         ref = np.asarray(reference, dtype=float)
         if sig.ndim != 2 or ref.ndim not in (1, 2):
             raise ConfigurationError(

@@ -79,11 +79,12 @@ class OneBitDigitizer:
         the input is never modified.  Unpacked row ``i`` is bit-exact
         equal to :meth:`digitize` of record ``i`` with ``rngs[i]`` — the
         per-record child generators for comparator noise and latch
-        jitter are spawned exactly as in the scalar path.  The output
-        sample rate is ``sample_rate / divider`` (see
-        :attr:`output_sample_rate_factor`).
+        jitter are spawned exactly as in the scalar path.  A float32
+        stack reaches the comparator uncopied (see
+        :meth:`Comparator.compare_batch`).  The output sample rate is
+        ``sample_rate / divider`` (see :attr:`output_sample_rate_factor`).
         """
-        sig = np.asarray(signals, dtype=float)
+        sig = np.asarray(signals)
         if sig.ndim != 2:
             raise ConfigurationError(
                 f"signals must be a 2-D array, got shape {sig.shape}"

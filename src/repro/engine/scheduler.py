@@ -653,6 +653,13 @@ class RunReport:
         """Every group completed and nothing was dead-lettered."""
         return not self.dead and all(g.status == "ok" for g in self.groups)
 
+    def count_injections(self, records) -> None:
+        """Add injector log ``records`` to :attr:`injections`, per site."""
+        for record in records:
+            self.injections[record.site] = (
+                self.injections.get(record.site, 0) + 1
+            )
+
     @property
     def n_failed_groups(self) -> int:
         return sum(1 for g in self.groups if g.status == "failed")
@@ -912,10 +919,7 @@ class MeasurementPlan:
         if pool is not None and after[4] > before[4]:
             report.dead.extend(pool.telemetry.dead[before[4]:])
         if injector is not None:
-            for record in injector.log[injected_before:]:
-                report.injections[record.site] = (
-                    report.injections.get(record.site, 0) + 1
-                )
+            report.count_injections(injector.log[injected_before:])
         report.wall_s = time.monotonic() - start
         report.started_at = started_wall
         report.finished_at = time.time()

@@ -35,6 +35,7 @@ from repro.engine.scheduler import (
     plan_retest,
 )
 from repro.errors import ConfigurationError, ExecutionError, MeasurementError
+from repro.faults.injector import active_injector
 from repro.instruments.testbench import build_prototype_testbench
 from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
 from repro.store.keys import SCHEMA_VERSION, digest, seed_fingerprint
@@ -272,6 +273,10 @@ def run_production(
     measured_values = [r.noise_figure_db for r in results]
 
     if lot_key is not None:
+        # The outcome manifest is part of the screen: a fault injected
+        # into its write belongs in the screen's report.
+        injector = active_injector()
+        logged = len(injector.log) if injector is not None else 0
         eng.store.put_outcome(
             lot_key,
             {
@@ -283,6 +288,8 @@ def run_production(
                 "measured_nf_db": [float(v) for v in measured_values],
             },
         )
+        if screen_report is not None and injector is not None:
+            screen_report.count_injections(injector.log[logged:])
 
     rows = []
     for sigmas in guardband_sigmas:

@@ -27,7 +27,7 @@ from repro.analog.noise_analysis import noise_budget
 from repro.analog.opamp import OPAMP_LIBRARY, OpAmpNoiseModel
 from repro.constants import T0_KELVIN
 from repro.engine import MeasurementEngine
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MeasurementError
 from repro.instruments.testbench import build_prototype_testbench
 from repro.signals.random import GeneratorLike, make_rng, spawn_rngs
 
@@ -44,7 +44,12 @@ _MODES = ("paper", "datasheet")
 
 @dataclass(frozen=True)
 class Table3Row:
-    """One opamp's outcome."""
+    """One opamp's outcome.
+
+    A row whose estimate raised :class:`~repro.errors.MeasurementError`
+    (a Y factor at or below 1 on a short record, say) has NaN measured
+    NF and error, and keeps the error's message in ``failure``.
+    """
 
     opamp: str
     expected_nf_db: float
@@ -52,6 +57,7 @@ class Table3Row:
     error_db: float
     paper_expected_nf_db: float
     paper_measured_nf_db: float
+    failure: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,12 @@ class Table3Result:
 
     @property
     def max_abs_error_db(self) -> float:
-        """Maximum |expected - measured| (the paper quotes 2 dB)."""
-        return max(abs(r.error_db) for r in self.rows)
+        """Maximum |expected - measured| over the rows that measured
+        (the paper quotes 2 dB); NaN when none did."""
+        return max(
+            (abs(r.error_db) for r in self.rows if r.failure is None),
+            default=float("nan"),
+        )
 
 
 def _hot_temperature_for(model: OpAmpNoiseModel, rs: float) -> float:
@@ -123,6 +133,8 @@ def run_table3(
     """Regenerate Table 3: measure all four opamps with the 1-bit BIST.
 
     A store-backed ``engine`` serves the rows it holds from its store.
+    A row whose estimate fails is reported as failed (see
+    :class:`Table3Row`); the other rows are kept.
     """
     if mode not in _MODES:
         raise ConfigurationError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -137,15 +149,20 @@ def run_table3(
         )
         estimator = bench.make_estimator(noise_band_hz=noise_band_hz)
         expected = bench.expected_nf_db(*noise_band_hz)
-        result = engine.measure(bench, estimator, rng=rng)
+        try:
+            measured = engine.measure(bench, estimator, rng=rng).noise_figure_db
+            failure = None
+        except MeasurementError as exc:
+            measured, failure = float("nan"), str(exc)
         rows.append(
             Table3Row(
                 opamp=name,
                 expected_nf_db=expected,
-                measured_nf_db=result.noise_figure_db,
-                error_db=result.noise_figure_db - expected,
+                measured_nf_db=measured,
+                error_db=measured - expected,
                 paper_expected_nf_db=paper_expected,
                 paper_measured_nf_db=paper_measured,
+                failure=failure,
             )
         )
     return Table3Result(mode=mode, rows=rows)

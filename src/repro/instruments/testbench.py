@@ -12,6 +12,7 @@ figures, exactly like the paper's Table 3.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -42,6 +43,50 @@ POST_AMP_OPAMP = OpAmpNoiseModel(
     in_corner_hz=140.0,
     gbw_hz=4e6,
 )
+
+
+def _pole_power(
+    freqs: np.ndarray, sample_rate: float, pole_hz: float
+) -> Union[float, np.ndarray]:
+    """|H|^2 of the digital pole an amplifier's process_batch() applies
+    (1 when the pole is at or above Nyquist, which it skips)."""
+    if pole_hz < sample_rate / 2.0:
+        return single_pole_lowpass_power(freqs, sample_rate, pole_hz)
+    return 1.0
+
+
+@functools.lru_cache(maxsize=4)
+def _chain_terms(
+    n_samples: int,
+    sample_rate: float,
+    dut_gain: float,
+    dut_pole_hz: float,
+    post_args: tuple,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The terms ``(C, F)`` of :meth:`PrototypeTestbench.analog_psd`
+    that do not depend on the DUT's noise, cached read-only.
+
+    ``C = g_post*P_post*g_dut*P_dut`` and ``F = g_post*P_post*S_post``
+    on the record's ``rfftfreq`` grid, ``S_post``'s DC bin being its
+    white ``4kT*Rp``.  The key is the values they depend on: the
+    record length and rate, the DUT's actual gain and pole, and the
+    post-amplifier's constructor arguments (``post_args``).  Not object
+    identity: every lot device builds its own bench and amplifiers.
+    The grid itself is not kept.
+    """
+    post = NonInvertingAmplifier(*post_args)
+    freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate)
+    post_power = post.actual_gain**2 * _pole_power(
+        freqs, sample_rate, post.bandwidth_hz
+    )
+    dut_power = dut_gain**2 * _pole_power(freqs, sample_rate, dut_pole_hz)
+    gain = np.multiply(post_power, dut_power, out=np.empty(freqs.size))
+    floor = post.amplifier_noise_density(freqs)
+    floor[0] = post.feedback_johnson_density
+    floor *= post_power
+    gain.setflags(write=False)
+    floor.setflags(write=False)
+    return gain, floor
 
 
 class PrototypeTestbench:
@@ -140,16 +185,17 @@ class PrototypeTestbench:
         bit-exact vs :meth:`acquire_bitstreams`.
 
         ``rng_mode="compat"`` renders the chain stage by stage (source,
-        DUT noise and pole, post-amplifier noise and pole), row ``i``
-        bit-exact equal to ``analog_output(states[i], a)``, not
-        ``analog_output(states[i], r)``.  ``rng_mode="philox"``
+        DUT noise and pole, post-amplifier noise and pole) in float64,
+        row ``i`` bit-exact equal to ``analog_output(states[i], a)``,
+        not ``analog_output(states[i], r)``.  ``rng_mode="philox"``
         draws each record in one step from a counter stream keyed by
         its analog generator: a complex Gaussian half-spectrum scaled
         by the square root of :meth:`analog_psd`, then one ``irfft``
         (:meth:`~repro.signals.batch_rng.BatchNoiseGenerator.
-        spectral_matrix`).  Every stage is linear and Gaussian, so the
-        record is the same stochastic process — deterministic per seed,
-        not bit-identical to compat.  The compat filters start from
+        spectral_matrix`), all in float32, so philox records are
+        float32.  Every stage is linear and Gaussian, so the record is
+        the same stochastic process — deterministic per seed, not
+        bit-identical to compat.  The compat filters start from
         zero state while the spectral records are stationary; at the
         benches' poles that start-up transient decays below ``1e-16``
         within a few dozen samples, so no warm-up is discarded.
@@ -190,7 +236,9 @@ class PrototypeTestbench:
             out = None
             if scratch:
                 out = default_pool.take(
-                    "testbench.analog", (len(states), self.n_samples)
+                    "testbench.analog",
+                    (len(states), self.n_samples),
+                    np.float32,
                 )
             analog = BatchNoiseGenerator(analog_rngs).spectral_matrix(
                 psds, self.n_samples, self.sample_rate_hz, out=out
@@ -283,46 +331,49 @@ class PrototypeTestbench:
         record, with ``g = actual_gain**2`` (gain drift and the hot
         level error carry through) and ``P`` the power response of the
         digital pole the time path applies (1 when the pole is at or
-        above Nyquist):
-        ``g_post*P_post*(g_dut*P_dut*(S_src + S_dut(f)) + S_post(f))``.
-        The DC bin gets only the white terms — the source and each
-        amplifier's ``4kT*Rp`` — because the time path's shaped (1/f)
-        contributors carry no DC.  Every other bin of a record shorter
-        than ``100 * sample_rate`` samples equals what the time path
-        shapes.  Raises :class:`~repro.errors.ConfigurationError` for
-        an unknown state.
+        above Nyquist): ``C(f)*(S_src + S_dut(f)) + F(f)``, where
+        ``C = g_post*P_post*g_dut*P_dut`` and
+        ``F = g_post*P_post*S_post(f)``.  The DC bin gets only the
+        white terms — the source and each amplifier's ``4kT*Rp`` —
+        because the time path's shaped (1/f) contributors carry no DC.
+        Every other bin of a record shorter than ``100 * sample_rate``
+        samples equals what the time path shapes.  Raises
+        :class:`~repro.errors.ConfigurationError` for an unknown state.
+
+        ``C`` and ``F`` do not depend on the DUT's noise, so every
+        device of a lot shares them (:func:`_chain_terms`); a call
+        evaluates only ``S_dut``, which for a white DUT opamp (both
+        corners 0) is one value for every bin but DC.
         """
         source = np.array([self.noise_source.density(s) for s in states])
-        freqs = np.fft.rfftfreq(self.n_samples, d=1.0 / self.sample_rate_hz)
         dut, post = self.dut, self.post_amplifier
-        dut_noise = dut.amplifier_noise_density(freqs)
-        post_noise = post.amplifier_noise_density(freqs)
-        dut_noise[0] = dut.feedback_johnson_density
-        post_noise[0] = post.feedback_johnson_density
-        dut_power = dut.actual_gain**2 * self._chain_power(dut, freqs)
-        post_power = post.actual_gain**2 * self._chain_power(post, freqs)
-        # In place, the floats of post_power * (dut_power * dut_noise +
-        # post_noise) and source * (post_power * dut_power) + floor: a
-        # lot device computes this once, and every temporary of it is
-        # another half-megabyte of fresh pages at 2**17 samples.
-        floor = np.multiply(dut_noise, dut_power, out=dut_noise)
-        floor += post_noise
-        floor *= post_power
-        psd = np.empty((len(source), freqs.size))
-        np.multiply(source[:, np.newaxis], post_power * dut_power, out=psd)
-        psd += floor
-        return psd
-
-    def _chain_power(
-        self, amplifier: NonInvertingAmplifier, freqs: np.ndarray
-    ) -> Union[float, np.ndarray]:
-        """|H|^2 of the digital pole process_batch() applies (1 when
-        the pole is at or above Nyquist, which it skips)."""
-        if amplifier.bandwidth_hz < self.sample_rate_hz / 2.0:
-            return single_pole_lowpass_power(
-                freqs, self.sample_rate_hz, amplifier.bandwidth_hz
+        gain, floor = _chain_terms(
+            self.n_samples,
+            self.sample_rate_hz,
+            dut.actual_gain,
+            dut.bandwidth_hz,
+            (
+                post.opamp,
+                post.r_feedback_ohm,
+                post.r_ground_ohm,
+                post.source_resistance_ohm,
+                post.temperature_k,
+                post.gain_drift,
+            ),
+        )
+        if dut.opamp.en_corner_hz or dut.opamp.in_corner_hz:
+            dut_noise = dut.amplifier_noise_density(
+                np.fft.rfftfreq(self.n_samples, d=1.0 / self.sample_rate_hz)
             )
-        return 1.0
+        else:  # white: one density at every frequency
+            dut_noise = dut.amplifier_noise_density(1.0)
+        psd = np.empty((len(source), gain.size))
+        for row, density in zip(psd, source):
+            np.multiply(gain, density + dut_noise, out=row)
+            row += floor
+        white = source + dut.feedback_johnson_density
+        psd[:, 0] = white * gain[0] + floor[0]
+        return psd
 
     def expected_nf_db(self, f_low_hz: float, f_high_hz: float) -> float:
         """Analytical expected NF of the DUT over the measurement band."""

@@ -33,7 +33,12 @@ per-contributor renderers of the analog chain are compat-only:
     Gaussian process with one PSD, so its records are drawn in one
     step: a complex Gaussian half-spectrum per record, scaled by the
     square root of the chain's PSD, then one ``irfft``
-    (:meth:`BatchNoiseGenerator.spectral_matrix`).
+    (:meth:`BatchNoiseGenerator.spectral_matrix`).  These testbench
+    records are float32: they only feed a comparator, which keeps the
+    sign of ``x - ref``, and float32's 24-bit mantissa can flip that
+    sign only where ``|x - ref|`` is below about ``1e-7`` of the noise
+    RMS.  Drawing, scaling and inverting in float32 halves the FFT and
+    the record stack.
 
     For records whose floats only ever feed an ideal comparator, the
     generator can go further and synthesize the *packed bits* directly:
@@ -86,14 +91,17 @@ def validate_rng_mode(rng_mode: str) -> str:
     return rng_mode
 
 
-def _checked_out(out: Optional[np.ndarray], shape) -> np.ndarray:
-    """``out`` if it is a float64 array of ``shape``, a fresh one for
+def _checked_out(
+    out: Optional[np.ndarray], shape, dtype=np.float64
+) -> np.ndarray:
+    """``out`` if it is a ``dtype`` array of ``shape``, a fresh one for
     ``None``; raise otherwise."""
+    dtype = np.dtype(dtype)
     if out is None:
-        return np.empty(shape)
-    if out.shape != shape or out.dtype != np.float64:
+        return np.empty(shape, dtype)
+    if out.shape != shape or out.dtype != dtype:
         raise ConfigurationError(
-            f"out must be float64 of shape {shape}, got {out.dtype} "
+            f"out must be {dtype} of shape {shape}, got {out.dtype} "
             f"{out.shape}"
         )
     return out
@@ -194,7 +202,8 @@ class BatchNoiseGenerator:
         sample_rate: float,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Gaussian records with prescribed one-sided PSDs, one per stream.
+        """Gaussian float32 records with prescribed one-sided PSDs, one
+        per stream.
 
         ``psds`` is one PSD (V^2/Hz) on the ``rfftfreq(n_samples,
         1/sample_rate)`` grid shared by every stream, or one such PSD
@@ -205,10 +214,13 @@ class BatchNoiseGenerator:
         — the spectrum ``rfft`` gives white noise of density ``S``, so
         the record is a stationary Gaussian process with PSD ``S``.
 
-        The records land in ``out`` when given (float64, one row per
-        stream), which is returned; otherwise in a fresh array.  Every
-        row's half-spectrum is drawn into one pooled row, and its
-        ``irfft`` writes straight into the record.
+        The draw, the amplitude scaling and the ``irfft`` run in
+        float32 (the records feed a comparator, see the module
+        docstring), and the records are float32.  They land in ``out``
+        when given (float32, one row per stream), which is returned;
+        otherwise in a fresh array.  Every row's half-spectrum is drawn
+        into one pooled complex64 row, and its ``irfft`` writes straight
+        into the record.
         """
         n = int(n_samples)
         if n < 1:
@@ -226,12 +238,15 @@ class BatchNoiseGenerator:
                 raise ConfigurationError(
                     f"got {self.n_streams} streams but {len(rows)} PSDs"
                 )
-        out = _checked_out(out, (self.n_streams, n))
+        out = _checked_out(out, (self.n_streams, n), np.float32)
         # Real bins carry the whole variance on one part: x sqrt(2).
         real_bins = [0, n_bins - 1] if n % 2 == 0 else [0]
         spectrum = default_pool.take(
-            "spectral_matrix.spectrum", n_bins, np.complex128
+            "spectral_matrix.spectrum", n_bins, np.complex64
         )
+        # Fresh, not pooled: a long-lived amplitude row kept glibc from
+        # trimming the heap and raised a lot worker's peak RSS by 1.5 MB.
+        amp = np.empty(n_bins, np.float32)
         for i, gen in enumerate(self._gens):
             psd = np.asarray(rows[i], dtype=float)
             if psd.shape != (n_bins,) or not (
@@ -241,11 +256,14 @@ class BatchNoiseGenerator:
                     f"each PSD must hold {n_bins} finite non-negative "
                     f"values, got shape {psd.shape}"
                 )
-            amp = np.sqrt(psd * (n * sample_rate / 4.0))
+            np.multiply(psd, n * sample_rate / 4.0, out=amp)
+            np.sqrt(amp, out=amp)
             amp[real_bins] *= np.sqrt(2.0)
-            gen.standard_normal(2 * n_bins, out=spectrum.view(np.float64))
+            gen.standard_normal(
+                2 * n_bins, dtype=np.float32, out=spectrum.view(np.float32)
+            )
             spectrum *= amp
-            spectrum[real_bins] = spectrum[real_bins].real
+            spectrum.imag[real_bins] = 0.0
             np.fft.irfft(spectrum, n=n, out=out[i])
         return out
 

@@ -55,7 +55,8 @@ __all__ = [
 #: semantics; entries written under an older schema stop matching (their
 #: keys embed the old version) and ``ResultStore.gc`` reclaims them.
 #: Schema 2: philox testbench records are drawn by spectral synthesis.
-SCHEMA_VERSION = 2
+#: Schema 3: philox testbench records are synthesized in float32.
+SCHEMA_VERSION = 3
 
 #: Entry kinds, in layout order: one top-level directory each.
 KINDS = ("results", "outcomes")

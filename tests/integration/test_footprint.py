@@ -140,8 +140,11 @@ print(json.dumps({"faults_per_device": (after - before) / CHUNK}))
     # On a 2-CPU Linux container (glibc malloc, numpy 2.4) a 2**17-sample
     # device faulted about 8,300 pages in compat and 2,700 in philox
     # when every stage allocated its records afresh; with pooled
-    # scratch it faults about 340 and 1,110.
-    [("compat", 1500), ("philox", 1800)],
+    # scratch it faulted about 340 and 1,110.  The philox 1,110 were
+    # mostly analog_psd's half-megabyte temporaries, re-faulted at
+    # glibc's trim threshold; with the chain terms computed once per
+    # lot and float32 records it faults about 280.
+    [("compat", 1500), ("philox", 700)],
 )
 def test_lot_device_reuses_its_pages(rng_mode, bound):
     env = {**os.environ, "PYTHONPATH": str(REPO_SRC)}

@@ -35,8 +35,8 @@ from repro.signals.random import make_rng
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: One bulk screen, big enough that a serial daemon is reliably still
-#: mid-lot when the kill lands ~1s after submission.
+#: One bulk screen of five two-device sub-batches, so a serial daemon
+#: is still mid-lot when the kill lands after the first commit.
 LOT_PARAMS = dict(n_devices=10, n_samples=2**16, nperseg=4096, seed=11)
 LOT_SPEC = JobSpec(kind="lot", params=LOT_PARAMS)
 
@@ -138,7 +138,15 @@ class TestSigkillRecovery:
             assert lot_verdicts == ["accepted", "duplicate"]
 
             # Let the lot get properly underway, then pull the plug.
-            time.sleep(1.0)
+            # A fixed sleep raced the lot on a fast host: the daemon
+            # could finish all ten devices first.  Three stored results
+            # mean at least one of the lot's two-device sub-batches has
+            # committed (the measure probe stores one result), while
+            # most of its devices are still to go.
+            deadline = time.monotonic() + 60.0
+            while len(list((store / "results").glob("??/*.npz"))) < 3:
+                assert time.monotonic() < deadline, "the lot never started"
+                time.sleep(0.005)
             daemon.send_signal(signal.SIGKILL)
             assert daemon.wait(timeout=30.0) == -signal.SIGKILL
         finally:

@@ -178,6 +178,26 @@ class TestStoreOptions:
         assert resumed["measured_nf_db"] == cold["measured_nf_db"]
         assert resumed["rows"] == cold["rows"]
 
+    def test_table3_prints_a_failed_row(self, capsys, monkeypatch):
+        from repro.engine import MeasurementEngine
+        from repro.errors import MeasurementError
+
+        measure = MeasurementEngine.measure
+
+        def ca3140_fails(self, source, estimator, rng=None):
+            if source.dut.opamp.name.startswith("CA3140"):
+                raise MeasurementError("Y factor must exceed 1, got 0.957")
+            return measure(self, source, estimator, rng=rng)
+
+        monkeypatch.setattr(MeasurementEngine, "measure", ca3140_fails)
+        assert main(["run", "table3", "--fast"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].split() == ["CA3140", "16.2", "failed", "-"]
+        assert lines[-1] == "CA3140 failed: Y factor must exceed 1, got 0.957"
+        assert [line.split()[0] for line in lines[-5:-2]] == [
+            "OP27", "OP07", "TL081"
+        ]
+
     @pytest.mark.parametrize("experiment", ["table3", "fig13"])
     def test_store_backed_rerun_acquires_nothing(
         self, experiment, tmp_path, capsys, monkeypatch

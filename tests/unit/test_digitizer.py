@@ -64,3 +64,56 @@ class TestLevelRatio:
         ref = SineSource(100.0, 0.5).render(100, FS)
         with pytest.raises(ConfigurationError):
             OneBitDigitizer.level_ratio(sig, ref)
+
+
+class TestFloat32Records:
+    """Philox testbench records are float32; the comparator reads them
+    as they are and decides exactly as on their float64 upcast."""
+
+    N = 3 * 2**16 + 1235  # several comparator blocks and a ragged tail
+
+    @pytest.mark.parametrize(
+        "kwargs, threshold",
+        [
+            ({"offset_v": 0.05}, -0.05),
+            ({"input_noise_rms": 1e-12}, 0.0),
+            ({"hysteresis_v": 0.4}, None),
+        ],
+    )
+    def test_float32_stack_digitizes_like_its_upcast(self, kwargs, threshold):
+        # Every sample sits on the decision threshold up to float32
+        # rounding (for hysteresis, on one of its two switching
+        # points), so a comparator that rounded the reference to
+        # float32 would decide differently on a large share of them.
+        rng = np.random.default_rng(12)
+        reference = 0.3 * np.sin(np.arange(self.N) / 37.0) + 1e-3
+        if threshold is None:
+            threshold = rng.choice([-0.2, 0.2], size=(2, self.N))
+        signals = (reference + np.broadcast_to(threshold, (2, self.N))).astype(
+            np.float32
+        )
+        digitizer = OneBitDigitizer(comparator=Comparator(**kwargs))
+        packed = digitizer.digitize_batch(signals, reference, 1000.0, [5, 6])
+        upcast = digitizer.digitize_batch(
+            signals.astype(np.float64), reference, 1000.0, [5, 6]
+        )
+        assert np.array_equal(packed.words, upcast.words)
+
+    def test_compare_batch_makes_no_float64_copy(self):
+        import tracemalloc
+
+        signals = np.random.default_rng(13).standard_normal(
+            (2, 2**20), dtype=np.float32
+        )
+        reference = 0.1 * np.sin(np.arange(2**20) / 37.0)
+        comparator = Comparator()
+        comparator.compare_batch(signals, reference, sample_rate=1000.0)
+        tracemalloc.start()
+        try:
+            comparator.compare_batch(signals, reference, sample_rate=1000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The packed words are a quarter of one float32 record; a
+        # float64 copy of even one record is twice a float32 record.
+        assert peak < signals[0].nbytes
